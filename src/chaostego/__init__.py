@@ -21,8 +21,6 @@ from .analysis import (
 from .chaos import (
     ChaosState,
     ImageDims,
-    PixelPosition,
-    PositionStream,
     bifurcation_scan,
     coupled_step,
     initial_state,

@@ -14,9 +14,9 @@ key material reproduce the exact same position stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import islice
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
+
+import numpy as np
 
 from .errors import DomainError, InsufficientCapacity
 
@@ -35,36 +35,12 @@ class ImageDims(NamedTuple):
     cols: int
 
 
-class PixelPosition(NamedTuple):
-    """1-based pixel coordinate: ``col`` in [1, cols], ``row`` in [1, rows]."""
-
-    col: int
-    row: int
-
-
 class ChaosState(NamedTuple):
     """Orbit point of the coupled system after ``n`` iterations."""
 
     x: float
     y: float
     n: int
-
-
-@dataclass
-class PositionStream:
-    """Ordered, duplicate-free pixel positions for a given grid."""
-
-    positions: list[PixelPosition] = field(default_factory=list)
-    dims: ImageDims = ImageDims(1, 1)
-
-    def __len__(self) -> int:
-        return len(self.positions)
-
-    def __iter__(self):
-        return iter(self.positions)
-
-    def __getitem__(self, index):
-        return self.positions[index]
 
 
 def _check_dims(dims: ImageDims) -> ImageDims:
@@ -132,8 +108,8 @@ def coupled_step(state: ChaosState, alpha1: float, alpha2: float, r: float) -> C
     return ChaosState(x, y, state.n + 1)
 
 
-def to_pixel(x: float, y: float, dims: ImageDims) -> PixelPosition:
-    """Convert an orbit point in [0,1]^2 to 1-based pixel coordinates.
+def to_pixel(x: float, y: float, dims: ImageDims) -> tuple[int, int]:
+    """Convert an orbit point in [0,1]^2 to 1-based ``(col, row)`` coordinates.
 
     col = floor(x * cols) + 1 and row = floor(y * rows) + 1, clamped into
     range (x = 1 would otherwise index one past the last column).
@@ -143,7 +119,7 @@ def to_pixel(x: float, y: float, dims: ImageDims) -> PixelPosition:
     row = int(math.floor(y * rows)) + 1
     col = min(max(col, 1), cols)
     row = min(max(row, 1), rows)
-    return PixelPosition(col, row)
+    return col, row
 
 
 def iteration_cap(dims: ImageDims) -> int:
@@ -153,55 +129,56 @@ def iteration_cap(dims: ImageDims) -> int:
     return int(20 * cells * max(1.0, math.log(cells)))
 
 
-def iter_positions(keys: SecretKeySet, coupling: PublicCoupling, dims: ImageDims) -> Iterator[PixelPosition]:
-    """Yield unique pixel positions in orbit order (first occurrence kept).
+def select_positions(keys: SecretKeySet, coupling: PublicCoupling, dims: ImageDims, count: int) -> np.ndarray:
+    """First ``count`` unique positions of the keyed stream, in orbit order.
 
-    The loop below inlines :func:`map_step`, :func:`sanitize` and
-    :func:`to_pixel` for speed; it performs the exact same binary64
-    operations in the same order, which the test suite cross-checks
-    against the step-by-step functions.  Raises
-    :class:`InsufficientCapacity` once the iteration cap is exhausted.
+    Returns flat indices ``(row-1)*cols + (col-1)`` into the row-major
+    ``rows x cols`` grid as a 1-D int64 array.  The loop below inlines
+    :func:`coupled_step`'s map arithmetic and :func:`to_pixel` for speed;
+    it performs the exact same binary64 operations in the same order,
+    which the test suite cross-checks against the step-by-step functions.
+    Raises :class:`InsufficientCapacity` if the iteration cap runs out
+    before ``count`` unique positions are found.
     """
     rows, cols = _check_dims(dims)
+    cells = rows * cols
+    if count < 0:
+        raise DomainError("count must be non-negative")
+    if count > cells:
+        raise InsufficientCapacity(f"requested {count} unique positions from a grid of {cells} cells")
+    if count == 0:
+        return np.empty(0, dtype=np.int64)
     r = coupling.value
     if not (0.0 < r <= 1.0) or not math.isfinite(r):
         raise DomainError("coupling factor must satisfy 0 < R <= 1")
-    a1, a2 = keys.alpha1, keys.alpha2
-    if not (a1 > 0.5) or not math.isfinite(a1) or not (a2 > 0.5) or not math.isfinite(a2):
-        raise DomainError("map parameters must be finite and greater than 0.5")
-    a1sq = a1 * a1
-    a2sq = a2 * a2
-
-    # Uncoupled bootstrap (n = 1).
-    x = sanitize(keys.x0)
-    y = sanitize(keys.y0)
-    t = 2.0 * x - 1.0
-    num = a1sq * (t * t)
-    x_next = num / ((4.0 * x) * (1.0 - x) + num)
-    t = 2.0 * y - 1.0
-    num = a2sq * (t * t)
-    y_next = num / ((4.0 * y) * (1.0 - y) + num)
-    x = sanitize(x_next)
-    y = sanitize(y_next)
+    # Outside (0,1) the map leaves [0,1] and the orbit indexes off the grid.
+    if not (0.0 < keys.x0 < 1.0) or not (0.0 < keys.y0 < 1.0):
+        raise DomainError("seeds must lie strictly between 0 and 1")
+    x, y, _ = initial_state(keys)  # also validates both map parameters
+    a1sq = keys.alpha1 * keys.alpha1
+    a2sq = keys.alpha2 * keys.alpha2
 
     cap = iteration_cap(ImageDims(rows, cols))
-    seen: set[int] = set()
+    seen = bytearray(cells)
+    found: list[int] = []
     steps = 1
     while True:
-        col = int(x * cols) + 1  # x in (0,1): int() is floor here
-        row = int(y * rows) + 1
-        if col > cols:
-            col = cols
-        if row > rows:
-            row = rows
-        key = col * (rows + 1) + row
-        if key not in seen:
-            seen.add(key)
-            yield PixelPosition(col, row)
+        col = int(x * cols)  # x in (0,1): int() is floor here
+        row = int(y * rows)
+        if col >= cols:
+            col -= 1
+        if row >= rows:
+            row -= 1
+        flat = row * cols + col
+        if not seen[flat]:
+            seen[flat] = 1
+            found.append(flat)
+            if len(found) == count:
+                return np.array(found, dtype=np.int64)
         if steps >= cap:
             raise InsufficientCapacity(
                 "position generator exhausted its iteration cap "
-                f"({cap} steps, {len(seen)} unique positions found)"
+                f"({cap} steps, {len(found)} unique positions found)"
             )
         # Cross-coupled step, sanitized before storage.
         u = sanitize(r * y)
@@ -215,19 +192,6 @@ def iter_positions(keys: SecretKeySet, coupling: PublicCoupling, dims: ImageDims
         x = sanitize(x_next)
         y = sanitize(y_next)
         steps += 1
-
-
-def select_positions(keys: SecretKeySet, coupling: PublicCoupling, dims: ImageDims, count: int) -> PositionStream:
-    """Collect the first ``count`` unique positions of the keyed stream."""
-    rows, cols = _check_dims(dims)
-    if count < 0:
-        raise DomainError("count must be non-negative")
-    if count > rows * cols:
-        raise InsufficientCapacity(
-            f"requested {count} unique positions from a grid of {rows * cols} cells"
-        )
-    positions = list(islice(iter_positions(keys, coupling, dims), count))
-    return PositionStream(positions, ImageDims(rows, cols))
 
 
 def bifurcation_scan(

@@ -13,16 +13,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, chaos, codec, imagery, keymat
-from .errors import (
-    CapacityError,
-    ChaostegoError,
-    DecodeError,
-    DimensionMismatch,
-    DomainError,
-    EncodingError,
-    ExtractError,
-    ParseError,
-)
+from .errors import CapacityError, ChaostegoError, DomainError, ExtractError, ParseError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -285,9 +276,6 @@ def run(argv: list[str] | None = None) -> int:
     except (CapacityError, ExtractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (ParseError, DomainError, EncodingError, DecodeError, DimensionMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except ChaostegoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

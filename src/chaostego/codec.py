@@ -16,7 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chaos import ImageDims, PixelPosition, iter_positions
+from .chaos import ImageDims
+# Bound under the name perfbench/tracing.py patches to time the orbit.
+from .chaos import select_positions as iter_positions
 from .errors import (
     CapacityError,
     DecodeError,
@@ -161,12 +163,6 @@ class StegoBundle:
     mode: str
 
 
-def _position_arrays(positions: list[PixelPosition]) -> tuple[np.ndarray, np.ndarray]:
-    rows = np.fromiter((p.row - 1 for p in positions), dtype=np.intp, count=len(positions))
-    cols = np.fromiter((p.col - 1 for p in positions), dtype=np.intp, count=len(positions))
-    return rows, cols
-
-
 def embed(
     cover: RasterImage,
     payload: MessagePayload,
@@ -183,20 +179,18 @@ def embed(
         raise CapacityError(
             f"payload of {nbits} bits exceeds the {capacity}-sample grid"
         )
-    dims = ImageDims(cover.rows, cover.flat_cols)
-    stream = iter_positions(keys, coupling, dims)
-    positions = [next(stream) for _ in range(nbits)]
-    rows, cols = _position_arrays(positions)
+    flat = iter_positions(keys, coupling, ImageDims(cover.rows, cover.flat_cols), nbits)
     bits = np.frombuffer(payload.bits, dtype=np.uint8)
 
     stego = cover.samples.copy()
-    changed = (stego[rows, cols] & 1) != bits
-    r_ch, c_ch, b_ch = rows[changed], cols[changed], bits[changed]
-    stego[r_ch, c_ch] = (stego[r_ch, c_ch] & 0xFE) | b_ch
+    samples = stego.reshape(-1)
+    changed = (samples[flat] & 1) != bits
+    f_ch, b_ch = flat[changed], bits[changed]
+    samples[f_ch] = (samples[f_ch] & 0xFE) | b_ch
 
     side = SideMatrices.fresh(cover.rows, cover.flat_cols)
-    side.ones.bits[r_ch, c_ch] = b_ch
-    side.zeros.bits[r_ch, c_ch] = b_ch
+    side.ones.bits.reshape(-1)[f_ch] = b_ch
+    side.zeros.bits.reshape(-1)[f_ch] = b_ch
 
     stego_image = RasterImage(cover.rows, cover.cols, cover.channels, stego)
     return StegoBundle(stego_image, side, coupling, payload.mode)
@@ -220,30 +214,28 @@ def extract(bundle: StegoBundle, keys: SecretKeySet) -> MessagePayload:
                 f"mark matrix {m!r} does not match the {rows_n}x{cols_n} sample grid"
             )
 
-    stream = iter_positions(keys, bundle.coupling, ImageDims(rows_n, cols_n))
-
-    def read_bits(count: int) -> list[int]:
-        try:
-            positions = [next(stream) for _ in range(count)]
-        except InsufficientCapacity as exc:
-            raise ExtractError(f"position stream could not be regenerated: {exc}") from exc
-        rows, cols = _position_arrays(positions)
-        ones = bundle.side.ones.bits[rows, cols]
-        zeros = bundle.side.zeros.bits[rows, cols]
-        lsb = stego.samples[rows, cols] & 1
-        return [int(b) for b in np.where(ones == zeros, ones, lsb)]
-
-    header = read_bits(HEADER_BITS)
-    declared = 0
-    for b in header:
-        declared = (declared << 1) | b
+    header = _recover_bits(bundle, keys, HEADER_BITS)
+    declared = int.from_bytes(np.packbits(header).tobytes(), "big")
     if HEADER_BITS + declared > rows_n * cols_n:
         raise ExtractError(
             f"header declares {declared} payload bits, more than the "
             f"{rows_n * cols_n}-sample grid can carry"
         )
-    body = read_bits(declared)
-    return MessagePayload(bundle.mode, bytes(header + body))
+    return MessagePayload(bundle.mode, _recover_bits(bundle, keys, HEADER_BITS + declared).tobytes())
+
+
+def _recover_bits(bundle: StegoBundle, keys: SecretKeySet, count: int) -> np.ndarray:
+    """The first ``count`` bits of the keyed stream: at each position the
+    shared mark where the two mark matrices agree, else the stego LSB."""
+    stego = bundle.stego
+    try:
+        flat = iter_positions(keys, bundle.coupling, ImageDims(stego.rows, stego.flat_cols), count)
+    except InsufficientCapacity as exc:
+        raise ExtractError(f"position stream could not be regenerated: {exc}") from exc
+    ones = bundle.side.ones.bits.reshape(-1)[flat]
+    zeros = bundle.side.zeros.bits.reshape(-1)[flat]
+    lsb = stego.samples.reshape(-1)[flat] & 1
+    return np.where(ones == zeros, ones, lsb)
 
 
 def bit_error_rate(sent: MessagePayload, received: MessagePayload) -> float:

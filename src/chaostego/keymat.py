@@ -11,9 +11,10 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple
+
+import numpy as np
 
 from .chaos import ImageDims, select_positions
 from .errors import DomainError, InsufficientCapacity, ParseError
@@ -240,9 +241,10 @@ def generate_keys(seed: int) -> tuple[SecretKeySet, PublicCoupling]:
 # Exchange simulation
 # ---------------------------------------------------------------------------
 
-def _stream_digest(positions) -> str:
-    packed = b"".join(struct.pack(">II", p.col, p.row) for p in positions)
-    return hashlib.sha256(packed).hexdigest()
+def _stream_digest(flat: np.ndarray, cols: int) -> str:
+    """SHA-256 of the stream as big-endian uint32 pairs (col, row), 1-based."""
+    pairs = np.stack([flat % cols + 1, flat // cols + 1], axis=1).astype(">u4")
+    return hashlib.sha256(pairs.tobytes()).hexdigest()
 
 
 def simulate_exchange(
@@ -274,6 +276,6 @@ def simulate_exchange(
     events = [ChannelEvent("bob", "coupling-factor", float.hex(coupling.value))]
     alice_stream = select_positions(alice_keys, coupling, dims, k)
     bob_stream = select_positions(bob_keys, coupling, dims, k)
-    events.append(ChannelEvent("alice", "side-matrices", _stream_digest(alice_stream)))
-    agreement = alice_stream.positions == bob_stream.positions
+    events.append(ChannelEvent("alice", "side-matrices", _stream_digest(alice_stream, dims.cols)))
+    agreement = bool(np.array_equal(alice_stream, bob_stream))
     return ExchangeTranscript(events=events, agreement=agreement)

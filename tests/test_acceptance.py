@@ -196,7 +196,7 @@ def test_criterion_6_determinism_and_sensitivity():
     dims = ImageDims(512, 512)
     first = select_positions(keys, coupling, dims, 100_000)
     second = select_positions(keys, coupling, dims, 100_000)
-    deterministic = first.positions == second.positions
+    deterministic = np.array_equal(first, second)
 
     rng = np.random.default_rng(0xC6)
     diverged = 0
@@ -208,7 +208,7 @@ def test_criterion_6_determinism_and_sensitivity():
         perturbed = SecretKeySet(**fields)
         a = select_positions(keys_t, coupling_t, ImageDims(128, 128), 500)
         b = select_positions(perturbed, coupling_t, ImageDims(128, 128), 500)
-        if a.positions != b.positions:
+        if not np.array_equal(a, b):
             diverged += 1
     ok = deterministic and diverged >= 49
     report(6, "generator determinism and sensitivity", ok,
@@ -280,10 +280,12 @@ def test_criterion_10_lossy_robustness_measurement():
     payload = random_payload_bits(rng, 6000)
     bundle = embed(cover, payload, keys, coupling)
     n = len(payload.bits)
-    stream = select_positions(keys, coupling, ImageDims(128, 128), n)
+    flat = select_positions(keys, coupling, ImageDims(128, 128), n)
     marked = bundle.side.ones.bits == bundle.side.zeros.bits
-    header_cells = {(p.row - 1, p.col - 1) for p in stream[:HEADER_BITS]}
-    payload_cells = {(p.row - 1, p.col - 1): i for i, p in enumerate(stream)}
+    rows, cols = np.divmod(flat, 128)
+    cells = list(zip(rows.tolist(), cols.tolist()))
+    header_cells = set(cells[:HEADER_BITS])
+    payload_cells = {rc: i for i, rc in enumerate(cells)}
 
     worst_gap = 0.0
     for k_percent in (5, 10, 20):

@@ -1,7 +1,6 @@
 """Map iteration, sanitization, and position stream behavior."""
 
 import math
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from chaostego import (
     select_positions,
     to_pixel,
 )
-from chaostego.chaos import EPSILON, iter_positions
+from chaostego.chaos import EPSILON
 from chaostego.errors import DomainError, InsufficientCapacity
 
 
@@ -144,30 +143,32 @@ class TestToPixel:
 class TestSelectPositions:
     def test_empty_for_zero_count(self, live_keys):
         keys, coupling = live_keys
-        stream = select_positions(keys, coupling, ImageDims(64, 64), 0)
-        assert len(stream) == 0
+        flat = select_positions(keys, coupling, ImageDims(64, 64), 0)
+        assert len(flat) == 0
+        assert flat.dtype == np.int64
 
     def test_deterministic_streams(self, live_keys):
         keys, coupling = live_keys
         dims = ImageDims(128, 128)
         a = select_positions(keys, coupling, dims, 1000)
         b = select_positions(keys, coupling, dims, 1000)
-        assert a.positions == b.positions
+        assert np.array_equal(a, b)
 
     def test_no_duplicates_and_in_bounds(self, live_keys):
         keys, coupling = live_keys
         dims = ImageDims(96, 160)
-        stream = select_positions(keys, coupling, dims, 5000)
-        assert len(set(stream.positions)) == 5000
-        assert all(1 <= p.col <= 160 and 1 <= p.row <= 96 for p in stream)
+        flat = select_positions(keys, coupling, dims, 5000)
+        assert flat.dtype == np.int64 and flat.shape == (5000,)
+        assert len(np.unique(flat)) == 5000
+        rows, cols = np.divmod(flat, 160)
+        assert rows.min() >= 0 and rows.max() < 96
+        assert cols.min() >= 0 and cols.max() < 160
 
     def test_full_grid_is_a_permutation(self, live_keys):
         # A stream of count == M*N unique cells must be exactly the grid.
         keys, coupling = live_keys
-        stream = select_positions(keys, coupling, ImageDims(64, 64), 64 * 64)
-        assert set(stream.positions) == {
-            (c, r) for c in range(1, 65) for r in range(1, 65)
-        }
+        flat = select_positions(keys, coupling, ImageDims(64, 64), 64 * 64)
+        assert np.array_equal(np.sort(flat), np.arange(64 * 64))
 
     def test_count_above_grid_size_rejected(self, live_keys):
         keys, coupling = live_keys
@@ -182,27 +183,35 @@ class TestSelectPositions:
         with pytest.raises(InsufficientCapacity):
             select_positions(keys, PublicCoupling(0.9), ImageDims(128, 128), 1000)
 
+    @pytest.mark.parametrize("x0,y0", [(-0.3, 0.4), (0.3, -0.4), (0.0, 0.4), (0.3, 1.0), (1.3, 0.4), (0.3, math.nan)])
+    def test_rejects_seeds_outside_unit_interval(self, x0, y0):
+        # Outside (0,1) the map leaves [0,1] and the orbit would index
+        # cells off the grid.
+        with pytest.raises(DomainError):
+            select_positions(SecretKeySet(0.6, 0.7, x0, y0), PublicCoupling(0.99), ImageDims(16, 16), 5)
+
     def test_matches_composed_single_steps(self, live_keys):
-        # The inlined generator loop must reproduce the public step
-        # functions exactly, state for state.
+        # The inlined kernel loop must reproduce the public step functions
+        # exactly, state for state.
         keys, coupling = live_keys
         dims = ImageDims(128, 128)
         state = initial_state(keys)
         seen = set()
         expected = []
         for _ in range(400):
-            pos = to_pixel(state.x, state.y, dims)
-            if pos not in seen:
-                seen.add(pos)
-                expected.append(pos)
+            col, row = to_pixel(state.x, state.y, dims)
+            flat = (row - 1) * dims.cols + (col - 1)
+            if flat not in seen:
+                seen.add(flat)
+                expected.append(flat)
             state = coupled_step(state, keys.alpha1, keys.alpha2, coupling.value)
-        got = list(islice(iter_positions(keys, coupling, dims), len(expected)))
-        assert got == expected
+        got = select_positions(keys, coupling, dims, len(expected))
+        assert got.tolist() == expected
 
     def test_visits_most_quadrants(self, live_keys):
         keys, coupling = live_keys
-        stream = select_positions(keys, coupling, ImageDims(64, 64), 3000)
-        quadrants = {(p.col > 32, p.row > 32) for p in stream}
+        rows, cols = np.divmod(select_positions(keys, coupling, ImageDims(64, 64), 3000), 64)
+        quadrants = set(zip((cols >= 32).tolist(), (rows >= 32).tolist()))
         assert len(quadrants) >= 3
 
 

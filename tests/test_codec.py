@@ -144,11 +144,9 @@ class TestEmbed:
         all_bits = header + body
         assert flip_count(cover, bundle.stego) == sum(all_bits)
         marked = bundle.side.ones.bits == bundle.side.zeros.bits
-        positions = select_positions(keys, coupling, ImageDims(128, 128), len(all_bits))
-        one_cells = {
-            (p.row - 1, p.col - 1) for p, b in zip(positions, all_bits) if b == 1
-        }
-        assert {tuple(rc) for rc in np.argwhere(marked)} == one_cells
+        flat = select_positions(keys, coupling, ImageDims(128, 128), len(all_bits))
+        one_cells = np.sort(flat[np.array(all_bits) == 1])
+        assert np.array_equal(np.flatnonzero(marked), one_cells)
 
     def test_change_soundness_and_dichotomy(self, live_keys):
         keys, coupling = live_keys
@@ -174,10 +172,9 @@ class TestEmbed:
         cover = random_image(rng, 64, 64)
         payload = encode_message("confined", "ascii7")
         bundle = embed(cover, payload, keys, coupling)
-        stream = select_positions(keys, coupling, ImageDims(64, 64), len(payload.bits))
-        allowed = {(p.row - 1, p.col - 1) for p in stream}
-        changed = {tuple(x) for x in np.argwhere(cover.samples != bundle.stego.samples)}
-        assert changed <= allowed
+        flat = select_positions(keys, coupling, ImageDims(64, 64), len(payload.bits))
+        changed = np.flatnonzero(cover.samples != bundle.stego.samples)
+        assert np.isin(changed, flat).all()
 
     def test_flip_rate_near_half_of_payload(self, live_keys):
         # Binomial oracle: each embedded bit flips its target LSB with
@@ -253,17 +250,12 @@ class TestExtract:
         bundle = embed(cover, payload, keys, coupling)
 
         n = len(payload.bits)
-        stream = select_positions(keys, coupling, ImageDims(64, 64), n)
-        marked = bundle.side.ones.bits == bundle.side.zeros.bits
-        unchanged_payload_idx = [
-            i for i in range(HEADER_BITS, n)
-            if not marked[stream[i].row - 1, stream[i].col - 1]
-        ]
+        flat = select_positions(keys, coupling, ImageDims(64, 64), n)
+        marked = (bundle.side.ones.bits == bundle.side.zeros.bits).ravel()
+        unchanged_payload_idx = [i for i in range(HEADER_BITS, n) if not marked[flat[i]]]
         victims = unchanged_payload_idx[::3]
         corrupted = bundle.stego.samples.copy()
-        for i in victims:
-            p = stream[i]
-            corrupted[p.row - 1, p.col - 1] ^= 1
+        corrupted.reshape(-1)[flat[victims]] ^= 1
         bad_bundle = StegoBundle(
             RasterImage(64, 64, 1, corrupted), bundle.side, coupling, bundle.mode
         )
@@ -278,11 +270,10 @@ class TestExtract:
         stego = RasterImage(8, 8, 1, np.zeros(64, dtype=np.uint8))
         side = SideMatrices.fresh(8, 8)
         # force header bits to claim 2**20 payload bits
-        stream = select_positions(keys, coupling, ImageDims(8, 8), 32)
+        flat = select_positions(keys, coupling, ImageDims(8, 8), 32)
         samples = stego.samples.copy()
         claim = [(1 << 20 >> i) & 1 for i in range(31, -1, -1)]
-        for p, b in zip(stream, claim):
-            samples[p.row - 1, p.col - 1] = b
+        samples.reshape(-1)[flat] = claim
         bundle = StegoBundle(RasterImage(8, 8, 1, samples), side, coupling, "raw")
         from chaostego.errors import ExtractError
         with pytest.raises(ExtractError):
