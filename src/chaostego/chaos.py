@@ -13,12 +13,21 @@ key material reproduce the exact same position stream.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
 import math
+import os
+import shutil
+import subprocess
+import tempfile
+from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, InsufficientCapacity
+from .imagery import _MAX_CELLS
 
 if TYPE_CHECKING:
     from .keymat import PublicCoupling, SecretKeySet
@@ -133,15 +142,19 @@ def select_positions(keys: SecretKeySet, coupling: PublicCoupling, dims: ImageDi
     """First ``count`` unique positions of the keyed stream, in orbit order.
 
     Returns flat indices ``(row-1)*cols + (col-1)`` into the row-major
-    ``rows x cols`` grid as a 1-D int64 array.  The loop below inlines
-    :func:`coupled_step`'s map arithmetic and :func:`to_pixel` for speed;
-    it performs the exact same binary64 operations in the same order,
-    which the test suite cross-checks against the step-by-step functions.
-    Raises :class:`InsufficientCapacity` if the iteration cap runs out
-    before ``count`` unique positions are found.
+    ``rows x cols`` grid as a 1-D int64 array.  The orbit runs in the
+    compiled kernel where it builds and passes its self-check, else in
+    :func:`_orbit_python`; both inline :func:`coupled_step`'s map
+    arithmetic and :func:`to_pixel` and perform the exact same binary64
+    operations in the same order, which the test suite cross-checks
+    against the step-by-step functions.  Raises
+    :class:`InsufficientCapacity` if the iteration cap runs out, or the
+    orbit closes a cycle, before ``count`` unique positions are found.
     """
     rows, cols = _check_dims(dims)
     cells = rows * cols
+    if cells > _MAX_CELLS:
+        raise DomainError(f"a {rows}x{cols} grid exceeds the {_MAX_CELLS}-cell limit")
     if count < 0:
         raise DomainError("count must be non-negative")
     if count > cells:
@@ -155,13 +168,32 @@ def select_positions(keys: SecretKeySet, coupling: PublicCoupling, dims: ImageDi
     if not (0.0 < keys.x0 < 1.0) or not (0.0 < keys.y0 < 1.0):
         raise DomainError("seeds must lie strictly between 0 and 1")
     x, y, _ = initial_state(keys)  # also validates both map parameters
-    a1sq = keys.alpha1 * keys.alpha1
-    a2sq = keys.alpha2 * keys.alpha2
-
     cap = iteration_cap(ImageDims(rows, cols))
-    seen = bytearray(cells)
+    orbit = _native_orbit() or _orbit_python
+    found = orbit(x, y, keys.alpha1 * keys.alpha1, keys.alpha2 * keys.alpha2, r, rows, cols, count, cap)
+    if len(found) < count:
+        raise InsufficientCapacity(
+            "position generator exhausted its iteration cap "
+            f"({cap} steps, {len(found)} unique positions found)"
+        )
+    return found
+
+
+def _orbit_python(
+    x: float, y: float, a1sq: float, a2sq: float, r: float, rows: int, cols: int, count: int, cap: int
+) -> np.ndarray:
+    """Unique flat indices of the orbit from ``(x, y)``: ``count`` of them,
+    or fewer if ``cap`` states pass or the state repeats first.
+
+    The reference for ``_orbit.c`` and the fallback where it cannot run.
+    Once an ``(x, y)`` state repeats (Brent's cycle finding) every later
+    cell has been seen, so the loop stops with what the cap would give.
+    """
+    seen = bytearray(rows * cols)
     found: list[int] = []
     steps = 1
+    power, lam = 1, 0
+    tx, ty = x, y
     while True:
         col = int(x * cols)  # x in (0,1): int() is floor here
         row = int(y * rows)
@@ -174,12 +206,9 @@ def select_positions(keys: SecretKeySet, coupling: PublicCoupling, dims: ImageDi
             seen[flat] = 1
             found.append(flat)
             if len(found) == count:
-                return np.array(found, dtype=np.int64)
+                break
         if steps >= cap:
-            raise InsufficientCapacity(
-                "position generator exhausted its iteration cap "
-                f"({cap} steps, {len(found)} unique positions found)"
-            )
+            break
         # Cross-coupled step, sanitized before storage.
         u = sanitize(r * y)
         t = 2.0 * u - 1.0
@@ -192,6 +221,75 @@ def select_positions(keys: SecretKeySet, coupling: PublicCoupling, dims: ImageDi
         x = sanitize(x_next)
         y = sanitize(y_next)
         steps += 1
+        if x == tx and y == ty:
+            break
+        lam += 1
+        if lam == power:
+            tx, ty = x, y
+            power *= 2
+            lam = 0
+    return np.array(found, dtype=np.int64)
+
+
+#: Compiler flags that keep C's binary64 arithmetic identical to CPython's.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
+
+
+@functools.cache
+def _native_orbit():
+    """The compiled orbit with :func:`_orbit_python`'s signature, or None.
+
+    Builds ``_orbit.c`` with the system ``cc`` into the package's
+    ``__pycache__`` on first use (one shared object per source hash), loads
+    it with ctypes and keeps it only if its streams match
+    :func:`_orbit_python` on a chaotic and a collapsing key.
+    """
+    source = Path(__file__).with_name("_orbit.c")
+    try:
+        lib = _build(source)
+        kernel = ctypes.CDLL(str(lib)).orbit
+    except (OSError, subprocess.SubprocessError):
+        return None
+    kernel.argtypes = [ctypes.c_double] * 5 + [ctypes.c_int64] * 4 + [ctypes.c_void_p] * 2
+    kernel.restype = ctypes.c_int64
+
+    def orbit(x, y, a1sq, a2sq, r, rows, cols, count, cap):
+        seen = np.zeros(rows * cols, dtype=np.uint8)
+        out = np.empty(count, dtype=np.int64)
+        found = kernel(x, y, a1sq, a2sq, r, rows, cols, count, cap, seen.ctypes.data, out.ctypes.data)
+        return out[:found]
+
+    for a1, a2, x0, y0, r, side in ((1.3, 1.7, 0.31, 0.72, 0.97, 16), (3.0, 2.5, 0.31, 0.72, 0.9, 16)):
+        x, y = sanitize(map_step(x0, a1)), sanitize(map_step(y0, a2))
+        args = (x, y, a1 * a1, a2 * a2, r, side, side, side * side, iteration_cap(ImageDims(side, side)))
+        if not np.array_equal(orbit(*args), _orbit_python(*args)):
+            return None
+    return orbit
+
+
+def _build(source: Path) -> Path:
+    """Path of the shared object built from ``source``, compiling it first
+    if this source hash has no build yet."""
+    cache = source.parent / "__pycache__"
+    lib = cache / f"orbit-{hashlib.sha256(source.read_bytes()).hexdigest()}.so"
+    if lib.exists():
+        return lib
+    cc = shutil.which("cc")
+    if cc is None:
+        raise OSError("no C compiler on PATH")
+    cache.mkdir(exist_ok=True)
+    # Build beside the target and rename, so a concurrent build or load
+    # never sees a half-written file.
+    fd, tmp = tempfile.mkstemp(prefix="orbit-", suffix=".so.tmp", dir=cache)
+    os.close(fd)
+    try:
+        subprocess.run([cc, *_CFLAGS, "-o", tmp, str(source)], check=True, capture_output=True, timeout=120)
+        os.chmod(tmp, 0o755)  # mkstemp's 0600 would hide it from other users
+        os.replace(tmp, lib)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return lib
 
 
 def bifurcation_scan(

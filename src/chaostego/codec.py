@@ -52,7 +52,7 @@ class MessagePayload:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise EncodingError(f"unknown mode {self.mode!r}")
-        if any(b not in (0, 1) for b in self.bits):
+        if np.frombuffer(self.bits, dtype=np.uint8).max(initial=0) > 1:
             raise EncodingError("payload bits must be 0 or 1")
         if len(self.bits) < HEADER_BITS:
             raise EncodingError("payload shorter than its 32-bit header")
@@ -60,10 +60,7 @@ class MessagePayload:
     @property
     def declared_length(self) -> int:
         """Payload bit count claimed by the header."""
-        value = 0
-        for b in self.bits[:HEADER_BITS]:
-            value = (value << 1) | b
-        return value
+        return _header_value(np.frombuffer(self.bits, dtype=np.uint8, count=HEADER_BITS))
 
     @property
     def payload(self) -> bytes:
@@ -73,44 +70,49 @@ class MessagePayload:
         return len(self.bits)
 
 
-def _frame(mode: str, payload: list[int]) -> MessagePayload:
+def _header_value(header: np.ndarray) -> int:
+    """The big-endian count held by 32 header bits."""
+    return int(np.packbits(header).view(">u4")[0])
+
+
+def _frame(mode: str, payload: np.ndarray) -> MessagePayload:
     n = len(payload)
     if n >= 1 << HEADER_BITS:
         raise EncodingError("message too long for the 32-bit length header")
-    header = [(n >> i) & 1 for i in range(HEADER_BITS - 1, -1, -1)]
-    return MessagePayload(mode, bytes(header + payload))
+    header = np.unpackbits(np.array([n], dtype=">u4").view(np.uint8))
+    return MessagePayload(mode, np.concatenate([header, payload]).tobytes())
 
 
 def encode_message(message, mode: str) -> MessagePayload:
     """Turn text (ascii7/utf16) or bytes (raw) into a framed bit payload."""
     if mode not in MODES:
         raise EncodingError(f"unknown mode {mode!r}")
-    bits: list[int] = []
     if mode == "raw":
         if not isinstance(message, (bytes, bytearray)):
             raise EncodingError("raw mode takes a byte string")
-        for byte in message:
-            bits.extend((byte >> i) & 1 for i in range(7, -1, -1))
-        return _frame(mode, bits)
+        return _frame(mode, np.unpackbits(np.frombuffer(message, dtype=np.uint8)))
 
     if not isinstance(message, str):
         raise EncodingError(f"{mode} mode takes a character string")
     width = _GROUP_BITS[mode]
     limit = 0x7F if mode == "ascii7" else 0xFFFF
-    for ch in message:
-        cp = ord(ch)
-        if cp > limit:
-            raise EncodingError(
-                f"character U+{cp:04X} does not fit a {width}-bit {mode} unit"
-            )
-        bits.extend((cp >> i) & 1 for i in range(width - 1, -1, -1))
-    return _frame(mode, bits)
+    # One code point per character; surrogatepass keeps lone surrogates,
+    # which are single UTF-16 code units.
+    cps = np.frombuffer(message.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    over = np.flatnonzero(cps > limit)
+    if over.size:
+        cp = int(cps[over[0]])
+        raise EncodingError(
+            f"character U+{cp:04X} does not fit a {width}-bit {mode} unit"
+        )
+    units = np.unpackbits(cps.astype(">u2").view(np.uint8)).reshape(-1, 16)
+    return _frame(mode, units[:, 16 - width :].reshape(-1))
 
 
 def decode_message(payload: MessagePayload):
     """Inverse of encode_message; returns str (text modes) or bytes (raw)."""
     declared = payload.declared_length
-    body = payload.payload
+    body = np.frombuffer(payload.bits, dtype=np.uint8)[HEADER_BITS:]
     if len(body) != declared:
         raise DecodeError(
             f"header declares {declared} payload bits but {len(body)} are present"
@@ -121,15 +123,12 @@ def decode_message(payload: MessagePayload):
             f"{declared} payload bits is not a multiple of the {width}-bit "
             f"{payload.mode} group size"
         )
-    values = []
-    for i in range(0, declared, width):
-        v = 0
-        for b in body[i : i + width]:
-            v = (v << 1) | b
-        values.append(v)
     if payload.mode == "raw":
-        return bytes(values)
-    return "".join(chr(v) for v in values)
+        return np.packbits(body).tobytes()
+    units = np.zeros((declared // width, 16), dtype=np.uint8)
+    units[:, 16 - width :] = body.reshape(-1, width)
+    cps = np.packbits(units, axis=1).view(">u2").ravel()
+    return cps.astype("<u4").tobytes().decode("utf-32-le", "surrogatepass")
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +214,7 @@ def extract(bundle: StegoBundle, keys: SecretKeySet) -> MessagePayload:
             )
 
     header = _recover_bits(bundle, keys, HEADER_BITS)
-    declared = int.from_bytes(np.packbits(header).tobytes(), "big")
+    declared = _header_value(header)
     if HEADER_BITS + declared > rows_n * cols_n:
         raise ExtractError(
             f"header declares {declared} payload bits, more than the "

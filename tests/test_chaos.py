@@ -1,6 +1,8 @@
 """Map iteration, sanitization, and position stream behavior."""
 
 import math
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from chaostego import (
     select_positions,
     to_pixel,
 )
+from chaostego import chaos
 from chaostego.chaos import EPSILON
 from chaostego.errors import DomainError, InsufficientCapacity
 
@@ -190,7 +193,7 @@ class TestSelectPositions:
         with pytest.raises(DomainError):
             select_positions(SecretKeySet(0.6, 0.7, x0, y0), PublicCoupling(0.99), ImageDims(16, 16), 5)
 
-    def test_matches_composed_single_steps(self, live_keys):
+    def test_matches_composed_single_steps(self, live_keys, orbit_paths):
         # The inlined kernel loop must reproduce the public step functions
         # exactly, state for state.
         keys, coupling = live_keys
@@ -205,14 +208,68 @@ class TestSelectPositions:
                 seen.add(flat)
                 expected.append(flat)
             state = coupled_step(state, keys.alpha1, keys.alpha2, coupling.value)
-        got = select_positions(keys, coupling, dims, len(expected))
-        assert got.tolist() == expected
+        for path in orbit_paths:
+            got = select_positions(keys, coupling, dims, len(expected))
+            assert got.tolist() == expected, path
+
+    def test_cycle_ends_collapsing_orbit_early(self, monkeypatch):
+        # This orbit enters an exact cycle within a few hundred steps; the
+        # failure must come from the cycle, not from the 28391-step cap, and
+        # keep the cap's message.
+        calls = 0
+
+        def counting_sanitize(u):
+            nonlocal calls
+            calls += 1
+            return sanitize(u)
+
+        monkeypatch.setattr(chaos, "_native_orbit", lambda: None)
+        monkeypatch.setattr(chaos, "sanitize", counting_sanitize)
+        keys = SecretKeySet(3.0, 2.5, 0.31, 0.72)
+        with pytest.raises(InsufficientCapacity, match=r"\(28391 steps, 86 unique positions found\)"):
+            select_positions(keys, PublicCoupling(0.9), ImageDims(16, 16), 256)
+        # Four sanitize calls per step: stopped within a tenth of the cap.
+        assert 0 < calls < 4 * 28391 // 10
 
     def test_visits_most_quadrants(self, live_keys):
         keys, coupling = live_keys
         rows, cols = np.divmod(select_positions(keys, coupling, ImageDims(64, 64), 3000), 64)
         quadrants = set(zip((cols >= 32).tolist(), (rows >= 32).tolist()))
         assert len(quadrants) >= 3
+
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+
+
+class TestNativeKernel:
+    @needs_cc
+    def test_loads_where_a_compiler_exists(self):
+        assert chaos._native_orbit() is not None
+
+    @needs_cc
+    def test_build_is_cached_by_source_hash(self, tmp_path):
+        source = tmp_path / "_orbit.c"
+        source.write_bytes(Path(chaos.__file__).with_name("_orbit.c").read_bytes())
+        lib = chaos._build(source)
+        assert lib.parent == tmp_path / "__pycache__"
+        assert lib.name.startswith("orbit-") and lib.suffix == ".so"
+        assert [p.name for p in lib.parent.iterdir()] == [lib.name]  # no temp file left
+        mtime = lib.stat().st_mtime_ns
+        assert chaos._build(source) == lib and lib.stat().st_mtime_ns == mtime
+
+    def test_falls_back_when_the_build_fails(self, monkeypatch):
+        def fail(source):
+            raise OSError("no compiler")
+
+        monkeypatch.setattr(chaos, "_build", fail)
+        assert chaos._native_orbit.__wrapped__() is None
+
+    def test_falls_back_when_the_self_check_disagrees(self, monkeypatch):
+        if chaos._native_orbit() is None:
+            pytest.skip("compiled kernel unavailable")
+        reference = chaos._orbit_python
+        monkeypatch.setattr(chaos, "_orbit_python", lambda *args: reference(*args)[:-1])
+        assert chaos._native_orbit.__wrapped__() is None
 
 
 class TestBifurcationScan:

@@ -1,5 +1,7 @@
 """Command-line behavior: exit codes, file outputs, determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -222,3 +224,17 @@ class TestExchangeSim:
                   "--rows", "64", "--cols", "64", "--prefix", "200"])
         assert rc == 0
         assert capsys.readouterr().out.strip().endswith("agreement=false")
+
+    def test_grid_above_cell_limit_exits_2_before_allocating(self, workdir, capsys):
+        keygen(workdir)
+        tracemalloc.start()
+        try:
+            rc = run(["exchange-sim", "--alice", str(workdir / "secret.key"),
+                      "--pub", str(workdir / "public.key"),
+                      "--rows", "1000000", "--cols", "1000000"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert "cell limit" in capsys.readouterr().err
+        assert peak < 1 << 20  # a seen-map would be 10**12 bytes

@@ -118,11 +118,12 @@ def sha256(data: bytes) -> str:
 
 @pytest.mark.parametrize("name", list(KEY_SETS))
 @pytest.mark.parametrize("rows,cols,count", GRIDS)
-def test_position_stream(name, rows, cols, count):
+def test_position_stream(name, rows, cols, count, orbit_paths):
     keys, coupling = KEY_SETS[name]
-    flat = flat_stream(keys, coupling, rows, cols, count)
-    assert len(flat) == count
-    assert sha256(flat.astype("<i8").tobytes()) == STREAM_SHA256[name, rows, cols]
+    for path in orbit_paths:
+        flat = flat_stream(keys, coupling, rows, cols, count)
+        assert len(flat) == count, path
+        assert sha256(flat.astype("<i8").tobytes()) == STREAM_SHA256[name, rows, cols], path
 
 
 @pytest.mark.parametrize(
@@ -133,12 +134,13 @@ def test_position_stream(name, rows, cols, count):
         ((1, 50), 50, "position generator exhausted its iteration cap (3912 steps, 47 unique positions found)"),
     ],
 )
-def test_capacity_failures(dims, count, message):
+def test_capacity_failures(dims, count, message, orbit_paths):
     # A collapsing orbit (alphas past the chaotic band, R well below 1).
     keys = SecretKeySet(3.0, 2.5, 0.31, 0.72)
-    with pytest.raises(InsufficientCapacity) as info:
-        select_positions(keys, PublicCoupling(0.9), ImageDims(*dims), count)
-    assert str(info.value) == message
+    for path in orbit_paths:
+        with pytest.raises(InsufficientCapacity) as info:
+            select_positions(keys, PublicCoupling(0.9), ImageDims(*dims), count)
+        assert str(info.value) == message, path
 
 
 def test_keygen_file_bytes(tmp_path):
