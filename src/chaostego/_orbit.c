@@ -23,11 +23,12 @@ static double map_step(double u, double asq)
 
 /* Writes up to count unique flat indices to out, marking them in seen
  * (rows*cols zeroed bytes), and returns how many it found.  Stops early
- * once the (x, y) state repeats (Brent's cycle finding). */
+ * once the (x, y) state repeats (Brent's cycle finding): the state is
+ * saved at steps 1, 2, 4, 8, ... and compared on steps to a seen cell. */
 int64_t orbit(double x, double y, double a1sq, double a2sq, double r, int64_t rows, int64_t cols,
               int64_t count, int64_t cap, uint8_t *seen, int64_t *out)
 {
-    int64_t found = 0, power = 1, lam = 0;
+    int64_t found = 0, save = 1, limit = 1;
     double tx = x, ty = y;
     for (int64_t steps = 1;; steps++) {
         int64_t col = (int64_t)(x * (double)cols), row = (int64_t)(y * (double)rows);
@@ -38,13 +39,18 @@ int64_t orbit(double x, double y, double a1sq, double a2sq, double r, int64_t ro
             seen[flat] = 1;
             out[found++] = flat;
             if (found == count) return found;
+        } else if (x == tx && y == ty) {
+            return found;
         }
-        if (steps >= cap) return found;
+        if (steps >= limit) {
+            if (steps >= cap) return found;
+            tx = x; ty = y;
+            save *= 2;
+            limit = save < cap ? save : cap;
+        }
         double x_next = map_step(sanitize(r * y), a1sq);
         double y_next = map_step(sanitize(r * x), a2sq);
         x = sanitize(x_next);
         y = sanitize(y_next);
-        if (x == tx && y == ty) return found;
-        if (++lam == power) { tx = x; ty = y; power *= 2; lam = 0; }
     }
 }

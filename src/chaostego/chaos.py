@@ -36,6 +36,10 @@ if TYPE_CHECKING:
 #: (0.5 -> 0 -> 1 -> 1 -> ...), which would otherwise freeze the stream.
 EPSILON = 2.0 ** -40
 
+#: Largest accepted map parameter.  The map squares it, and above 2**511 the
+#: square can overflow to inf, after which the orbit turns to NaN.
+ALPHA_MAX = 2.0 ** 511
+
 
 class ImageDims(NamedTuple):
     """Grid size: ``rows`` x ``cols``."""
@@ -68,8 +72,8 @@ def map_step(x: float, alpha: float) -> float:
     """
     if not (0.0 < x < 1.0):
         raise DomainError("map input must lie strictly between 0 and 1")
-    if not (alpha > 0.5) or not math.isfinite(alpha):
-        raise DomainError("map parameter must be finite and greater than 0.5")
+    if not (0.5 < alpha <= ALPHA_MAX):
+        raise DomainError("map parameter must satisfy 0.5 < alpha <= 2**511")
     t = 2.0 * x - 1.0
     num = (alpha * alpha) * (t * t)
     den = (4.0 * x) * (1.0 - x) + num
@@ -167,7 +171,9 @@ def select_positions(keys: SecretKeySet, coupling: PublicCoupling, dims: ImageDi
     # Outside (0,1) the map leaves [0,1] and the orbit indexes off the grid.
     if not (0.0 < keys.x0 < 1.0) or not (0.0 < keys.y0 < 1.0):
         raise DomainError("seeds must lie strictly between 0 and 1")
-    x, y, _ = initial_state(keys)  # also validates both map parameters
+    # map_step's alpha bound keeps every state in (0,1), which the kernels
+    # rely on to index the seen-map in range.
+    x, y, _ = initial_state(keys)
     cap = iteration_cap(ImageDims(rows, cols))
     orbit = _native_orbit() or _orbit_python
     found = orbit(x, y, keys.alpha1 * keys.alpha1, keys.alpha2 * keys.alpha2, r, rows, cols, count, cap)
@@ -188,11 +194,14 @@ def _orbit_python(
     The reference for ``_orbit.c`` and the fallback where it cannot run.
     Once an ``(x, y)`` state repeats (Brent's cycle finding) every later
     cell has been seen, so the loop stops with what the cap would give.
+    The state is saved at steps 1, 2, 4, 8, ... behind the cap's compare
+    and checked only on steps to a seen cell (a repeat always is one), so
+    cycle finding costs at most one float compare per step.
     """
     seen = bytearray(rows * cols)
     found: list[int] = []
     steps = 1
-    power, lam = 1, 0
+    save = limit = 1
     tx, ty = x, y
     while True:
         col = int(x * cols)  # x in (0,1): int() is floor here
@@ -207,8 +216,14 @@ def _orbit_python(
             found.append(flat)
             if len(found) == count:
                 break
-        if steps >= cap:
+        elif x == tx and y == ty:
             break
+        if steps >= limit:
+            if steps >= cap:
+                break
+            tx, ty = x, y
+            save *= 2
+            limit = min(save, cap)
         # Cross-coupled step, sanitized before storage.
         u = sanitize(r * y)
         t = 2.0 * u - 1.0
@@ -221,13 +236,6 @@ def _orbit_python(
         x = sanitize(x_next)
         y = sanitize(y_next)
         steps += 1
-        if x == tx and y == ty:
-            break
-        lam += 1
-        if lam == power:
-            tx, ty = x, y
-            power *= 2
-            lam = 0
     return np.array(found, dtype=np.int64)
 
 
@@ -240,9 +248,9 @@ def _native_orbit():
     """The compiled orbit with :func:`_orbit_python`'s signature, or None.
 
     Builds ``_orbit.c`` with the system ``cc`` into the package's
-    ``__pycache__`` on first use (one shared object per source hash), loads
-    it with ctypes and keeps it only if its streams match
-    :func:`_orbit_python` on a chaotic and a collapsing key.
+    ``__pycache__`` on first use (one shared object per hash of the source,
+    compiler and flags), loads it with ctypes and keeps it only if its
+    streams match :func:`_orbit_python` on a chaotic and a collapsing key.
     """
     source = Path(__file__).with_name("_orbit.c")
     try:
@@ -269,14 +277,17 @@ def _native_orbit():
 
 def _build(source: Path) -> Path:
     """Path of the shared object built from ``source``, compiling it first
-    if this source hash has no build yet."""
+    if this source, compiler and flag set have no build yet."""
     cache = source.parent / "__pycache__"
-    lib = cache / f"orbit-{hashlib.sha256(source.read_bytes()).hexdigest()}.so"
-    if lib.exists():
-        return lib
     cc = shutil.which("cc")
     if cc is None:
         raise OSError("no C compiler on PATH")
+    # The flags and the compiler decide the arithmetic as much as the source.
+    build = hashlib.sha256(source.read_bytes())
+    build.update("\0".join((os.path.realpath(cc), *_CFLAGS)).encode())
+    lib = cache / f"orbit-{build.hexdigest()}.so"
+    if lib.exists():
+        return lib
     cache.mkdir(exist_ok=True)
     # Build beside the target and rename, so a concurrent build or load
     # never sees a half-written file.
@@ -354,8 +365,8 @@ def lyapunov_estimate(alpha: float, x0: float, n_iters: int) -> float:
     map family is only guaranteed interesting on part of its parameter
     range, so this is a diagnostic rather than a certificate.
     """
-    if not (alpha > 0.5) or not math.isfinite(alpha):
-        raise DomainError("map parameter must be finite and greater than 0.5")
+    if not (0.5 < alpha <= ALPHA_MAX):
+        raise DomainError("map parameter must satisfy 0.5 < alpha <= 2**511")
     if not (0.0 < x0 < 1.0) or x0 == 0.5:
         raise DomainError("x0 must lie in (0,1) excluding 0.5")
     if n_iters < 10_000:

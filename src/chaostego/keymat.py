@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chaos import ImageDims, select_positions
+from .chaos import ALPHA_MAX, ImageDims, select_positions
 from .errors import DomainError, InsufficientCapacity, ParseError
 
 MODES = ("ascii7", "utf16", "raw")
@@ -68,6 +68,8 @@ def _check_alpha(name: str, value: float, violations: list[str]) -> None:
         violations.append(f"{name}: must be finite")
     elif not value > 0.5:
         violations.append(f"{name}: must be greater than 0.5")
+    elif value > ALPHA_MAX:
+        violations.append(f"{name}: must not exceed 2**511")
 
 
 def _check_seed(name: str, value: float, violations: list[str]) -> None:

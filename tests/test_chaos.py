@@ -46,10 +46,15 @@ class TestMapStep:
         with pytest.raises(DomainError):
             map_step(x, 1.0)
 
-    @pytest.mark.parametrize("alpha", [0.5, 0.2, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("alpha", [0.5, 0.2, -1.0, math.inf, math.nan, 2.0 ** 512, 2.0 ** 520])
     def test_rejects_bad_alpha(self, alpha):
         with pytest.raises(DomainError):
             map_step(0.3, alpha)
+
+    @pytest.mark.parametrize("x", [1e-300, 0.3, 0.5, 1.0 - 2.0 ** -53])
+    def test_largest_alpha_stays_in_range(self, x):
+        # 2**511 is the top of the accepted range: its square is finite.
+        assert 0.0 <= map_step(x, chaos.ALPHA_MAX) <= 1.0
 
     def test_range_over_a_million_random_inputs(self):
         rng = np.random.default_rng(123)
@@ -193,6 +198,16 @@ class TestSelectPositions:
         with pytest.raises(DomainError):
             select_positions(SecretKeySet(0.6, 0.7, x0, y0), PublicCoupling(0.99), ImageDims(16, 16), 5)
 
+    @pytest.mark.parametrize("which", ["alpha1", "alpha2"])
+    def test_rejects_alpha_whose_square_overflows(self, which, orbit_paths):
+        # alpha**2 = inf would turn the orbit to NaN, which neither path can
+        # map to a cell; it must fail before any kernel runs.
+        fields = dict(alpha1=1.3, alpha2=1.7, x0=0.31, y0=0.72)
+        fields[which] = 2.0 ** 520
+        for path in orbit_paths:
+            with pytest.raises(DomainError, match="2\\*\\*511"):
+                select_positions(SecretKeySet(**fields), PublicCoupling(0.97), ImageDims(16, 16), 10)
+
     def test_matches_composed_single_steps(self, live_keys, orbit_paths):
         # The inlined kernel loop must reproduce the public step functions
         # exactly, state for state.
@@ -256,6 +271,15 @@ class TestNativeKernel:
         assert [p.name for p in lib.parent.iterdir()] == [lib.name]  # no temp file left
         mtime = lib.stat().st_mtime_ns
         assert chaos._build(source) == lib and lib.stat().st_mtime_ns == mtime
+
+    @needs_cc
+    def test_flags_are_part_of_the_build_name(self, tmp_path, monkeypatch):
+        source = tmp_path / "_orbit.c"
+        source.write_bytes(Path(chaos.__file__).with_name("_orbit.c").read_bytes())
+        first = chaos._build(source)
+        monkeypatch.setattr(chaos, "_CFLAGS", (*chaos._CFLAGS, "-g"))
+        second = chaos._build(source)
+        assert second != first and second.exists()
 
     def test_falls_back_when_the_build_fails(self, monkeypatch):
         def fail(source):

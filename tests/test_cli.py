@@ -1,10 +1,15 @@
 """Command-line behavior: exit codes, file outputs, determinism."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chaostego
 from chaostego import load_pnm, parse_secret_keys, save_pnm
 from chaostego.cli import run
 from conftest import random_image
@@ -59,21 +64,27 @@ class TestKeygen:
 
 
 class TestEmbedExtract:
-    def embed(self, workdir, cover="cover.pgm", mode="ascii7", out="stego"):
-        return run([
+    def embed_argv(self, workdir, cover="cover.pgm", mode="ascii7", out="stego"):
+        return [
             "embed", "--cover", str(workdir / cover), "--msg", str(workdir / "msg.txt"),
             "--secret", str(workdir / "secret.key"), "--pub", str(workdir / "public.key"),
             "--mode", mode, "--out", str(workdir / out),
-        ])
+        ]
 
-    def extract(self, workdir, stego="stego.pgm", out="recovered.txt"):
-        return run([
+    def extract_argv(self, workdir, stego="stego.pgm", out="recovered.txt"):
+        return [
             "extract", "--stego", str(workdir / stego),
             "--ones", str(workdir / "stego.ones.pbm"),
             "--zeros", str(workdir / "stego.zeros.pbm"),
             "--secret", str(workdir / "secret.key"), "--pub", str(workdir / "public.key"),
             "--out", str(workdir / out),
-        ])
+        ]
+
+    def embed(self, workdir, **kwargs):
+        return run(self.embed_argv(workdir, **kwargs))
+
+    def extract(self, workdir, **kwargs):
+        return run(self.extract_argv(workdir, **kwargs))
 
     def test_round_trip_byte_exact(self, workdir):
         keygen(workdir)
@@ -125,6 +136,22 @@ class TestEmbedExtract:
         pub.write_text(pub.read_text().splitlines()[0] + "\n")
         assert self.extract(workdir) == 2
         assert "mode" in capsys.readouterr().err
+
+    def test_alpha_with_overflowing_square_exits_2(self, workdir):
+        # alpha1**2 overflows to inf and the orbit would turn to NaN. Run in
+        # a child process so that a crash fails this test, not the suite.
+        keygen(workdir)
+        assert self.embed(workdir) == 0
+        secret = workdir / "secret.key"
+        lines = secret.read_text().splitlines()
+        secret.write_text("\n".join(["alpha1=0x1p+520", *lines[1:]]) + "\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(chaostego.__file__).parents[1]))
+        for argv in (self.embed_argv(workdir), self.extract_argv(workdir)):
+            child = subprocess.run(
+                [sys.executable, "-c", "import sys; from chaostego.cli import run; sys.exit(run(sys.argv[1:]))",
+                 *argv], env=env, capture_output=True, text=True, timeout=60)
+            assert child.returncode == 2, child.stderr
+            assert "alpha1: must not exceed 2**511" in child.stderr
 
     def test_secrets_never_printed(self, workdir, capsys):
         keygen(workdir)

@@ -34,6 +34,11 @@ class TestValidation:
         bad = validate_keys(SecretKeySet(0.5, 1.3, 0.31, 0.72))
         assert len(bad) == 1 and "alpha1" in bad[0]
 
+    @pytest.mark.parametrize("alpha", [2.0 ** 512, 2.0 ** 520])
+    def test_alpha_with_overflowing_square_rejected(self, alpha):
+        bad = validate_keys(SecretKeySet(1.7, alpha, 0.31, 0.72))
+        assert bad == ["alpha2: must not exceed 2**511"]
+
     def test_degenerate_seed_rejected(self):
         bad = validate_keys(SecretKeySet(1.7, 1.3, 0.5, 0.72))
         assert len(bad) == 1 and "x0" in bad[0]
