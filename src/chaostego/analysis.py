@@ -242,31 +242,3 @@ def capacity_report(dims: ImageDims, channels: int, payload_bits: int) -> Capaci
         expected_flip_fraction=payload_bits / (2 * max_bits),
     )
 
-
-# ---------------------------------------------------------------------------
-# Flat-text serialization used by the CLI
-# ---------------------------------------------------------------------------
-
-def format_quality_report(report: QualityReport) -> str:
-    lines = [
-        f"psnr_db={report.psnr_db!r}",
-        f"mse={report.mse!r}",
-        f"flips={report.flips}",
-    ]
-    if report.hiding_capacity_bpp is not None:
-        lines.append(f"hiding_capacity_bpp={report.hiding_capacity_bpp!r}")
-    return "\n".join(lines) + "\n"
-
-
-def format_entropy_report(report: EntropyReport, prefix: str = "") -> str:
-    lines = [f"{prefix}histogram_entropy_bits={report.histogram_entropy_bits!r}"]
-    if report.diff_entropy_bits is not None:
-        lines.append(f"{prefix}diff_entropy_bits={report.diff_entropy_bits!r}")
-    return "\n".join(lines) + "\n"
-
-
-def format_attack_csv(points: list[AttackPoint]) -> str:
-    lines = ["fraction,chi_square,dof,p_embedding"]
-    for pt in points:
-        lines.append(f"{pt.fraction!r},{pt.chi_square!r},{pt.dof},{pt.p_embedding!r}")
-    return "\n".join(lines) + "\n"

@@ -9,6 +9,8 @@ printed anywhere.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from pathlib import Path
 
@@ -47,11 +49,36 @@ def _read_text(path: str) -> str:
         raise ParseError(f"{path} is not valid UTF-8") from exc
 
 
+def _write_files(files: dict[str | Path, bytes]) -> None:
+    """Write all of a command's output files, or none of them.
+
+    Each file goes to a temp file beside its target, and the temp files
+    replace their targets only once every one is written.  On failure the
+    temp files are removed and no target has changed.
+    """
+    staged: list[tuple[Path, str | Path]] = []
+    try:
+        for i, (path, data) in enumerate(files.items()):
+            if os.path.isdir(path):  # checked up front: renaming onto it would fail late
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            target = Path(path)
+            tmp = target.with_name(f".{target.name}.{os.getpid()}-{i}.tmp")
+            staged.append((tmp, path))
+            with open(tmp, "xb") as fh:
+                fh.write(data)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    except OSError as exc:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+        raise ParseError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _write_output(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        _write_files({path: text.encode("utf-8")})
 
 
 def _load_secret(path: str) -> keymat.SecretKeySet:
@@ -81,13 +108,44 @@ def _stego_paths(out_base: str, channels: int) -> tuple[Path, Path, Path]:
 
 
 # ---------------------------------------------------------------------------
+# Flat-text serialization of analysis results
+# ---------------------------------------------------------------------------
+
+def format_quality_report(report: analysis.QualityReport) -> str:
+    lines = [
+        f"psnr_db={report.psnr_db!r}",
+        f"mse={report.mse!r}",
+        f"flips={report.flips}",
+    ]
+    if report.hiding_capacity_bpp is not None:
+        lines.append(f"hiding_capacity_bpp={report.hiding_capacity_bpp!r}")
+    return "\n".join(lines) + "\n"
+
+
+def format_entropy_report(report: analysis.EntropyReport, prefix: str = "") -> str:
+    lines = [f"{prefix}histogram_entropy_bits={report.histogram_entropy_bits!r}"]
+    if report.diff_entropy_bits is not None:
+        lines.append(f"{prefix}diff_entropy_bits={report.diff_entropy_bits!r}")
+    return "\n".join(lines) + "\n"
+
+
+def format_attack_csv(points: list[analysis.AttackPoint]) -> str:
+    lines = ["fraction,chi_square,dof,p_embedding"]
+    for pt in points:
+        lines.append(f"{pt.fraction!r},{pt.chi_square!r},{pt.dof},{pt.p_embedding!r}")
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
 
 def _cmd_keygen(args) -> int:
     keys, coupling = keymat.generate_keys(args.seed)
-    Path(args.out).write_text(keymat.format_secret_keys(keys), encoding="utf-8")
-    Path(args.pub).write_text(keymat.format_public_key(coupling), encoding="utf-8")
+    _write_files({
+        args.out: keymat.format_secret_keys(keys).encode("utf-8"),
+        args.pub: keymat.format_public_key(coupling).encode("utf-8"),
+    })
     return EXIT_OK
 
 
@@ -113,13 +171,13 @@ def _cmd_embed(args) -> int:
     bundle = codec.embed(cover, payload, keys, coupling)
 
     stego_path, ones_path, zeros_path = _stego_paths(args.out, cover.channels)
-    stego_path.write_bytes(imagery.save_pnm(bundle.stego))
-    ones_path.write_bytes(imagery.save_pbm(bundle.side.ones))
-    zeros_path.write_bytes(imagery.save_pbm(bundle.side.zeros))
-    # The mode tag rides in the public file so extraction needs no flag.
-    Path(args.pub).write_text(
-        keymat.format_public_key(coupling, bundle.mode), encoding="utf-8"
-    )
+    _write_files({
+        stego_path: imagery.save_pnm(bundle.stego),
+        ones_path: imagery.save_pbm(bundle.side.ones),
+        zeros_path: imagery.save_pbm(bundle.side.zeros),
+        # The mode tag rides in the public file so extraction needs no flag.
+        args.pub: keymat.format_public_key(coupling, bundle.mode).encode("utf-8"),
+    })
     return EXIT_OK
 
 
@@ -133,10 +191,12 @@ def _cmd_extract(args) -> int:
         raise ParseError(f"{args.pub}: no mode tag (embed writes one)")
     bundle = codec.StegoBundle(stego, codec.SideMatrices(ones, zeros), coupling, mode)
     message = codec.decode_message(codec.extract(bundle, keys))
-    if mode == "raw":
-        Path(args.out).write_bytes(message)
-    else:
-        Path(args.out).write_bytes(message.encode("utf-8"))
+    if mode != "raw":
+        try:
+            message = message.encode("utf-8")
+        except UnicodeEncodeError as exc:  # a utf16 payload may hold lone surrogates
+            raise ExtractError(f"recovered message cannot be written as UTF-8: {exc.reason}") from exc
+    _write_files({args.out: message})
     return EXIT_OK
 
 
@@ -144,11 +204,11 @@ def _cmd_analyze(args) -> int:
     cover = imagery.load_pnm(_read_bytes(args.cover))
     stego = imagery.load_pnm(_read_bytes(args.stego))
     quality = analysis.psnr(cover, stego, payload_bits=args.payload_bits)
-    blocks = [analysis.format_quality_report(quality)]
+    blocks = [format_quality_report(quality)]
     for label, image in (("cover_", cover), ("stego_", stego)):
         diff = analysis.neighbor_diff_entropy(image) if args.diff_entropy else None
         report = analysis.EntropyReport(analysis.histogram_entropy(image), diff)
-        blocks.append(analysis.format_entropy_report(report, prefix=label))
+        blocks.append(format_entropy_report(report, prefix=label))
     _write_output(args.out, "".join(blocks))
     return EXIT_OK
 
@@ -156,7 +216,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_attack(args) -> int:
     image = imagery.load_pnm(_read_bytes(args.image))
     points = analysis.chi_square_attack(image, args.step)
-    _write_output(args.out, analysis.format_attack_csv(points))
+    _write_output(args.out, format_attack_csv(points))
     return EXIT_OK
 
 
@@ -189,81 +249,95 @@ def _cmd_bifurcation(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+# name -> (help, handler, arguments); each argument is a flag and the
+# keyword arguments of its add_argument call.
+_COMMANDS = {
+    "keygen": ("write fresh secret/public key files", _cmd_keygen, (
+        ("--out", dict(required=True, help="secret key file to write")),
+        ("--pub", dict(required=True, help="public key file to write")),
+        ("--seed", dict(required=True, type=int, help="RNG seed")),
+    )),
+    "validate": ("check key files against their invariants", _cmd_validate, (
+        ("--secret", dict(required=True)),
+        ("--pub", dict()),
+    )),
+    "embed": ("hide a message file in a cover image", _cmd_embed, (
+        ("--cover", dict(required=True, help="cover image (PGM/PPM)")),
+        ("--msg", dict(required=True, help="message file")),
+        ("--secret", dict(required=True)),
+        ("--pub", dict(required=True)),
+        ("--mode", dict(required=True, choices=keymat.MODES)),
+        ("--out", dict(required=True, help="output basename for stego files")),
+    )),
+    "extract": ("recover the message from a stego bundle", _cmd_extract, (
+        ("--stego", dict(required=True)),
+        ("--ones", dict(required=True)),
+        ("--zeros", dict(required=True)),
+        ("--secret", dict(required=True)),
+        ("--pub", dict(required=True)),
+        ("--out", dict(required=True)),
+    )),
+    "analyze": ("PSNR, flips and entropies of a cover/stego pair", _cmd_analyze, (
+        ("--cover", dict(required=True)),
+        ("--stego", dict(required=True)),
+        ("--payload-bits", dict(type=int, default=None,
+                                help="embedded bit count, to report capacity in bpp")),
+        ("--diff-entropy", dict(action="store_true",
+                                help="also report neighbor-difference entropy")),
+        ("--out", dict()),
+    )),
+    "attack": ("chi-square pair-of-values scan as CSV", _cmd_attack, (
+        ("--image", dict(required=True)),
+        ("--step", dict(type=int, default=10, help="scan step in percent")),
+        ("--out", dict()),
+    )),
+    "exchange-sim": ("simulate the two-party key exchange", _cmd_exchange_sim, (
+        ("--alice", dict(required=True, help="Alice's secret key file")),
+        ("--bob", dict(help="Bob's secret key file (defaults to Alice's)")),
+        ("--pub", dict(required=True)),
+        ("--rows", dict(type=int, default=128)),
+        ("--cols", dict(type=int, default=128)),
+        ("--prefix", dict(type=int, default=500, help="positions compared for agreement")),
+        ("--out", dict()),
+    )),
+    "bifurcation": ("attractor samples over a parameter grid as CSV", _cmd_bifurcation, (
+        ("--alpha-min", dict(type=float, required=True)),
+        ("--alpha-max", dict(type=float, required=True)),
+        ("--alpha-steps", dict(type=int, required=True)),
+        ("--x0", dict(type=float, required=True)),
+        ("--transient", dict(type=int, default=500)),
+        ("--samples", dict(type=int, default=100)),
+        ("--out", dict()),
+    )),
+}
+
+
+def _add_command(parser: _Parser, name: str) -> _Parser:
+    _, handler, arguments = _COMMANDS[name]
+    for flag, kwargs in arguments:
+        parser.add_argument(flag, **kwargs)
+    parser.set_defaults(handler=handler)
+    return parser
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="chaostego", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("keygen", help="write fresh secret/public key files")
-    p.add_argument("--out", required=True, help="secret key file to write")
-    p.add_argument("--pub", required=True, help="public key file to write")
-    p.add_argument("--seed", required=True, type=int, help="RNG seed")
-    p.set_defaults(handler=_cmd_keygen)
-
-    p = sub.add_parser("validate", help="check key files against their invariants")
-    p.add_argument("--secret", required=True)
-    p.add_argument("--pub")
-    p.set_defaults(handler=_cmd_validate)
-
-    p = sub.add_parser("embed", help="hide a message file in a cover image")
-    p.add_argument("--cover", required=True, help="cover image (PGM/PPM)")
-    p.add_argument("--msg", required=True, help="message file")
-    p.add_argument("--secret", required=True)
-    p.add_argument("--pub", required=True)
-    p.add_argument("--mode", required=True, choices=keymat.MODES)
-    p.add_argument("--out", required=True, help="output basename for stego files")
-    p.set_defaults(handler=_cmd_embed)
-
-    p = sub.add_parser("extract", help="recover the message from a stego bundle")
-    p.add_argument("--stego", required=True)
-    p.add_argument("--ones", required=True)
-    p.add_argument("--zeros", required=True)
-    p.add_argument("--secret", required=True)
-    p.add_argument("--pub", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_extract)
-
-    p = sub.add_parser("analyze", help="PSNR, flips and entropies of a cover/stego pair")
-    p.add_argument("--cover", required=True)
-    p.add_argument("--stego", required=True)
-    p.add_argument("--payload-bits", type=int, default=None,
-                   help="embedded bit count, to report capacity in bpp")
-    p.add_argument("--diff-entropy", action="store_true",
-                   help="also report neighbor-difference entropy")
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_analyze)
-
-    p = sub.add_parser("attack", help="chi-square pair-of-values scan as CSV")
-    p.add_argument("--image", required=True)
-    p.add_argument("--step", type=int, default=10, help="scan step in percent")
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_attack)
-
-    p = sub.add_parser("exchange-sim", help="simulate the two-party key exchange")
-    p.add_argument("--alice", required=True, help="Alice's secret key file")
-    p.add_argument("--bob", help="Bob's secret key file (defaults to Alice's)")
-    p.add_argument("--pub", required=True)
-    p.add_argument("--rows", type=int, default=128)
-    p.add_argument("--cols", type=int, default=128)
-    p.add_argument("--prefix", type=int, default=500,
-                   help="positions compared for agreement")
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_exchange_sim)
-
-    p = sub.add_parser("bifurcation", help="attractor samples over a parameter grid as CSV")
-    p.add_argument("--alpha-min", type=float, required=True)
-    p.add_argument("--alpha-max", type=float, required=True)
-    p.add_argument("--alpha-steps", type=int, required=True)
-    p.add_argument("--x0", type=float, required=True)
-    p.add_argument("--transient", type=int, default=500)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_bifurcation)
-
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] in _COMMANDS:
+        # A known subcommand parses with its own parser alone, which is the
+        # same parser the full tree would hand its arguments to.
+        parser = _add_command(_Parser(prog=f"chaostego {argv[0]}"), argv[0])
+        argv = argv[1:]
+    else:  # top-level help and usage errors
+        parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

@@ -18,11 +18,11 @@ from chaostego import (
     neighbor_diff_entropy,
     psnr,
 )
-from chaostego.analysis import (
+from chaostego.analysis import EntropyReport
+from chaostego.cli import (
     format_attack_csv,
     format_entropy_report,
     format_quality_report,
-    EntropyReport,
 )
 from chaostego.errors import CapacityError, DimensionMismatch, DomainError
 from conftest import random_image

@@ -1,5 +1,7 @@
 """Command-line behavior: exit codes, file outputs, determinism."""
 
+import argparse
+import errno
 import os
 import subprocess
 import sys
@@ -10,7 +12,17 @@ import numpy as np
 import pytest
 
 import chaostego
-from chaostego import load_pnm, parse_secret_keys, save_pnm
+from chaostego import (
+    cli,
+    embed,
+    encode_message,
+    format_public_key,
+    load_pnm,
+    parse_public_key,
+    parse_secret_keys,
+    save_pbm,
+    save_pnm,
+)
 from chaostego.cli import run
 from conftest import random_image
 
@@ -153,6 +165,21 @@ class TestEmbedExtract:
             assert child.returncode == 2, child.stderr
             assert "alpha1: must not exceed 2**511" in child.stderr
 
+    def test_extract_lone_surrogate_exits_3(self, workdir, capsys):
+        # utf16 mode carries lone surrogates by design; they have no UTF-8 form.
+        keygen(workdir)
+        keys = parse_secret_keys((workdir / "secret.key").read_text())
+        coupling, _ = parse_public_key((workdir / "public.key").read_text())
+        cover = load_pnm((workdir / "cover.pgm").read_bytes())
+        bundle = embed(cover, encode_message("a\ud800b", "utf16"), keys, coupling)
+        (workdir / "stego.pgm").write_bytes(save_pnm(bundle.stego))
+        (workdir / "stego.ones.pbm").write_bytes(save_pbm(bundle.side.ones))
+        (workdir / "stego.zeros.pbm").write_bytes(save_pbm(bundle.side.zeros))
+        (workdir / "public.key").write_text(format_public_key(coupling, "utf16"))
+        assert self.extract(workdir) == 3
+        assert "error: recovered message cannot be written as UTF-8" in capsys.readouterr().err
+        assert not (workdir / "recovered.txt").exists()
+
     def test_secrets_never_printed(self, workdir, capsys):
         keygen(workdir)
         self.embed(workdir)
@@ -180,6 +207,124 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert "chaostego" in capsys.readouterr().out
+
+
+def full_tree_subparser(name):
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[name]
+
+
+class TestDispatch:
+    """A known subcommand parses with its own parser only; help text, usage
+    errors and exit codes stay those of the full parser tree."""
+
+    @pytest.mark.parametrize("name", sorted(cli._COMMANDS))
+    def test_subcommand_help_matches_full_tree(self, name, capsys):
+        assert run([name, "--help"]) == 0
+        assert capsys.readouterr().out == full_tree_subparser(name).format_help()
+
+    @pytest.mark.parametrize("argv", [
+        ["keygen", "--out", "s.key", "--pub", "p.key", "--seed", "1", "--bogus"],
+        ["embed", "--cover", "x.pgm"],
+        ["embed", "--cover", "c", "--msg", "m", "--secret", "s", "--pub", "p",
+         "--mode", "latin1", "--out", "o"],
+        ["attack", "--image", "i.pgm", "--step", "ten"],
+    ], ids=["unknown-flag", "missing-required", "bad-mode", "bad-step"])
+    def test_usage_error_matches_full_tree(self, argv, capsys):
+        with pytest.raises(cli._UsageError) as info:
+            cli._build_parser().parse_args(argv)
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {info.value}\n"
+
+    def test_known_subcommand_skips_full_tree(self, tmp_path, monkeypatch):
+        def refuse():
+            raise AssertionError("full parser tree built")
+        monkeypatch.setattr(cli, "_build_parser", refuse)
+        keygen(tmp_path)
+        with pytest.raises(AssertionError):
+            run(["frobnicate"])
+
+    def test_module_entry_point_reads_sys_argv(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        env = dict(os.environ, PYTHONPATH=str(Path(chaostego.__file__).parents[1]))
+        child = subprocess.run([sys.executable, "-m", "chaostego.cli", "embed", "--help"],
+                               env=env, capture_output=True, text=True, timeout=60)
+        assert child.returncode == 0
+        assert child.stderr == ""
+        assert child.stdout == full_tree_subparser("embed").format_help()
+
+
+def snapshot(root):
+    return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class TestOutputWrites:
+    """A command's outputs appear all together or not at all."""
+
+    @pytest.fixture
+    def bundle(self, workdir):
+        keygen(workdir)
+        assert TestEmbedExtract().embed(workdir) == 0
+        return workdir
+
+    def failing_argv(self, d, command, bad):
+        keys = ["--secret", str(d / "secret.key"), "--pub", str(d / "public.key")]
+        return {
+            "keygen-out": ["keygen", "--out", bad, "--pub", str(d / "new.pub"), "--seed", "3"],
+            "keygen-pub": ["keygen", "--out", str(d / "new.key"), "--pub", bad, "--seed", "3"],
+            "embed": TestEmbedExtract().embed_argv(d)[:-1] + [bad],
+            "extract": TestEmbedExtract().extract_argv(d)[:-1] + [bad],
+            "analyze": ["analyze", "--cover", str(d / "cover.pgm"),
+                        "--stego", str(d / "stego.pgm"), "--out", bad],
+            "attack": ["attack", "--image", str(d / "cover.pgm"), "--out", bad],
+            "exchange-sim": ["exchange-sim", "--alice", str(d / "secret.key"),
+                             "--pub", str(d / "public.key"), "--rows", "16", "--cols", "16",
+                             "--prefix", "10", "--out", bad],
+            "bifurcation": ["bifurcation", "--alpha-min", "0.8", "--alpha-max", "1.2",
+                            "--alpha-steps", "2", "--x0", "0.3", "--samples", "2", "--out", bad],
+        }[command]
+
+    @pytest.mark.parametrize("command", [
+        "keygen-out", "keygen-pub", "embed", "extract",
+        "analyze", "attack", "exchange-sim", "bifurcation",
+    ])
+    @pytest.mark.parametrize("target", ["missing-dir", "is-dir"])
+    def test_unwritable_output_exits_2_and_writes_nothing(self, bundle, command, target, capsys):
+        if target == "missing-dir":
+            bad = bundle / "missing" / "out"
+        else:  # a directory in the way; embed meets it at its third file
+            bad = bundle / "blocked"
+            for name in ("blocked", "blocked.zeros.pbm"):
+                (bundle / name).mkdir()
+        before = snapshot(bundle)
+        capsys.readouterr()
+        assert run(self.failing_argv(bundle, command, str(bad))) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and "Traceback" not in err
+        assert snapshot(bundle) == before
+
+    def test_embed_whose_last_write_fails_keeps_pub(self, bundle, monkeypatch, capsys):
+        pub = bundle / "public.key"
+        pub.write_text(pub.read_text().splitlines()[0] + "\n")  # no mode tag yet
+        before = snapshot(bundle)
+        opened = []
+
+        def open_fourth_fails(path, mode):
+            opened.append(path)
+            if len(opened) == 4:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return open(path, mode)
+
+        monkeypatch.setattr(cli, "open", open_fourth_fails, raising=False)
+        assert run(TestEmbedExtract().embed_argv(bundle, out="again")) == 2
+        assert capsys.readouterr().err == f"error: cannot write {pub}: No space left on device\n"
+        assert snapshot(bundle) == before
+
+    def test_success_leaves_no_temp_file(self, bundle):
+        names = sorted(p.name for p in bundle.iterdir())
+        assert not [n for n in names if n.endswith(".tmp")]
+        assert {"stego.pgm", "stego.ones.pbm", "stego.zeros.pbm"} <= set(names)
 
 
 class TestAnalysisCommands:
