@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import errno
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -52,26 +53,47 @@ def _read_text(path: str) -> str:
 def _write_files(files: dict[str | Path, bytes]) -> None:
     """Write all of a command's output files, or none of them.
 
-    Each file goes to a temp file beside its target, and the temp files
-    replace their targets only once every one is written.  On failure the
-    temp files are removed and no target has changed.
+    A regular or missing target is written to a temp file beside it, which
+    takes the existing target's mode; the temp files replace their targets
+    only once every output is written.  A symlink, device or FIFO target
+    (``/dev/stdout``, a pipe) cannot be replaced, so it is written through
+    directly, after the temp files and before any rename.  On failure or
+    interruption the temp files are removed and no regular target has
+    changed.  Nothing is fsynced: the replace holds against a failed
+    process, not a power loss.
     """
     staged: list[tuple[Path, str | Path]] = []
+    direct: list[tuple[str | Path, bytes]] = []
+    renamed = 0
     try:
         for i, (path, data) in enumerate(files.items()):
-            if os.path.isdir(path):  # checked up front: renaming onto it would fail late
+            try:
+                st = os.lstat(path)
+            except FileNotFoundError:
+                st = None
+            if st is not None and stat.S_ISDIR(st.st_mode):  # renaming onto it would fail late
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            if st is not None and not stat.S_ISREG(st.st_mode):
+                direct.append((path, data))
+                continue
             target = Path(path)
             tmp = target.with_name(f".{target.name}.{os.getpid()}-{i}.tmp")
             staged.append((tmp, path))
             with open(tmp, "xb") as fh:
                 fh.write(data)
+            if st is not None:
+                os.chmod(tmp, stat.S_IMODE(st.st_mode))
+        for path, data in direct:
+            with open(path, "wb") as fh:
+                fh.write(data)
         for tmp, path in staged:
             os.replace(tmp, path)
+            renamed += 1
     except OSError as exc:
-        for tmp, _ in staged:
-            tmp.unlink(missing_ok=True)
         raise ParseError(f"cannot write {path}: {exc.strerror}") from exc
+    finally:
+        for tmp, _ in staged[renamed:]:
+            tmp.unlink(missing_ok=True)
 
 
 def _write_output(path: str | None, text: str) -> None:

@@ -3,8 +3,10 @@
 import argparse
 import errno
 import os
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -325,6 +327,59 @@ class TestOutputWrites:
         names = sorted(p.name for p in bundle.iterdir())
         assert not [n for n in names if n.endswith(".tmp")]
         assert {"stego.pgm", "stego.ones.pbm", "stego.zeros.pbm"} <= set(names)
+
+    def test_interrupted_write_leaves_no_temp_file(self, bundle, monkeypatch):
+        before = snapshot(bundle)
+        opened = []
+
+        def open_second_interrupts(path, mode):
+            opened.append(path)
+            if len(opened) == 2:
+                raise KeyboardInterrupt
+            return open(path, mode)
+
+        monkeypatch.setattr(cli, "open", open_second_interrupts, raising=False)
+        with pytest.raises(KeyboardInterrupt):
+            run(TestEmbedExtract().embed_argv(bundle, out="again"))
+        assert snapshot(bundle) == before
+
+    def test_existing_output_keeps_its_mode(self, tmp_path):
+        keygen(tmp_path, seed=11)
+        secret = tmp_path / "secret.key"
+        secret.chmod(0o600)
+        old = secret.read_bytes()
+        keygen(tmp_path, seed=12)
+        assert secret.read_bytes() != old
+        assert stat.S_IMODE(secret.stat().st_mode) == 0o600
+
+    def test_symlinked_output_is_written_through(self, tmp_path):
+        real = tmp_path / "keys" / "public.key"
+        real.parent.mkdir()
+        real.write_text("old\n")
+        link = tmp_path / "public.link"
+        link.symlink_to(real)
+        assert run(["keygen", "--out", str(tmp_path / "secret.key"),
+                    "--pub", str(link), "--seed", "3"]) == 0
+        assert link.is_symlink()
+        parse_public_key(real.read_text())
+        assert sorted(p.name for p in real.parent.iterdir()) == ["public.key"]
+
+    def test_fifo_output_is_written_through(self, bundle):
+        fifo = bundle / "recovered.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            assert run(TestEmbedExtract().extract_argv(bundle, out=fifo.name)) == 0
+            reader.join(timeout=10)
+            assert received == [(bundle / "msg.txt").read_bytes()]
+            assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+            assert not [p for p in bundle.iterdir() if p.name.endswith(".tmp")]
+        finally:
+            if reader.is_alive():  # unblock a reader whose writer never came
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
 
 
 class TestAnalysisCommands:
