@@ -33,14 +33,6 @@ class QualityReport:
     hiding_capacity_bpp: float | None = None
 
 
-@dataclass(frozen=True)
-class EntropyReport:
-    """Shannon entropy of sample values, optionally of neighbor deltas."""
-
-    histogram_entropy_bits: float
-    diff_entropy_bits: float | None = None
-
-
 class AttackPoint(NamedTuple):
     """Chi-square statistic over one row-major sample prefix."""
 

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, chaos, codec, imagery, keymat
-from .errors import CapacityError, ChaostegoError, DomainError, ExtractError, ParseError
+from .errors import CapacityError, ChaostegoError, ExtractError, ParseError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -50,9 +50,23 @@ def _read_text(path: str) -> str:
         raise ParseError(f"{path} is not valid UTF-8") from exc
 
 
-def _write_files(files: dict[str | Path, bytes]) -> None:
-    """Write all of a command's output files, or none of them.
+def _file_key(path: str | Path) -> tuple | str:
+    """Equal for two paths that name one file: the resolved directory's
+    identity plus the name.  Two syscalls, where ``os.path.realpath``
+    takes one per path component."""
+    if os.path.islink(path):
+        path = os.path.realpath(path)
+    try:
+        parent = os.stat(os.path.dirname(path) or ".")
+    except OSError:  # a missing directory fails the write itself
+        return os.path.abspath(path)
+    return parent.st_dev, parent.st_ino, os.path.basename(path)
 
+
+def _write_files(*files: tuple[str | Path, bytes]) -> None:
+    """Write all of a command's ``(path, data)`` outputs, or none of them.
+
+    Two outputs naming the same file are refused before anything is written.
     A regular or missing target is written to a temp file beside it, which
     takes the existing target's mode; the temp files replace their targets
     only once every output is written.  A symlink, device or FIFO target
@@ -62,11 +76,17 @@ def _write_files(files: dict[str | Path, bytes]) -> None:
     changed.  Nothing is fsynced: the replace holds against a failed
     process, not a power loss.
     """
+    seen = set()
+    for path, _ in files:
+        key = _file_key(path)
+        if key in seen:
+            raise ParseError(f"cannot write {path}: two outputs name this file")
+        seen.add(key)
     staged: list[tuple[Path, str | Path]] = []
     direct: list[tuple[str | Path, bytes]] = []
     renamed = 0
     try:
-        for i, (path, data) in enumerate(files.items()):
+        for i, (path, data) in enumerate(files):
             try:
                 st = os.lstat(path)
             except FileNotFoundError:
@@ -100,23 +120,17 @@ def _write_output(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        _write_files({path: text.encode("utf-8")})
+        _write_files((path, text.encode("utf-8")))
 
 
+# The library entry points (codec.embed/extract, keymat.simulate_exchange)
+# check key invariants; loading only reads and parses.
 def _load_secret(path: str) -> keymat.SecretKeySet:
-    keys = keymat.parse_secret_keys(_read_text(path))
-    bad = keymat.validate_keys(keys)
-    if bad:
-        raise DomainError(f"{path}: " + "; ".join(bad))
-    return keys
+    return keymat.parse_secret_keys(_read_text(path))
 
 
 def _load_public(path: str) -> tuple[keymat.PublicCoupling, str | None]:
-    coupling, mode = keymat.parse_public_key(_read_text(path))
-    bad = keymat.validate_coupling(coupling)
-    if bad:
-        raise DomainError(f"{path}: " + "; ".join(bad))
-    return coupling, mode
+    return keymat.parse_public_key(_read_text(path))
 
 
 def _stego_paths(out_base: str, channels: int) -> tuple[Path, Path, Path]:
@@ -144,10 +158,10 @@ def format_quality_report(report: analysis.QualityReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_entropy_report(report: analysis.EntropyReport, prefix: str = "") -> str:
-    lines = [f"{prefix}histogram_entropy_bits={report.histogram_entropy_bits!r}"]
-    if report.diff_entropy_bits is not None:
-        lines.append(f"{prefix}diff_entropy_bits={report.diff_entropy_bits!r}")
+def format_entropy_report(histogram_bits: float, diff_bits: float | None, prefix: str = "") -> str:
+    lines = [f"{prefix}histogram_entropy_bits={histogram_bits!r}"]
+    if diff_bits is not None:
+        lines.append(f"{prefix}diff_entropy_bits={diff_bits!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -164,17 +178,17 @@ def format_attack_csv(points: list[analysis.AttackPoint]) -> str:
 
 def _cmd_keygen(args) -> int:
     keys, coupling = keymat.generate_keys(args.seed)
-    _write_files({
-        args.out: keymat.format_secret_keys(keys).encode("utf-8"),
-        args.pub: keymat.format_public_key(coupling).encode("utf-8"),
-    })
+    _write_files(
+        (args.out, keymat.format_secret_keys(keys).encode("utf-8")),
+        (args.pub, keymat.format_public_key(coupling).encode("utf-8")),
+    )
     return EXIT_OK
 
 
 def _cmd_validate(args) -> int:
-    violations = keymat.validate_keys(keymat.parse_secret_keys(_read_text(args.secret)))
+    violations = keymat.validate_keys(_load_secret(args.secret))
     if args.pub:
-        coupling, _ = keymat.parse_public_key(_read_text(args.pub))
+        coupling, _ = _load_public(args.pub)
         violations += keymat.validate_coupling(coupling)
     for v in violations:
         print(v, file=sys.stderr)
@@ -193,13 +207,13 @@ def _cmd_embed(args) -> int:
     bundle = codec.embed(cover, payload, keys, coupling)
 
     stego_path, ones_path, zeros_path = _stego_paths(args.out, cover.channels)
-    _write_files({
-        stego_path: imagery.save_pnm(bundle.stego),
-        ones_path: imagery.save_pbm(bundle.side.ones),
-        zeros_path: imagery.save_pbm(bundle.side.zeros),
+    _write_files(
+        (stego_path, imagery.save_pnm(bundle.stego)),
+        (ones_path, imagery.save_pbm(bundle.ones)),
+        (zeros_path, imagery.save_pbm(bundle.zeros)),
         # The mode tag rides in the public file so extraction needs no flag.
-        args.pub: keymat.format_public_key(coupling, bundle.mode).encode("utf-8"),
-    })
+        (args.pub, keymat.format_public_key(coupling, bundle.mode).encode("utf-8")),
+    )
     return EXIT_OK
 
 
@@ -211,14 +225,14 @@ def _cmd_extract(args) -> int:
     coupling, mode = _load_public(args.pub)
     if mode is None:
         raise ParseError(f"{args.pub}: no mode tag (embed writes one)")
-    bundle = codec.StegoBundle(stego, codec.SideMatrices(ones, zeros), coupling, mode)
+    bundle = codec.StegoBundle(stego, ones, zeros, coupling, mode)
     message = codec.decode_message(codec.extract(bundle, keys))
     if mode != "raw":
         try:
             message = message.encode("utf-8")
         except UnicodeEncodeError as exc:  # a utf16 payload may hold lone surrogates
             raise ExtractError(f"recovered message cannot be written as UTF-8: {exc.reason}") from exc
-    _write_files({args.out: message})
+    _write_files((args.out, message))
     return EXIT_OK
 
 
@@ -229,8 +243,7 @@ def _cmd_analyze(args) -> int:
     blocks = [format_quality_report(quality)]
     for label, image in (("cover_", cover), ("stego_", stego)):
         diff = analysis.neighbor_diff_entropy(image) if args.diff_entropy else None
-        report = analysis.EntropyReport(analysis.histogram_entropy(image), diff)
-        blocks.append(format_entropy_report(report, prefix=label))
+        blocks.append(format_entropy_report(analysis.histogram_entropy(image), diff, prefix=label))
     _write_output(args.out, "".join(blocks))
     return EXIT_OK
 

@@ -1,8 +1,9 @@
 """Message bit framing, embedding, and extraction.
 
-A message becomes a bit payload: a 32-bit big-endian count of payload
-bits, then the payload itself (7 bits per character for ASCII text,
-16 for single-code-unit Unicode, 8 per byte for raw data, MSB first).
+A message becomes a bit payload, a read-only 1-D uint8 array of 0/1
+values: a 32-bit big-endian count of payload bits, then the payload
+itself (7 bits per character for ASCII text, 16 for single-code-unit
+Unicode, 8 per byte for raw data, MSB first).
 Bits are written into image LSBs at the keyed position stream, and every
 pixel that actually changed is marked by setting the same cell of both
 change-mark matrices to the embedded bit.  Extraction regenerates the
@@ -29,7 +30,7 @@ from .errors import (
     InsufficientCapacity,
 )
 from .imagery import BitMatrix, RasterImage
-from .keymat import MODES, PublicCoupling, SecretKeySet, validate_keys
+from .keymat import MODES, PublicCoupling, SecretKeySet, validate_coupling, validate_keys
 
 HEADER_BITS = 32
 
@@ -40,34 +41,37 @@ _GROUP_BITS = {"ascii7": 7, "utf16": 16, "raw": 8}
 class MessagePayload:
     """Framed bit payload: 32-bit length header plus payload bits.
 
-    ``bits`` holds one byte per bit (values 0/1).  Framing invariants are
-    checked by :func:`decode_message`, not on construction, because
-    payloads recovered from a corrupted image may violate them and still
-    need to exist for error-rate measurement.
+    ``bits`` is a read-only 1-D ``uint8`` array of 0/1 values, copied from
+    the array-like it is built from; ``==`` compares mode and bits.
+    Framing invariants are checked by :func:`decode_message`, not on
+    construction, because payloads recovered from a corrupted image may
+    violate them and still need to exist for error-rate measurement.
     """
 
     mode: str
-    bits: bytes
+    bits: np.ndarray
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise EncodingError(f"unknown mode {self.mode!r}")
-        if np.frombuffer(self.bits, dtype=np.uint8).max(initial=0) > 1:
-            raise EncodingError("payload bits must be 0 or 1")
-        if len(self.bits) < HEADER_BITS:
+        bits = np.array(self.bits)
+        if bits.ndim != 1 or ((bits != 0) & (bits != 1)).any():
+            raise EncodingError("payload bits must be a 1-D sequence of 0s and 1s")
+        if len(bits) < HEADER_BITS:
             raise EncodingError("payload shorter than its 32-bit header")
+        bits = bits.astype(np.uint8, copy=False)
+        bits.flags.writeable = False
+        object.__setattr__(self, "bits", bits)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MessagePayload):
+            return NotImplemented
+        return self.mode == other.mode and np.array_equal(self.bits, other.bits)
 
     @property
     def declared_length(self) -> int:
         """Payload bit count claimed by the header."""
-        return _header_value(np.frombuffer(self.bits, dtype=np.uint8, count=HEADER_BITS))
-
-    @property
-    def payload(self) -> bytes:
-        return self.bits[HEADER_BITS:]
-
-    def __len__(self) -> int:
-        return len(self.bits)
+        return _header_value(self.bits[:HEADER_BITS])
 
 
 def _header_value(header: np.ndarray) -> int:
@@ -80,7 +84,7 @@ def _frame(mode: str, payload: np.ndarray) -> MessagePayload:
     if n >= 1 << HEADER_BITS:
         raise EncodingError("message too long for the 32-bit length header")
     header = np.unpackbits(np.array([n], dtype=">u4").view(np.uint8))
-    return MessagePayload(mode, np.concatenate([header, payload]).tobytes())
+    return MessagePayload(mode, np.concatenate([header, payload]))
 
 
 def encode_message(message, mode: str) -> MessagePayload:
@@ -112,7 +116,7 @@ def encode_message(message, mode: str) -> MessagePayload:
 def decode_message(payload: MessagePayload):
     """Inverse of encode_message; returns str (text modes) or bytes (raw)."""
     declared = payload.declared_length
-    body = np.frombuffer(payload.bits, dtype=np.uint8)[HEADER_BITS:]
+    body = payload.bits[HEADER_BITS:]
     if len(body) != declared:
         raise DecodeError(
             f"header declares {declared} payload bits but {len(body)} are present"
@@ -136,30 +140,25 @@ def decode_message(payload: MessagePayload):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SideMatrices:
-    """The ones/zeros change-mark matrices.
+class StegoBundle:
+    """Everything the recipient receives: stego image, marks, public data.
 
-    Fresh matrices start all-1 and all-0 (every cell differs); embedding
-    sets both cells of a changed pixel to the embedded bit, so equality
-    of the two cells marks the pixel as changed.
+    ``ones`` and ``zeros`` are the change-mark matrices.  They start all-1
+    and all-0 (every cell differs); embedding sets both cells of a changed
+    pixel to the embedded bit, so equal cells mark a changed pixel.
     """
 
+    stego: RasterImage
     ones: BitMatrix
     zeros: BitMatrix
-
-    @classmethod
-    def fresh(cls, rows: int, cols: int) -> "SideMatrices":
-        return cls(BitMatrix.filled(rows, cols, 1), BitMatrix.filled(rows, cols, 0))
-
-
-@dataclass
-class StegoBundle:
-    """Everything the recipient receives: stego image, marks, public data."""
-
-    stego: RasterImage
-    side: SideMatrices
     coupling: PublicCoupling
     mode: str
+
+
+def _check_keys(keys: SecretKeySet, coupling: PublicCoupling) -> None:
+    bad = validate_keys(keys) + validate_coupling(coupling)
+    if bad:
+        raise DomainError("invalid keys: " + "; ".join(bad))
 
 
 def embed(
@@ -169,17 +168,15 @@ def embed(
     coupling: PublicCoupling,
 ) -> StegoBundle:
     """Write the payload bits into the cover at the keyed position stream."""
-    bad = validate_keys(keys)
-    if bad:
-        raise DomainError("invalid keys: " + "; ".join(bad))
-    nbits = len(payload.bits)
+    _check_keys(keys, coupling)
+    bits = payload.bits
+    nbits = len(bits)
     capacity = cover.rows * cover.flat_cols
     if nbits > capacity:
         raise CapacityError(
             f"payload of {nbits} bits exceeds the {capacity}-sample grid"
         )
     flat = iter_positions(keys, coupling, ImageDims(cover.rows, cover.flat_cols), nbits)
-    bits = np.frombuffer(payload.bits, dtype=np.uint8)
 
     stego = cover.samples.copy()
     samples = stego.reshape(-1)
@@ -187,12 +184,13 @@ def embed(
     f_ch, b_ch = flat[changed], bits[changed]
     samples[f_ch] = (samples[f_ch] & 0xFE) | b_ch
 
-    side = SideMatrices.fresh(cover.rows, cover.flat_cols)
-    side.ones.bits.reshape(-1)[f_ch] = b_ch
-    side.zeros.bits.reshape(-1)[f_ch] = b_ch
+    ones = BitMatrix.filled(cover.rows, cover.flat_cols, 1)
+    zeros = BitMatrix.filled(cover.rows, cover.flat_cols, 0)
+    ones.bits.reshape(-1)[f_ch] = b_ch
+    zeros.bits.reshape(-1)[f_ch] = b_ch
 
     stego_image = RasterImage(cover.rows, cover.cols, cover.channels, stego)
-    return StegoBundle(stego_image, side, coupling, payload.mode)
+    return StegoBundle(stego_image, ones, zeros, coupling, payload.mode)
 
 
 def extract(bundle: StegoBundle, keys: SecretKeySet) -> MessagePayload:
@@ -202,12 +200,10 @@ def extract(bundle: StegoBundle, keys: SecretKeySet) -> MessagePayload:
     was changed and the bit is that shared mark; otherwise the bit is the
     stego LSB (which under lossless transport equals the cover LSB).
     """
-    bad = validate_keys(keys)
-    if bad:
-        raise DomainError("invalid keys: " + "; ".join(bad))
+    _check_keys(keys, bundle.coupling)
     stego = bundle.stego
     rows_n, cols_n = stego.rows, stego.flat_cols
-    for m in (bundle.side.ones, bundle.side.zeros):
+    for m in (bundle.ones, bundle.zeros):
         if (m.rows, m.cols) != (rows_n, cols_n):
             raise DimensionMismatch(
                 f"mark matrix {m!r} does not match the {rows_n}x{cols_n} sample grid"
@@ -220,7 +216,7 @@ def extract(bundle: StegoBundle, keys: SecretKeySet) -> MessagePayload:
             f"header declares {declared} payload bits, more than the "
             f"{rows_n * cols_n}-sample grid can carry"
         )
-    return MessagePayload(bundle.mode, _recover_bits(bundle, keys, HEADER_BITS + declared).tobytes())
+    return MessagePayload(bundle.mode, _recover_bits(bundle, keys, HEADER_BITS + declared))
 
 
 def _recover_bits(bundle: StegoBundle, keys: SecretKeySet, count: int) -> np.ndarray:
@@ -231,8 +227,8 @@ def _recover_bits(bundle: StegoBundle, keys: SecretKeySet, count: int) -> np.nda
         flat = iter_positions(keys, bundle.coupling, ImageDims(stego.rows, stego.flat_cols), count)
     except InsufficientCapacity as exc:
         raise ExtractError(f"position stream could not be regenerated: {exc}") from exc
-    ones = bundle.side.ones.bits.reshape(-1)[flat]
-    zeros = bundle.side.zeros.bits.reshape(-1)[flat]
+    ones = bundle.ones.bits.reshape(-1)[flat]
+    zeros = bundle.zeros.bits.reshape(-1)[flat]
     lsb = stego.samples.reshape(-1)[flat] & 1
     return np.where(ones == zeros, ones, lsb)
 
@@ -243,6 +239,4 @@ def bit_error_rate(sent: MessagePayload, received: MessagePayload) -> float:
         raise DimensionMismatch(
             f"payload lengths differ: {len(sent.bits)} vs {len(received.bits)} bits"
         )
-    a = np.frombuffer(sent.bits, dtype=np.uint8)
-    b = np.frombuffer(received.bits, dtype=np.uint8)
-    return float(np.count_nonzero(a != b) / len(a))
+    return float(np.count_nonzero(sent.bits != received.bits) / len(sent.bits))

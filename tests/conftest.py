@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from chaostego import RasterImage, chaos, generate_keys
+from chaostego import chaos
+from chaostego.imagery import RasterImage
+from chaostego.keymat import generate_keys
 
 
 @pytest.fixture(scope="session")

@@ -6,25 +6,23 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from chaostego import (
-    ImageDims,
-    RasterImage,
+from chaostego.analysis import (
     capacity_report,
     chi_square_attack,
-    embed,
-    encode_message,
     gamma_q,
     histogram_entropy,
     neighbor_diff_entropy,
     psnr,
 )
-from chaostego.analysis import EntropyReport
+from chaostego.chaos import ImageDims
 from chaostego.cli import (
     format_attack_csv,
     format_entropy_report,
     format_quality_report,
 )
+from chaostego.codec import embed, encode_message
 from chaostego.errors import CapacityError, DimensionMismatch, DomainError
+from chaostego.imagery import RasterImage
 from conftest import random_image
 
 
@@ -263,7 +261,7 @@ class TestFormatting:
         assert text.endswith("hiding_capacity_bpp=1.0\n")
 
     def test_entropy_block_prefix(self):
-        text = format_entropy_report(EntropyReport(7.5, None), prefix="cover_")
+        text = format_entropy_report(7.5, None, prefix="cover_")
         assert text == "cover_histogram_entropy_bits=7.5\n"
 
     def test_attack_csv_shape(self):

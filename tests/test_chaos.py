@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaostego import (
+from chaostego import chaos
+from chaostego.chaos import (
+    EPSILON,
     ChaosState,
     ImageDims,
-    PublicCoupling,
-    SecretKeySet,
     bifurcation_scan,
     coupled_step,
     initial_state,
@@ -23,9 +23,8 @@ from chaostego import (
     select_positions,
     to_pixel,
 )
-from chaostego import chaos
-from chaostego.chaos import EPSILON
 from chaostego.errors import DomainError, InsufficientCapacity
+from chaostego.keymat import PublicCoupling, SecretKeySet
 
 
 class TestMapStep:

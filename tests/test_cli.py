@@ -14,18 +14,11 @@ import numpy as np
 import pytest
 
 import chaostego
-from chaostego import (
-    cli,
-    embed,
-    encode_message,
-    format_public_key,
-    load_pnm,
-    parse_public_key,
-    parse_secret_keys,
-    save_pbm,
-    save_pnm,
-)
+from chaostego import cli
 from chaostego.cli import run
+from chaostego.codec import embed, encode_message
+from chaostego.imagery import load_pnm, save_pbm, save_pnm
+from chaostego.keymat import format_public_key, parse_public_key, parse_secret_keys
 from conftest import random_image
 
 
@@ -175,8 +168,8 @@ class TestEmbedExtract:
         cover = load_pnm((workdir / "cover.pgm").read_bytes())
         bundle = embed(cover, encode_message("a\ud800b", "utf16"), keys, coupling)
         (workdir / "stego.pgm").write_bytes(save_pnm(bundle.stego))
-        (workdir / "stego.ones.pbm").write_bytes(save_pbm(bundle.side.ones))
-        (workdir / "stego.zeros.pbm").write_bytes(save_pbm(bundle.side.zeros))
+        (workdir / "stego.ones.pbm").write_bytes(save_pbm(bundle.ones))
+        (workdir / "stego.zeros.pbm").write_bytes(save_pbm(bundle.zeros))
         (workdir / "public.key").write_text(format_public_key(coupling, "utf16"))
         assert self.extract(workdir) == 3
         assert "error: recovered message cannot be written as UTF-8" in capsys.readouterr().err
@@ -193,6 +186,48 @@ class TestEmbedExtract:
             for form in (float.hex(value), repr(value)):
                 assert form not in captured.out
                 assert form not in captured.err
+
+
+class TestInvalidKeys:
+    """Key and coupling invariants are checked before any output is written,
+    and the message names the violated field."""
+
+    FAULTS = {"alpha1": ("alpha1", "0x1p-2"), "seed": ("x0", "0x1p-1"), "R": ("R", "0x1.8p+0")}
+
+    @staticmethod
+    def replace_line(path, name, value):
+        lines = [f"{name}={value}" if line.startswith(f"{name}=") else line
+                 for line in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    @pytest.mark.parametrize("command", ["embed", "extract", "exchange-sim-alice", "exchange-sim-bob"])
+    def test_invalid_key_exits_2_and_writes_nothing(self, workdir, command, fault, capsys):
+        keygen(workdir)
+        assert TestEmbedExtract().embed(workdir) == 0
+        field, value = self.FAULTS[fault]
+        secret, bob = workdir / "secret.key", workdir / "bob.key"
+        bob.write_bytes(secret.read_bytes())
+        if field == "R":
+            self.replace_line(workdir / "public.key", field, value)
+        else:
+            self.replace_line(bob if command == "exchange-sim-bob" else secret, field, value)
+        argv = {
+            "embed": TestEmbedExtract().embed_argv(workdir, out="again"),
+            "extract": TestEmbedExtract().extract_argv(workdir),
+            "exchange-sim-alice": ["exchange-sim", "--alice", str(secret)],
+            "exchange-sim-bob": ["exchange-sim", "--alice", str(secret), "--bob", str(bob)],
+        }[command]
+        if command.startswith("exchange-sim"):
+            argv += ["--pub", str(workdir / "public.key"), "--rows", "16", "--cols", "16",
+                     "--prefix", "10", "--out", str(workdir / "transcript.txt")]
+        before = snapshot(workdir)
+        capsys.readouterr()
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and f"{field}:" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert snapshot(workdir) == before
 
 
 class TestUsage:
@@ -302,6 +337,25 @@ class TestOutputWrites:
         before = snapshot(bundle)
         capsys.readouterr()
         assert run(self.failing_argv(bundle, command, str(bad))) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and "Traceback" not in err
+        assert snapshot(bundle) == before
+
+    @pytest.mark.parametrize("case", ["keygen", "keygen-symlink", "embed"])
+    def test_outputs_naming_one_file_exit_2_and_write_nothing(self, bundle, case, capsys):
+        if case == "keygen":
+            argv = ["keygen", "--out", str(bundle / "k"), "--pub", str(bundle / "k"), "--seed", "3"]
+        elif case == "keygen-symlink":
+            (bundle / "link").symlink_to(bundle / "secret.key")
+            argv = ["keygen", "--out", str(bundle / "secret.key"), "--pub", str(bundle / "link"),
+                    "--seed", "3"]
+        else:  # the public key file is also the stego image embed would write
+            (bundle / "p.pgm").write_bytes((bundle / "public.key").read_bytes())
+            argv = TestEmbedExtract().embed_argv(bundle, out="p")
+            argv[argv.index("--pub") + 1] = str(bundle / "p.pgm")
+        before = snapshot(bundle)
+        capsys.readouterr()
+        assert run(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write ") and "Traceback" not in err
         assert snapshot(bundle) == before

@@ -5,24 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaostego import (
-    BitMatrix,
-    ImageDims,
+from chaostego.chaos import ImageDims, select_positions
+from chaostego.codec import (
+    HEADER_BITS,
     MessagePayload,
-    PublicCoupling,
-    RasterImage,
-    SecretKeySet,
-    SideMatrices,
     StegoBundle,
     bit_error_rate,
     decode_message,
     embed,
     encode_message,
     extract,
-    flip_count,
-    select_positions,
 )
-from chaostego.codec import HEADER_BITS
 from chaostego.errors import (
     CapacityError,
     DecodeError,
@@ -30,6 +23,8 @@ from chaostego.errors import (
     EncodingError,
     InsufficientCapacity,
 )
+from chaostego.imagery import BitMatrix, RasterImage, flip_count
+from chaostego.keymat import PublicCoupling, SecretKeySet
 from conftest import random_image
 
 
@@ -74,18 +69,36 @@ class TestEncodeMessage:
             encode_message("x", "base64")
 
 
+class TestMessagePayload:
+    def test_bits_are_a_read_only_uint8_vector(self):
+        source = np.array(bits_of(1, 32) + [1], dtype=np.uint8)
+        payload = MessagePayload("raw", source)
+        assert payload.bits.dtype == np.uint8 and payload.bits.ndim == 1
+        with pytest.raises(ValueError):
+            payload.bits[0] = 1
+        source[-1] = 0  # the payload holds its own copy
+        assert payload.bits[-1] == 1
+        assert not encode_message("x", "ascii7").bits.flags.writeable
+
+    def test_equality_compares_mode_and_bits(self):
+        p = encode_message(b"ab", "raw")
+        assert p == MessagePayload("raw", p.bits.tolist())
+        assert p != MessagePayload("raw", 1 - p.bits)
+        assert p != MessagePayload("utf16", p.bits)
+
+
 class TestDecodeMessage:
     def test_known_payload(self):
-        payload = MessagePayload("ascii7", bytes(bits_of(7, 32) + [1, 0, 0, 0, 0, 0, 1]))
+        payload = MessagePayload("ascii7", bits_of(7, 32) + [1, 0, 0, 0, 0, 0, 1])
         assert decode_message(payload) == "A"
 
     def test_group_size_mismatch(self):
-        payload = MessagePayload("ascii7", bytes(bits_of(10, 32) + [0] * 10))
+        payload = MessagePayload("ascii7", bits_of(10, 32) + [0] * 10)
         with pytest.raises(DecodeError):
             decode_message(payload)
 
     def test_header_length_mismatch(self):
-        payload = MessagePayload("ascii7", bytes(bits_of(14, 32) + [0] * 7))
+        payload = MessagePayload("ascii7", bits_of(14, 32) + [0] * 7)
         with pytest.raises(DecodeError):
             decode_message(payload)
 
@@ -126,8 +139,8 @@ class TestEmbed:
         payload = encode_message("", "ascii7")  # all bits 0
         bundle = embed(cover, payload, keys, coupling)
         assert bundle.stego == cover
-        assert np.all(bundle.side.ones.bits == 1)
-        assert np.all(bundle.side.zeros.bits == 0)
+        assert np.all(bundle.ones.bits == 1)
+        assert np.all(bundle.zeros.bits == 0)
 
     def test_flips_equal_one_bits_on_zero_cover(self, live_keys):
         # On an all-zero cover every 1-bit forces a flip and every 0-bit
@@ -138,12 +151,12 @@ class TestEmbed:
         body = rng.integers(0, 2, 1000).tolist()
         n = len(body)
         header = [(n >> i) & 1 for i in range(31, -1, -1)]
-        payload = MessagePayload("raw", bytes(header + body))
+        payload = MessagePayload("raw", header + body)
         bundle = embed(cover, payload, keys, coupling)
 
         all_bits = header + body
         assert flip_count(cover, bundle.stego) == sum(all_bits)
-        marked = bundle.side.ones.bits == bundle.side.zeros.bits
+        marked = bundle.ones.bits == bundle.zeros.bits
         flat = select_positions(keys, coupling, ImageDims(128, 128), len(all_bits))
         one_cells = np.sort(flat[np.array(all_bits) == 1])
         assert np.array_equal(np.flatnonzero(marked), one_cells)
@@ -156,12 +169,12 @@ class TestEmbed:
         bundle = embed(cover, payload, keys, coupling)
 
         changed_pixels = np.argwhere(cover.samples != bundle.stego.samples)
-        marked = np.argwhere(bundle.side.ones.bits == bundle.side.zeros.bits)
+        marked = np.argwhere(bundle.ones.bits == bundle.zeros.bits)
         assert {tuple(x) for x in changed_pixels} == {tuple(x) for x in marked}
         # untouched cells keep ones=1, zeros=0
-        untouched = bundle.side.ones.bits != bundle.side.zeros.bits
-        assert np.all(bundle.side.ones.bits[untouched] == 1)
-        assert np.all(bundle.side.zeros.bits[untouched] == 0)
+        untouched = bundle.ones.bits != bundle.zeros.bits
+        assert np.all(bundle.ones.bits[untouched] == 1)
+        assert np.all(bundle.zeros.bits[untouched] == 0)
         # pure LSB embedding: no sample moved by more than one level
         delta = np.abs(cover.samples.astype(int) - bundle.stego.samples.astype(int))
         assert delta.max() <= 1
@@ -185,18 +198,26 @@ class TestEmbed:
         n = 4000
         header = [(n >> i) & 1 for i in range(31, -1, -1)]
         body = rng.integers(0, 2, n, dtype=np.uint8).tolist()
-        payload = MessagePayload("raw", bytes(header + body))
+        payload = MessagePayload("raw", header + body)
         bundle = embed(cover, payload, keys, coupling)
         ratio = flip_count(cover, bundle.stego) / n
         assert 0.40 <= ratio <= 0.60
 
     def test_malformed_payload_construction_rejected(self):
+        for bad in (
+            [0, 1, 2] * 20,  # non-bit values
+            np.array([0, 1, 2] * 20, dtype=np.uint8),
+            np.array([0, 1, 257] * 20),  # would wrap to 1 as uint8
+            np.array([0, 1, -1] * 20),
+            [0] * 16,  # shorter than header
+            np.zeros(16, dtype=np.uint8),
+            np.zeros((2, 32), dtype=np.uint8),  # not 1-D
+            bytes(32),  # a byte string is not an array of bits
+        ):
+            with pytest.raises(EncodingError):
+                MessagePayload("ascii7", bad)
         with pytest.raises(EncodingError):
-            MessagePayload("ascii7", bytes([0, 1, 2] * 20))  # non-bit values
-        with pytest.raises(EncodingError):
-            MessagePayload("ascii7", bytes([0] * 16))  # shorter than header
-        with pytest.raises(EncodingError):
-            MessagePayload("hex", bytes(32))
+            MessagePayload("hex", np.zeros(32, dtype=np.uint8))
 
     def test_payload_larger_than_grid_rejected(self, live_keys):
         keys, coupling = live_keys
@@ -220,7 +241,7 @@ class TestExtract:
         cover = random_image(rng, 64, 96)
         payload = encode_message("round trip me", "ascii7")
         got = extract(embed(cover, payload, keys, coupling), keys)
-        assert got == payload
+        assert got.mode == payload.mode and np.array_equal(got.bits, payload.bits)
         assert decode_message(got) == "round trip me"
 
     def test_bit_rule_reads_marks_at_changed_cells(self):
@@ -251,13 +272,13 @@ class TestExtract:
 
         n = len(payload.bits)
         flat = select_positions(keys, coupling, ImageDims(64, 64), n)
-        marked = (bundle.side.ones.bits == bundle.side.zeros.bits).ravel()
+        marked = (bundle.ones.bits == bundle.zeros.bits).ravel()
         unchanged_payload_idx = [i for i in range(HEADER_BITS, n) if not marked[flat[i]]]
         victims = unchanged_payload_idx[::3]
         corrupted = bundle.stego.samples.copy()
         corrupted.reshape(-1)[flat[victims]] ^= 1
         bad_bundle = StegoBundle(
-            RasterImage(64, 64, 1, corrupted), bundle.side, coupling, bundle.mode
+            RasterImage(64, 64, 1, corrupted), bundle.ones, bundle.zeros, coupling, bundle.mode
         )
 
         got = extract(bad_bundle, keys)
@@ -268,13 +289,13 @@ class TestExtract:
     def test_header_declaring_too_much_rejected(self, live_keys):
         keys, coupling = live_keys
         stego = RasterImage(8, 8, 1, np.zeros(64, dtype=np.uint8))
-        side = SideMatrices.fresh(8, 8)
         # force header bits to claim 2**20 payload bits
         flat = select_positions(keys, coupling, ImageDims(8, 8), 32)
         samples = stego.samples.copy()
         claim = [(1 << 20 >> i) & 1 for i in range(31, -1, -1)]
         samples.reshape(-1)[flat] = claim
-        bundle = StegoBundle(RasterImage(8, 8, 1, samples), side, coupling, "raw")
+        bundle = StegoBundle(RasterImage(8, 8, 1, samples), BitMatrix.filled(8, 8, 1),
+                             BitMatrix.filled(8, 8, 0), coupling, "raw")
         from chaostego.errors import ExtractError
         with pytest.raises(ExtractError):
             extract(bundle, keys)
@@ -282,9 +303,9 @@ class TestExtract:
     def test_mismatched_side_matrices_rejected(self, live_keys):
         keys, coupling = live_keys
         stego = RasterImage(8, 8, 1, np.zeros(64, dtype=np.uint8))
-        side = SideMatrices(BitMatrix.filled(4, 4, 1), BitMatrix.filled(4, 4, 0))
+        ones, zeros = BitMatrix.filled(4, 4, 1), BitMatrix.filled(4, 4, 0)
         with pytest.raises(DimensionMismatch):
-            extract(StegoBundle(stego, side, coupling, "raw"), keys)
+            extract(StegoBundle(stego, ones, zeros, coupling, "raw"), keys)
 
     @pytest.mark.parametrize("mode,message", [
         ("ascii7", "plain ASCII text"),
@@ -306,16 +327,16 @@ class TestBitErrorRate:
 
     def test_complement(self):
         p = encode_message("flip", "ascii7")
-        q = MessagePayload(p.mode, bytes(1 - b for b in p.bits))
+        q = MessagePayload(p.mode, 1 - p.bits)
         assert bit_error_rate(p, q) == 1.0
 
     def test_exact_fraction(self):
         bits = [0] * 300
-        p = MessagePayload("raw", bytes(bits))
+        p = MessagePayload("raw", bits)
         flipped = list(bits)
         for i in (5, 150, 299):
             flipped[i] = 1
-        q = MessagePayload("raw", bytes(flipped))
+        q = MessagePayload("raw", flipped)
         assert bit_error_rate(p, q) == 0.01
 
     def test_length_mismatch(self):

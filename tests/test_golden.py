@@ -11,19 +11,12 @@ import hashlib
 import numpy as np
 import pytest
 
-from chaostego import (
-    ImageDims,
-    InsufficientCapacity,
-    PublicCoupling,
-    RasterImage,
-    SecretKeySet,
-    embed,
-    encode_message,
-    save_pbm,
-    save_pnm,
-    select_positions,
-)
+from chaostego.chaos import ImageDims, select_positions
 from chaostego.cli import run
+from chaostego.codec import embed, encode_message
+from chaostego.errors import InsufficientCapacity
+from chaostego.imagery import RasterImage, save_pbm, save_pnm
+from chaostego.keymat import PublicCoupling, SecretKeySet
 
 #: Two key sets drawn by ``generate_keys(7)`` and ``generate_keys(42)``,
 #: and one written by hand, each frozen as exact binary64 values.
@@ -169,7 +162,7 @@ def test_embed_file_bytes(rows, cols, channels):
     bundle = embed(cover, payload, keys, coupling)
     got = (
         sha256(save_pnm(bundle.stego)),
-        sha256(save_pbm(bundle.side.ones)),
-        sha256(save_pbm(bundle.side.zeros)),
+        sha256(save_pbm(bundle.ones)),
+        sha256(save_pbm(bundle.zeros)),
     )
     assert got == EMBED_SHA256[channels]

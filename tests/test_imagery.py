@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaostego import (
+from chaostego.errors import DimensionMismatch, DomainError, ParseError
+from chaostego.imagery import (
     BitMatrix,
     RasterImage,
     flip_count,
@@ -16,7 +17,6 @@ from chaostego import (
     save_pnm,
     set_lsb,
 )
-from chaostego.errors import DimensionMismatch, DomainError, ParseError
 
 
 def gray(rows, cols, values):

@@ -7,8 +7,9 @@ import random
 import numpy as np
 import pytest
 
-from chaostego import (
-    ImageDims,
+from chaostego.chaos import ImageDims, select_positions
+from chaostego.errors import DomainError, ParseError
+from chaostego.keymat import (
     PublicCoupling,
     SecretKeySet,
     format_public_key,
@@ -16,12 +17,10 @@ from chaostego import (
     generate_keys,
     parse_public_key,
     parse_secret_keys,
-    select_positions,
     simulate_exchange,
     validate_coupling,
     validate_keys,
 )
-from chaostego.errors import DomainError, ParseError
 
 GOOD = SecretKeySet(alpha1=1.7, alpha2=1.3, x0=0.31, y0=0.72)
 
