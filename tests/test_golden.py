@@ -166,3 +166,66 @@ def test_embed_file_bytes(rows, cols, channels):
         sha256(save_pbm(bundle.zeros)),
     )
     assert got == EMBED_SHA256[channels]
+
+
+#: The fixed stego image of the grading pins: an even-valued 64x64 cover
+#: (maximal pair imbalance) carrying a 931-bit ascii7 message, so the
+#: attack curve moves as embedded samples enter the growing prefix.
+GRADING_MESSAGE = "pair-of-values frequencies equalize where the keyed order writes " * 2 + "it."
+GRADING_PAYLOAD_BITS = 7 * len(GRADING_MESSAGE)
+
+#: SHA-256 of the ``attack`` CSV of the fixed stego image, by ``--step``.
+ATTACK_CSV_SHA256 = {
+    1: "e46850c626a1b43015d57d5f6d122908d3601dd2b0f41aa7a4cf08b67f9573f0",
+    7: "06af7716d96b7a365c382004825bb4ace59ca5881aa07aa8e77592765e81e9a5",
+}
+
+#: ``analyze --diff-entropy --payload-bits 931`` of the fixed cover/stego pair.
+ANALYZE_OUTPUT = (
+    "psnr_db=57.16170347859854\nmse=0.125\nflips=512\nhiding_capacity_bpp=0.227294921875\n"
+    "cover_histogram_entropy_bits=6.970058532961088\ncover_diff_entropy_bits=7.706511921495284\n"
+    "stego_histogram_entropy_bits=7.492770718320443\nstego_diff_entropy_bits=8.373748912572772\n"
+)
+
+#: SHA-256 of the ``attack --step 1`` CSV of a 7x9 image: 63 samples, so
+#: many consecutive prefixes have equal length.
+TINY_ATTACK_CSV_SHA256 = "42698761dc4e7714aed185150d97a36c08078f09aec17bb1d09e5664a5c0bc0b"
+
+
+def write_grading_pair(tmp_path):
+    keys, coupling = KEY_SETS["seed42"]
+    rng = np.random.default_rng(20121102)
+    cover = RasterImage(64, 64, 1, rng.integers(0, 256, 64 * 64, dtype=np.uint8) & 0xFE)
+    bundle = embed(cover, encode_message(GRADING_MESSAGE, "ascii7"), keys, coupling)
+    (tmp_path / "cover.pgm").write_bytes(save_pnm(cover))
+    (tmp_path / "stego.pgm").write_bytes(save_pnm(bundle.stego))
+
+
+def attack_csv(tmp_path, image, step) -> bytes:
+    out = tmp_path / f"attack-{step}.csv"
+    assert run(["attack", "--image", str(image), "--step", str(step), "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("step", sorted(ATTACK_CSV_SHA256))
+def test_attack_csv_bytes(step, tmp_path):
+    write_grading_pair(tmp_path)
+    assert sha256(attack_csv(tmp_path, tmp_path / "stego.pgm", step)) == ATTACK_CSV_SHA256[step]
+
+
+def test_analyze_output(tmp_path):
+    write_grading_pair(tmp_path)
+    out = tmp_path / "quality.txt"
+    argv = ["analyze", "--cover", str(tmp_path / "cover.pgm"), "--stego", str(tmp_path / "stego.pgm"),
+            "--diff-entropy", "--payload-bits", str(GRADING_PAYLOAD_BITS), "--out", str(out)]
+    assert run(argv) == 0
+    assert out.read_text() == ANALYZE_OUTPUT
+
+
+def test_attack_csv_bytes_below_100_samples(tmp_path):
+    # Values in 100..107 fill four pairs, so the later prefixes count
+    # enough samples per pair to report a statistic.
+    rng = np.random.default_rng(20121103)
+    image = tmp_path / "tiny.pgm"
+    image.write_bytes(save_pnm(RasterImage(7, 9, 1, rng.integers(100, 108, 63, dtype=np.uint8))))
+    assert sha256(attack_csv(tmp_path, image, 1)) == TINY_ATTACK_CSV_SHA256
