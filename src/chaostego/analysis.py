@@ -16,9 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chaos import ImageDims
 from .errors import CapacityError, DimensionMismatch, DomainError
-from .imagery import RasterImage, flip_count
+from .imagery import RasterImage
 
 PEAK_VALUE = 255  # 8-bit unsigned samples
 
@@ -42,32 +41,29 @@ class AttackPoint(NamedTuple):
     p_embedding: float
 
 
-@dataclass(frozen=True)
-class CapacityReport:
-    max_bits: int
-    payload_bits: int
-    hc_bpp: float
-    expected_flip_fraction: float
-
-
 def psnr(cover: RasterImage, stego: RasterImage, payload_bits: int | None = None) -> QualityReport:
     """Peak signal-to-noise ratio in dB, with mean squared error and flips.
 
     Identical images report infinite PSNR.  ``payload_bits``, when known,
-    fills in the hiding capacity in bits per pixel.
+    fills in the hiding capacity in bits per pixel; it must lie between 0
+    and the sample count.
     """
     if (cover.rows, cover.cols, cover.channels) != (stego.rows, stego.cols, stego.channels):
         raise DimensionMismatch(f"{cover!r} vs {stego!r}: dimensions must match")
-    delta = cover.samples.astype(np.int64) - stego.samples.astype(np.int64)
-    mse = float(np.sum(delta * delta) / delta.size)
+    hc = None
+    if payload_bits is not None:
+        if payload_bits < 0:
+            raise DomainError(f"payload_bits must be non-negative, got {payload_bits}")
+        if payload_bits > cover.samples.size:
+            raise CapacityError(f"{payload_bits} payload bits exceed the {cover.samples.size}-sample grid")
+        hc = payload_bits / (cover.rows * cover.cols)
+    delta = cover.samples.astype(np.int16) - stego.samples.astype(np.int16)
+    mse = float(np.sum(np.square(delta, dtype=np.int32), dtype=np.int64) / delta.size)
     if mse == 0.0:
         psnr_db = math.inf
     else:
         psnr_db = 10.0 * math.log10(PEAK_VALUE * PEAK_VALUE / mse)
-    flips = flip_count(cover, stego, require_lsb_only=False)
-    hc = None
-    if payload_bits is not None:
-        hc = payload_bits / (cover.rows * cover.cols)
+    flips = int(np.count_nonzero(delta))
     return QualityReport(psnr_db=psnr_db, mse=mse, flips=flips, hiding_capacity_bpp=hc)
 
 
@@ -186,6 +182,9 @@ def chi_square_attack(image: RasterImage, step_percent: int) -> list[AttackPoint
     pairs-minus-1 degrees of freedom.  p_embedding near 1 means the pair
     frequencies are equalized (stego-like); near 0 means natural imbalance.
     Prefixes with fewer than 2 usable pairs record p_embedding = 0.
+
+    One pass: each prefix's histogram is the previous one plus the counts
+    of the samples that extend it.
     """
     if not (1 <= step_percent <= 100):
         raise DomainError("step_percent must lie in [1, 100]")
@@ -195,9 +194,12 @@ def chi_square_attack(image: RasterImage, step_percent: int) -> list[AttackPoint
     if percents[-1] != 100:
         percents.append(100)
     points: list[AttackPoint] = []
+    hist = np.zeros(256, dtype=np.int64)
+    start = 0
     for t in percents:
-        prefix = flat[: (total * t) // 100]
-        hist = np.bincount(prefix, minlength=256)
+        end = (total * t) // 100
+        hist += np.bincount(flat[start:end], minlength=256)
+        start = end
         even = hist[0::2].astype(np.float64)
         odd = hist[1::2].astype(np.float64)
         pair_total = even + odd
@@ -211,26 +213,4 @@ def chi_square_attack(image: RasterImage, step_percent: int) -> list[AttackPoint
             p = 0.0  # not enough occupied pairs to detect anything
         points.append(AttackPoint(t / 100.0, chi, max(dof, 0), p))
     return points
-
-
-def capacity_report(dims: ImageDims, channels: int, payload_bits: int) -> CapacityReport:
-    """Capacity bookkeeping: bits per pixel and the expected flip fraction.
-
-    Each embedded bit flips its target LSB with probability one half, so
-    a payload of half the sample count changes a quarter of the samples.
-    """
-    rows, cols = dims
-    if rows < 1 or cols < 1 or channels not in (1, 3):
-        raise DomainError("invalid image geometry")
-    if payload_bits < 0:
-        raise DomainError("payload_bits must be non-negative")
-    max_bits = rows * cols * channels
-    if payload_bits > max_bits:
-        raise CapacityError(f"{payload_bits} bits exceed the {max_bits}-sample grid")
-    return CapacityReport(
-        max_bits=max_bits,
-        payload_bits=payload_bits,
-        hc_bpp=payload_bits / (rows * cols),
-        expected_flip_fraction=payload_bits / (2 * max_bits),
-    )
 

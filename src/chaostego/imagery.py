@@ -251,24 +251,23 @@ def set_lsb(image: RasterImage, row: int, flat_col: int, bit: int) -> RasterImag
     return RasterImage(image.rows, image.cols, image.channels, samples)
 
 
-def flip_count(cover: RasterImage, stego: RasterImage, require_lsb_only: bool = True) -> int:
+def flip_count(cover: RasterImage, stego: RasterImage) -> int:
     """Number of samples where the two images differ.
 
-    With ``require_lsb_only`` (the default) every difference must have
-    magnitude exactly 1, i.e. be an LSB flip; violations are reported
-    with their positions.  Pass False for generic image pairs.
+    Every difference must have magnitude exactly 1, i.e. be an LSB flip;
+    violations are reported with their positions.  ``analysis.psnr``
+    counts the changed samples of a generic image pair.
     """
     if (cover.rows, cover.cols, cover.channels) != (stego.rows, stego.cols, stego.channels):
         raise DimensionMismatch(
             f"{cover!r} vs {stego!r}: images must share dimensions and channels"
         )
     delta = cover.samples.astype(np.int16) - stego.samples.astype(np.int16)
-    if require_lsb_only:
-        bad = np.argwhere(np.abs(delta) > 1)
-        if len(bad):
-            shown = ", ".join(f"({r}, {c})" for r, c in bad[:5])
-            raise DomainError(
-                f"{len(bad)} samples differ by more than 1 (not LSB-only), "
-                f"first at {shown}"
-            )
+    bad = np.argwhere(np.abs(delta) > 1)
+    if len(bad):
+        shown = ", ".join(f"({r}, {c})" for r, c in bad[:5])
+        raise DomainError(
+            f"{len(bad)} samples differ by more than 1 (not LSB-only), "
+            f"first at {shown}"
+        )
     return int(np.count_nonzero(delta))

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from chaostego.analysis import (
-    capacity_report,
     chi_square_attack,
     gamma_q,
     histogram_entropy,
@@ -109,7 +108,7 @@ def test_criterion_2_psnr_identity_at_quarter_bpp():
 
     quality = psnr(cover, bundle.stego, payload_bits=65536)
     identity = 10.0 * math.log10(255.0 ** 2 * 512 * 512 / quality.flips)
-    hc = capacity_report(ImageDims(512, 512), 1, 65536).hc_bpp
+    hc = quality.hiding_capacity_bpp
     ok = abs(quality.psnr_db - identity) < 1e-9 and quality.psnr_db >= 55.0 and hc == 0.25
     report(2, "PSNR identity at HC 0.25 bpp", ok,
            f"psnr={quality.psnr_db:.4f} dB, identity diff={abs(quality.psnr_db - identity):.2e}, "

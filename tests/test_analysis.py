@@ -4,17 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from chaostego.analysis import (
-    capacity_report,
+    _POV_MIN_PAIR_TOTAL,
     chi_square_attack,
     gamma_q,
     histogram_entropy,
     neighbor_diff_entropy,
     psnr,
 )
-from chaostego.chaos import ImageDims
 from chaostego.cli import (
     format_attack_csv,
     format_entropy_report,
@@ -57,6 +58,7 @@ class TestPsnr:
         report = psnr(cover, stego)
         assert report.psnr_db == 0.0
         assert report.mse == 255.0 ** 2
+        assert report.flips == 16
 
     def test_single_unit_difference_on_512(self):
         samples = np.zeros(512 * 512, dtype=np.uint8)
@@ -94,6 +96,11 @@ class TestPsnr:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             psnr(gray(1, 2, [0, 0]), gray(2, 1, [0, 0]))
+
+    def test_non_lsb_difference_counts_as_one_flip(self):
+        report = psnr(gray(1, 2, [100, 10]), gray(1, 2, [103, 10]))
+        assert report.flips == 1
+        assert report.mse == 4.5
 
 
 class TestHistogramEntropy:
@@ -197,7 +204,49 @@ def even_valued_cover(rows, cols, seed):
     return RasterImage(rows, cols, 1, samples)
 
 
+def per_prefix_attack(image, step_percent):
+    """The scan as first written, kept as the oracle: every prefix's
+    histogram counted from scratch."""
+    flat = image.samples.ravel()
+    total = flat.size
+    percents = list(range(step_percent, 101, step_percent))
+    if percents[-1] != 100:
+        percents.append(100)
+    points = []
+    for t in percents:
+        hist = np.bincount(flat[: (total * t) // 100], minlength=256)
+        even = hist[0::2].astype(np.float64)
+        odd = hist[1::2].astype(np.float64)
+        pair_total = even + odd
+        included = pair_total > _POV_MIN_PAIR_TOTAL
+        expected = pair_total[included] / 2.0
+        chi = float(np.sum((even[included] - expected) ** 2 / expected)) if included.any() else 0.0
+        dof = int(included.sum()) - 1
+        p = gamma_q(dof / 2.0, chi / 2.0) if dof >= 1 else 0.0
+        points.append((t / 100.0, chi, max(dof, 0), p))
+    return points
+
+
 class TestChiSquareAttack:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        rows=st.integers(1, 64),
+        cols=st.integers(1, 64),
+        channels=st.sampled_from([1, 3]),
+        step=st.integers(1, 100),
+        low=st.integers(0, 255),
+        width=st.integers(0, 255),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_pass_scan_equals_per_prefix_oracle(self, rows, cols, channels, step, low, width, seed):
+        # A narrow value range fills few pairs, so small images still
+        # reach the pair-count threshold and report a statistic.
+        rng = np.random.default_rng(seed)
+        high = min(low + width, 255)
+        values = rng.integers(low, high, rows * cols * channels, dtype=np.uint8, endpoint=True)
+        image = RasterImage(rows, cols, channels, values)
+        assert chi_square_attack(image, step) == per_prefix_attack(image, step)
+
     def test_equal_pairs_scan_is_all_ones(self):
         img = paired_cover(100, 100)  # every 10% prefix has even length
         for point in chi_square_attack(img, 10):
@@ -232,24 +281,31 @@ class TestChiSquareAttack:
             chi_square_attack(img, 101)
 
 
-class TestCapacityReport:
+class TestPsnrCapacity:
+    """``payload_bits`` bookkeeping: bits per pixel, bounded by the samples."""
+
     def test_half_bpp_operating_point(self):
-        report = capacity_report(ImageDims(512, 512), 1, 131072)
-        assert report.hc_bpp == 0.5
-        assert report.expected_flip_fraction == 0.25
+        img = RasterImage(512, 512, 1, np.zeros(512 * 512, dtype=np.uint8))
+        assert psnr(img, img, payload_bits=131072).hiding_capacity_bpp == 0.5
 
     def test_table_operating_point(self):
-        report = capacity_report(ImageDims(512, 512), 1, 65536)
-        assert report.hc_bpp == 0.25
+        img = RasterImage(512, 512, 1, np.zeros(512 * 512, dtype=np.uint8))
+        assert psnr(img, img, payload_bits=65536).hiding_capacity_bpp == 0.25
 
     def test_empty_payload(self):
-        report = capacity_report(ImageDims(64, 64), 3, 0)
-        assert report.hc_bpp == 0.0 and report.expected_flip_fraction == 0.0
-        assert report.max_bits == 64 * 64 * 3
+        img = RasterImage(64, 64, 3, np.zeros(64 * 64 * 3, dtype=np.uint8))
+        assert psnr(img, img, payload_bits=0).hiding_capacity_bpp == 0.0
+        assert psnr(img, img, payload_bits=64 * 64 * 3).hiding_capacity_bpp == 3.0
 
     def test_overflow_rejected(self):
-        with pytest.raises(CapacityError):
-            capacity_report(ImageDims(8, 8), 1, 65)
+        img = gray(8, 8, [0] * 64)
+        with pytest.raises(CapacityError, match="65 payload bits exceed the 64-sample grid"):
+            psnr(img, img, payload_bits=65)
+
+    def test_negative_rejected(self):
+        img = gray(8, 8, [0] * 64)
+        with pytest.raises(DomainError, match="non-negative"):
+            psnr(img, img, payload_bits=-1)
 
 
 class TestFormatting:

@@ -451,6 +451,20 @@ class TestAnalysisCommands:
                 "cover_diff_entropy_bits", "stego_diff_entropy_bits"} <= set(pairs)
         assert float(pairs["psnr_db"]) > 40.0
 
+    @pytest.mark.parametrize("bits,code", [("-1", 2), (str(64 * 64 + 1), 3)])
+    def test_analyze_payload_bits_out_of_range(self, workdir, bits, code, capsys):
+        keygen(workdir)
+        TestEmbedExtract().embed(workdir)
+        before = sorted(p.name for p in workdir.iterdir())
+        rc = run(["analyze", "--cover", str(workdir / "cover.pgm"),
+                  "--stego", str(workdir / "stego.pgm"), "--payload-bits", bits,
+                  "--out", str(workdir / "quality.txt")])
+        assert rc == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert sorted(p.name for p in workdir.iterdir()) == before
+
     def test_attack_csv(self, workdir, tmp_path, capsys):
         out = tmp_path / "curve.csv"
         rc = run(["attack", "--image", str(workdir / "cover.pgm"),
