@@ -2,6 +2,7 @@
  * the same order.  Build with -ffp-contract=off -fno-fast-math so no FMA
  * or reassociation can change a bit of the orbit. */
 #include <stdint.h>
+#include <stdlib.h>
 
 #define EPSILON 0x1p-40
 
@@ -21,13 +22,21 @@ static double map_step(double u, double asq)
     return num / ((4.0 * u) * (1.0 - u) + num);
 }
 
-/* Writes up to count unique flat indices to out, marking them in seen
- * (rows*cols zeroed bytes), and returns how many it found.  Stops early
- * once the (x, y) state repeats (Brent's cycle finding): the state is
- * saved at steps 1, 2, 4, 8, ... and compared on steps to a seen cell. */
+/* Writes up to count unique flat indices to out and returns how many it
+ * found, or -1 if the seen-map cannot be allocated.  The seen-map is one
+ * bit per cell, calloc'd here: on fresh memory only the pages the orbit
+ * touches become resident.  Dedup has no branch on the seen bit, a coin flip
+ * near half fill: every step stores its cell at out[found] and counts it
+ * only if it is new (the store stays in bounds because the loop ends as
+ * soon as found == count).  Stops early once the (x, y) state repeats
+ * (Brent's cycle finding): the state is saved at steps 1, 2, 4, 8, ...
+ * and compared on steps to a seen cell. */
 int64_t orbit(double x, double y, double a1sq, double a2sq, double r, int64_t rows, int64_t cols,
-              int64_t count, int64_t cap, uint8_t *seen, int64_t *out)
+              int64_t count, int64_t cap, int64_t *out)
 {
+    if (count < 1) return 0;
+    uint64_t *seen = calloc(((uint64_t)rows * (uint64_t)cols + 63) / 64, sizeof *seen);
+    if (!seen) return -1;
     int64_t found = 0, save = 1, limit = 1;
     double tx = x, ty = y;
     for (int64_t steps = 1;; steps++) {
@@ -35,15 +44,16 @@ int64_t orbit(double x, double y, double a1sq, double a2sq, double r, int64_t ro
         if (col >= cols) col -= 1;
         if (row >= rows) row -= 1;
         int64_t flat = row * cols + col;
-        if (!seen[flat]) {
-            seen[flat] = 1;
-            out[found++] = flat;
-            if (found == count) return found;
-        } else if (x == tx && y == ty) {
-            return found;
-        }
+        uint64_t bit = (uint64_t)1 << (flat & 63);
+        int64_t fresh = !(seen[flat >> 6] & bit);
+        seen[flat >> 6] |= bit;
+        out[found] = flat;
+        found += fresh;
+        if (found == count) break;
+        /* Non-short-circuit &: no branch on fresh or on the compares. */
+        if (!fresh & (x == tx) & (y == ty)) break;
         if (steps >= limit) {
-            if (steps >= cap) return found;
+            if (steps >= cap) break;
             tx = x; ty = y;
             save *= 2;
             limit = save < cap ? save : cap;
@@ -53,4 +63,6 @@ int64_t orbit(double x, double y, double a1sq, double a2sq, double r, int64_t ro
         x = sanitize(x_next);
         y = sanitize(y_next);
     }
+    free(seen);
+    return found;
 }

@@ -153,7 +153,8 @@ def select_positions(keys: SecretKeySet, coupling: PublicCoupling, dims: ImageDi
     operations in the same order, which the test suite cross-checks
     against the step-by-step functions.  Raises
     :class:`InsufficientCapacity` if the iteration cap runs out, or the
-    orbit closes a cycle, before ``count`` unique positions are found.
+    orbit closes a cycle, before ``count`` unique positions are found, and
+    :class:`MemoryError` if the compiled kernel cannot allocate its seen-map.
     """
     rows, cols = _check_dims(dims)
     cells = rows * cols
@@ -243,6 +244,21 @@ def _orbit_python(
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
 
 
+def _self_check_cases():
+    """Orbit arguments on which the compiled kernel must match
+    :func:`_orbit_python`.  On a 16x16 grid they leave the loop by each of
+    its exits in turn: ``count`` reached (a chaotic key, full cover), a
+    repeated state (a collapsing key), and the iteration cap with neither."""
+    cap = iteration_cap(ImageDims(16, 16))
+    for a1, a2, x0, y0, r, case_cap in (
+        (1.3, 1.7, 0.31, 0.72, 0.97, cap),
+        (3.0, 2.5, 0.31, 0.72, 0.9, cap),
+        (1.3, 1.7, 0.31, 0.72, 0.97, 100),
+    ):
+        x, y = sanitize(map_step(x0, a1)), sanitize(map_step(y0, a2))
+        yield (x, y, a1 * a1, a2 * a2, r, 16, 16, 256, case_cap)
+
+
 @functools.cache
 def _native_orbit():
     """The compiled orbit with :func:`_orbit_python`'s signature, or None.
@@ -250,7 +266,7 @@ def _native_orbit():
     Builds ``_orbit.c`` with the system ``cc`` into the package's
     ``__pycache__`` on first use (one shared object per hash of the source,
     compiler and flags), loads it with ctypes and keeps it only if its
-    streams match :func:`_orbit_python` on a chaotic and a collapsing key.
+    streams match :func:`_orbit_python` on every :func:`_self_check_cases` case.
     """
     source = Path(__file__).with_name("_orbit.c")
     try:
@@ -258,18 +274,17 @@ def _native_orbit():
         kernel = ctypes.CDLL(str(lib)).orbit
     except (OSError, subprocess.SubprocessError):
         return None
-    kernel.argtypes = [ctypes.c_double] * 5 + [ctypes.c_int64] * 4 + [ctypes.c_void_p] * 2
+    kernel.argtypes = [ctypes.c_double] * 5 + [ctypes.c_int64] * 4 + [ctypes.c_void_p]
     kernel.restype = ctypes.c_int64
 
     def orbit(x, y, a1sq, a2sq, r, rows, cols, count, cap):
-        seen = np.zeros(rows * cols, dtype=np.uint8)
         out = np.empty(count, dtype=np.int64)
-        found = kernel(x, y, a1sq, a2sq, r, rows, cols, count, cap, seen.ctypes.data, out.ctypes.data)
+        found = kernel(x, y, a1sq, a2sq, r, rows, cols, count, cap, out.ctypes.data)
+        if found < 0:
+            raise MemoryError(f"no memory for the seen-map of a {rows}x{cols} grid")
         return out[:found]
 
-    for a1, a2, x0, y0, r, side in ((1.3, 1.7, 0.31, 0.72, 0.97, 16), (3.0, 2.5, 0.31, 0.72, 0.9, 16)):
-        x, y = sanitize(map_step(x0, a1)), sanitize(map_step(y0, a2))
-        args = (x, y, a1 * a1, a2 * a2, r, side, side, side * side, iteration_cap(ImageDims(side, side)))
+    for args in _self_check_cases():
         if not np.array_equal(orbit(*args), _orbit_python(*args)):
             return None
     return orbit

@@ -1,4 +1,4 @@
-"""Raster image model, bit-exact netpbm I/O, and LSB plumbing.
+"""Raster image model, bit-exact netpbm I/O, and change accounting.
 
 Only three formats exist here: binary PGM (P5) and PPM (P6) with maxval
 255 for pixel data, and binary PBM (P4) as the carrier for the change-mark
@@ -225,31 +225,8 @@ def save_pbm(matrix: BitMatrix) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# LSB access and change accounting
+# Change accounting
 # ---------------------------------------------------------------------------
-
-def _check_index(image: RasterImage, row: int, flat_col: int) -> None:
-    if not (0 <= row < image.rows and 0 <= flat_col < image.flat_cols):
-        raise IndexError(
-            f"sample ({row}, {flat_col}) outside {image.rows}x{image.flat_cols} grid"
-        )
-
-
-def get_lsb(image: RasterImage, row: int, flat_col: int) -> int:
-    """Least significant bit of the addressed sample (0-based indices)."""
-    _check_index(image, row, flat_col)
-    return int(image.samples[row, flat_col]) & 1
-
-
-def set_lsb(image: RasterImage, row: int, flat_col: int, bit: int) -> RasterImage:
-    """Return a copy with the addressed sample's LSB set to ``bit``."""
-    if bit not in (0, 1):
-        raise DomainError("bit must be 0 or 1")
-    _check_index(image, row, flat_col)
-    samples = image.samples.copy()
-    samples[row, flat_col] = (samples[row, flat_col] & 0xFE) | bit
-    return RasterImage(image.rows, image.cols, image.channels, samples)
-
 
 def flip_count(cover: RasterImage, stego: RasterImage) -> int:
     """Number of samples where the two images differ.

@@ -1,9 +1,23 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from chaostego import chaos
 from chaostego.imagery import RasterImage
 from chaostego.keymat import generate_keys
+
+# Hypothesis imports this module, and libcst with it, only while it
+# reports a failed example, inside pytest's report hook.  Under
+# ``filterwarnings = error`` a DeprecationWarning from that import turns
+# the report into an INTERNALERROR that ends the session, so import it
+# here, once, with warnings silenced.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # libcst is optional
+        pass
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,10 @@
 """Map iteration, sanitization, and position stream behavior."""
 
 import math
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +180,15 @@ class TestSelectPositions:
         flat = select_positions(keys, coupling, ImageDims(64, 64), 64 * 64)
         assert np.array_equal(np.sort(flat), np.arange(64 * 64))
 
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (7, 13), (3, 67), (65, 1)])
+    def test_full_cover_of_odd_grids_agrees_on_both_paths(self, live_keys, orbit_paths, rows, cols):
+        # Cell counts that are not a multiple of 64 end the compiled
+        # kernel's seen-map in a partly used word.
+        keys, coupling = live_keys
+        streams = [select_positions(keys, coupling, ImageDims(rows, cols), rows * cols) for _ in orbit_paths]
+        assert np.array_equal(np.sort(streams[0]), np.arange(rows * cols))
+        assert all(np.array_equal(s, streams[0]) for s in streams)
+
     def test_count_above_grid_size_rejected(self, live_keys):
         keys, coupling = live_keys
         with pytest.raises(InsufficientCapacity):
@@ -293,6 +305,65 @@ class TestNativeKernel:
         reference = chaos._orbit_python
         monkeypatch.setattr(chaos, "_orbit_python", lambda *args: reference(*args)[:-1])
         assert chaos._native_orbit.__wrapped__() is None
+
+    def test_self_check_cases_take_every_exit(self):
+        # Doubling the cap changes nothing after a count or cycle exit, and
+        # finds more cells after a cap exit.
+        found = []
+        for args in chaos._self_check_cases():
+            longer = chaos._orbit_python(*args[:-1], 2 * args[-1])
+            found.append((len(chaos._orbit_python(*args)), len(longer), args[7]))
+        (full, full_longer, count), (cycle, cycle_longer, _), (capped, capped_longer, _) = found
+        assert full == full_longer == count
+        assert cycle == cycle_longer < count
+        assert capped < capped_longer < count
+
+    def test_falls_back_when_the_self_check_disagrees_at_the_cap(self, monkeypatch):
+        if chaos._native_orbit() is None:
+            pytest.skip("compiled kernel unavailable")
+        reference = chaos._orbit_python
+        capped = list(chaos._self_check_cases())[2]
+
+        def perturbed(*args):
+            found = reference(*args)
+            return found[:-1] if args == capped else found
+
+        monkeypatch.setattr(chaos, "_orbit_python", perturbed)
+        assert chaos._native_orbit.__wrapped__() is None
+
+    def test_reports_a_failed_seen_map_allocation(self, monkeypatch):
+        # A grid no address space holds: rows*cols bits overflow any calloc.
+        orbit = chaos._native_orbit()
+        if orbit is None:
+            pytest.skip("compiled kernel unavailable")
+        with pytest.raises(MemoryError, match="seen-map"):
+            orbit(0.3, 0.7, 2.0, 3.0, 0.9, 2**40, 2**22, 1, 10)
+
+    def test_seen_map_memory_follows_the_work(self, tmp_path):
+        # 500 positions on an 8000x8000 grid: a byte per cell would be 64 MB,
+        # a bitset 8 MB of address space of which only touched pages count.
+        if chaos._native_orbit() is None:
+            pytest.skip("compiled kernel unavailable")
+        script = (
+            "import resource, sys\n"
+            "from chaostego import chaos, cli\n"
+            "sec, pub, out = sys.argv[1:]\n"
+            "assert cli.run(['keygen', '--out', sec, '--pub', pub, '--seed', '3']) == 0\n"
+            "assert chaos._native_orbit() is not None\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "assert cli.run(['exchange-sim', '--alice', sec, '--pub', pub, '--rows', '8000',\n"
+            "                '--cols', '8000', '--prefix', '500', '--out', out]) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(chaos.__file__).parents[1]))
+        child = subprocess.run(
+            [sys.executable, "-c", script, *(str(tmp_path / n) for n in ("s.key", "p.key", "t.txt"))],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        assert (tmp_path / "t.txt").read_text().endswith("agreement=true\n")
+        growth_kib = int(child.stdout)  # ru_maxrss is in KiB on Linux
+        assert growth_kib < 16 * 1024
 
 
 class TestBifurcationScan:

@@ -1,4 +1,4 @@
-"""netpbm parsing, LSB access, change accounting."""
+"""netpbm parsing and change accounting."""
 
 import numpy as np
 import pytest
@@ -10,12 +10,10 @@ from chaostego.imagery import (
     BitMatrix,
     RasterImage,
     flip_count,
-    get_lsb,
     load_pbm,
     load_pnm,
     save_pbm,
     save_pnm,
-    set_lsb,
 )
 
 
@@ -119,47 +117,6 @@ class TestPbm:
     @given(matrices)
     def test_round_trip_identity(self, m):
         assert load_pbm(save_pbm(m)) == m
-
-
-class TestLsbAccess:
-    def test_set_flips_up(self):
-        img = gray(1, 1, [200])  # 0b11001000
-        assert set_lsb(img, 0, 0, 1).samples[0, 0] == 201
-
-    def test_set_is_idempotent(self):
-        img = gray(1, 1, [201])
-        assert set_lsb(img, 0, 0, 1).samples[0, 0] == 201
-
-    def test_original_untouched(self):
-        img = gray(1, 1, [200])
-        set_lsb(img, 0, 0, 1)
-        assert img.samples[0, 0] == 200
-
-    def test_get_after_set(self):
-        rng = np.random.default_rng(5)
-        img = RasterImage(4, 4, 1, rng.integers(0, 256, 16, dtype=np.uint8))
-        for row in range(4):
-            for col in range(4):
-                for bit in (0, 1):
-                    assert get_lsb(set_lsb(img, row, col, bit), row, col) == bit
-
-    def test_change_is_at_most_one_level(self):
-        rng = np.random.default_rng(6)
-        img = RasterImage(3, 5, 1, rng.integers(0, 256, 15, dtype=np.uint8))
-        for bit in (0, 1):
-            out = set_lsb(img, 2, 4, bit)
-            delta = out.samples.astype(int) - img.samples.astype(int)
-            assert np.abs(delta).max() <= 1
-            assert np.count_nonzero(delta) <= 1
-
-    def test_out_of_range_rejected(self):
-        img = gray(2, 2, [0, 0, 0, 0])
-        with pytest.raises(IndexError):
-            get_lsb(img, 2, 0)
-        with pytest.raises(IndexError):
-            set_lsb(img, 0, 4, 1)
-        with pytest.raises(DomainError):
-            set_lsb(img, 0, 0, 2)
 
 
 class TestFlipCount:
