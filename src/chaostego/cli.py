@@ -1,9 +1,9 @@
 """Command-line surface: one subcommand per pipeline stage.
 
 Exit codes: 0 success, 1 usage error, 2 validation or parse error,
-3 capacity or extraction error.  Diagnostics go to stderr; machine
-output goes to files or stdout only.  Secret key values are never
-printed anywhere.
+3 capacity or extraction error, or out of memory.  Diagnostics go to
+stderr; machine output goes to files or stdout only.  Secret key values
+are never printed anywhere.
 """
 
 from __future__ import annotations
@@ -384,6 +384,10 @@ def run(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except (CapacityError, ExtractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAPACITY
+    except MemoryError as exc:  # before any output is written
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return EXIT_CAPACITY
     except ChaostegoError as exc:
         print(f"error: {exc}", file=sys.stderr)

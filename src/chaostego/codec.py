@@ -29,7 +29,7 @@ from .errors import (
     ExtractError,
     InsufficientCapacity,
 )
-from .imagery import BitMatrix, RasterImage
+from .imagery import RasterImage
 from .keymat import MODES, PublicCoupling, SecretKeySet, validate_coupling, validate_keys
 
 HEADER_BITS = 32
@@ -143,14 +143,15 @@ def decode_message(payload: MessagePayload):
 class StegoBundle:
     """Everything the recipient receives: stego image, marks, public data.
 
-    ``ones`` and ``zeros`` are the change-mark matrices.  They start all-1
-    and all-0 (every cell differs); embedding sets both cells of a changed
-    pixel to the embedded bit, so equal cells mark a changed pixel.
+    ``ones`` and ``zeros`` are the change-mark matrices: uint8 arrays of 0/1
+    cells shaped like ``stego.samples``.  They start all-1 and all-0 (every
+    cell differs); embedding sets both cells of a changed sample to the
+    embedded bit, so equal cells mark a changed sample.
     """
 
     stego: RasterImage
-    ones: BitMatrix
-    zeros: BitMatrix
+    ones: np.ndarray
+    zeros: np.ndarray
     coupling: PublicCoupling
     mode: str
 
@@ -184,10 +185,10 @@ def embed(
     f_ch, b_ch = flat[changed], bits[changed]
     samples[f_ch] = (samples[f_ch] & 0xFE) | b_ch
 
-    ones = BitMatrix.filled(cover.rows, cover.flat_cols, 1)
-    zeros = BitMatrix.filled(cover.rows, cover.flat_cols, 0)
-    ones.bits.reshape(-1)[f_ch] = b_ch
-    zeros.bits.reshape(-1)[f_ch] = b_ch
+    ones = np.ones_like(stego)
+    zeros = np.zeros_like(stego)
+    ones.reshape(-1)[f_ch] = b_ch
+    zeros.reshape(-1)[f_ch] = b_ch
 
     stego_image = RasterImage(cover.rows, cover.cols, cover.channels, stego)
     return StegoBundle(stego_image, ones, zeros, coupling, payload.mode)
@@ -201,20 +202,20 @@ def extract(bundle: StegoBundle, keys: SecretKeySet) -> MessagePayload:
     stego LSB (which under lossless transport equals the cover LSB).
     """
     _check_keys(keys, bundle.coupling)
-    stego = bundle.stego
-    rows_n, cols_n = stego.rows, stego.flat_cols
+    samples = bundle.stego.samples
     for m in (bundle.ones, bundle.zeros):
-        if (m.rows, m.cols) != (rows_n, cols_n):
+        if m.shape != samples.shape:
             raise DimensionMismatch(
-                f"mark matrix {m!r} does not match the {rows_n}x{cols_n} sample grid"
+                f"mark matrix of shape {m.shape} does not match the sample grid "
+                f"of shape {samples.shape}"
             )
 
     header = _recover_bits(bundle, keys, HEADER_BITS)
     declared = _header_value(header)
-    if HEADER_BITS + declared > rows_n * cols_n:
+    if HEADER_BITS + declared > samples.size:
         raise ExtractError(
             f"header declares {declared} payload bits, more than the "
-            f"{rows_n * cols_n}-sample grid can carry"
+            f"{samples.size}-sample grid can carry"
         )
     return MessagePayload(bundle.mode, _recover_bits(bundle, keys, HEADER_BITS + declared))
 
@@ -227,8 +228,8 @@ def _recover_bits(bundle: StegoBundle, keys: SecretKeySet, count: int) -> np.nda
         flat = iter_positions(keys, bundle.coupling, ImageDims(stego.rows, stego.flat_cols), count)
     except InsufficientCapacity as exc:
         raise ExtractError(f"position stream could not be regenerated: {exc}") from exc
-    ones = bundle.ones.bits.reshape(-1)[flat]
-    zeros = bundle.zeros.bits.reshape(-1)[flat]
+    ones = bundle.ones.reshape(-1)[flat]
+    zeros = bundle.zeros.reshape(-1)[flat]
     lsb = stego.samples.reshape(-1)[flat] & 1
     return np.where(ones == zeros, ones, lsb)
 

@@ -22,9 +22,10 @@ class CapacityError(ChaostegoError):
 
 
 class InsufficientCapacity(CapacityError):
-    """The position generator hit its iteration cap before producing
-    enough unique positions (count too close to the grid size, or a
-    degenerate key whose orbit collapses)."""
+    """The position generator stopped before producing enough unique
+    positions: the count exceeds the grid, the iteration cap ran out
+    (count too close to the grid size), or the orbit repeated a state
+    (a degenerate key whose orbit collapses onto a cycle)."""
 
 
 class EncodingError(ChaostegoError):

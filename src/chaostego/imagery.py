@@ -54,9 +54,6 @@ class RasterImage:
         """Width of the flattened sample grid (cols * channels)."""
         return self.cols * self.channels
 
-    def copy(self) -> "RasterImage":
-        return RasterImage(self.rows, self.cols, self.channels, self.samples.copy())
-
     def planes(self) -> np.ndarray:
         """View shaped (rows, cols, channels)."""
         return self.samples.reshape(self.rows, self.cols, self.channels)
@@ -74,46 +71,6 @@ class RasterImage:
     def __repr__(self) -> str:
         kind = "grayscale" if self.channels == 1 else "rgb"
         return f"RasterImage({self.rows}x{self.cols} {kind})"
-
-
-class BitMatrix:
-    """Image-sized matrix of {0,1} cells."""
-
-    __slots__ = ("rows", "cols", "bits")
-
-    def __init__(self, rows: int, cols: int, bits) -> None:
-        if rows < 1 or cols < 1:
-            raise ValueError("bit matrix must be at least 1x1")
-        arr = np.asarray(bits)
-        if arr.size != rows * cols:
-            raise ValueError(f"expected {rows * cols} bits, got {arr.size}")
-        arr = arr.reshape(rows, cols)
-        if arr.dtype != np.uint8:
-            arr = arr.astype(np.uint8)
-        if arr.size and arr.max() > 1:
-            raise ValueError("bit matrix cells must be 0 or 1")
-        self.rows = rows
-        self.cols = cols
-        self.bits = np.ascontiguousarray(arr)
-
-    @classmethod
-    def filled(cls, rows: int, cols: int, value: int) -> "BitMatrix":
-        return cls(rows, cols, np.full((rows, cols), value, dtype=np.uint8))
-
-    def copy(self) -> "BitMatrix":
-        return BitMatrix(self.rows, self.cols, self.bits.copy())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BitMatrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and bool(np.array_equal(self.bits, other.bits))
-        )
-
-    def __repr__(self) -> str:
-        return f"BitMatrix({self.rows}x{self.cols})"
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +101,10 @@ def _read_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
     token, pos = _read_token(data, pos)
     if not token.isdigit():
         raise ParseError(f"netpbm header: {what} must be a decimal integer")
-    return int(token), pos
+    try:
+        return int(token), pos
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"netpbm header: {what} has too many digits") from None
 
 
 def _skip_single_whitespace(data: bytes, pos: int) -> int:
@@ -197,8 +157,11 @@ def save_pnm(image: RasterImage) -> bytes:
     return header + image.samples.tobytes()
 
 
-def load_pbm(data: bytes) -> BitMatrix:
-    """Parse a binary PBM (P4): bit-packed rows, MSB first, byte-padded."""
+def load_pbm(data: bytes) -> np.ndarray:
+    """Parse a binary PBM (P4): bit-packed rows, MSB first, byte-padded.
+
+    Returns a C-contiguous ``rows x cols`` uint8 array of 0/1 cells.
+    """
     if len(data) < 2:
         raise ParseError("not a netpbm file")
     if data[:2] != b"P4":
@@ -213,15 +176,17 @@ def load_pbm(data: bytes) -> BitMatrix:
     if len(data) > pos + need:
         raise ParseError("trailing bytes after bitmap data")
     packed = np.frombuffer(payload, dtype=np.uint8).reshape(rows, row_bytes)
-    bits = np.unpackbits(packed, axis=1)[:, :cols]
-    return BitMatrix(rows, cols, bits)
+    return np.ascontiguousarray(np.unpackbits(packed, axis=1)[:, :cols])
 
 
-def save_pbm(matrix: BitMatrix) -> bytes:
-    """Emit canonical binary PBM; row padding bits are written as 0."""
-    header = b"P4\n%d %d\n" % (matrix.cols, matrix.rows)
-    packed = np.packbits(matrix.bits, axis=1)
-    return header + packed.tobytes()
+def save_pbm(marks: np.ndarray) -> bytes:
+    """Emit canonical binary PBM of a 2-D array of 0/1 cells; row padding
+    bits are written as 0."""
+    if not (isinstance(marks, np.ndarray) and marks.ndim == 2 and marks.size
+            and marks.dtype in (np.uint8, np.bool_) and marks.max() <= 1):
+        raise DomainError("a PBM holds a non-empty 2-D uint8 or bool array of 0/1 cells")
+    header = b"P4\n%d %d\n" % (marks.shape[1], marks.shape[0])
+    return header + np.packbits(marks, axis=1).tobytes()
 
 
 # ---------------------------------------------------------------------------

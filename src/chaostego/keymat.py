@@ -56,12 +56,6 @@ class ExchangeTranscript:
     events: list[ChannelEvent] = field(default_factory=list)
     agreement: bool = False
 
-    def as_dict(self) -> dict:
-        return {
-            "events": [dict(sender=e.sender, kind=e.kind, payload=e.payload) for e in self.events],
-            "agreement": self.agreement,
-        }
-
 
 def _check_alpha(name: str, value: float, violations: list[str]) -> None:
     if not math.isfinite(value):
@@ -131,6 +125,8 @@ def _parse_hex_float(name: str, text: str, what: str) -> float:
         value = float.fromhex(text)
     except ValueError:
         raise ParseError(f"{what}: {name} is not a hexadecimal float literal") from None
+    except OverflowError:
+        raise ParseError(f"{what}: {name} must be finite") from None
     if not math.isfinite(value):
         raise ParseError(f"{what}: {name} must be finite")
     return value

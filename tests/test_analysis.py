@@ -48,7 +48,7 @@ def gamma_q_by_quadrature(a: float, x: float) -> float:
 class TestPsnr:
     def test_identical_images_hit_the_infinity_sentinel(self):
         img = gray(2, 2, [5, 6, 7, 8])
-        report = psnr(img, img.copy())
+        report = psnr(img, RasterImage(img.rows, img.cols, img.channels, img.samples.copy()))
         assert report.psnr_db == math.inf
         assert report.mse == 0.0 and report.flips == 0
 

@@ -533,3 +533,58 @@ class TestExchangeSim:
         assert rc == 2
         assert "cell limit" in capsys.readouterr().err
         assert peak < 1 << 20  # a seen-map would be 10**12 bytes
+
+
+class TestHostileInput:
+    """Input that Python's own conversions refuse, and memory exhaustion,
+    end with a one-line error and the documented exit code; no output is
+    written."""
+
+    def run_clean(self, workdir, argv, code, capsys):
+        before = snapshot(workdir)
+        capsys.readouterr()
+        assert run(argv) == code
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert snapshot(workdir) == before
+        return captured.err
+
+    def test_netpbm_digits_beyond_int_limit_exit_2(self, workdir, capsys):
+        # int() refuses decimal strings over 4300 digits by default.
+        (workdir / "big.pgm").write_bytes(b"P5\n" + b"9" * 5000 + b" 1\n255\n\x00")
+        argv = ["attack", "--image", str(workdir / "big.pgm"), "--out", str(workdir / "curve.csv")]
+        assert "too many digits" in self.run_clean(workdir, argv, 2, capsys)
+
+    def test_pbm_digits_beyond_int_limit_exit_2(self, workdir, capsys):
+        keygen(workdir)
+        assert TestEmbedExtract().embed(workdir) == 0
+        (workdir / "stego.ones.pbm").write_bytes(b"P4\n" + b"9" * 5000 + b" 64\n\x00")
+        argv = TestEmbedExtract().extract_argv(workdir)
+        assert "too many digits" in self.run_clean(workdir, argv, 2, capsys)
+
+    @pytest.mark.parametrize("field", ["alpha1", "R"])
+    def test_hex_literal_beyond_binary64_exits_2(self, workdir, field, capsys):
+        keygen(workdir)
+        path = workdir / ("public.key" if field == "R" else "secret.key")
+        TestInvalidKeys.replace_line(path, field, "0x1p99999")
+        argv = ["validate", "--secret", str(workdir / "secret.key"),
+                "--pub", str(workdir / "public.key")]
+        assert f"{field} must be finite" in self.run_clean(workdir, argv, 2, capsys)
+
+    @pytest.mark.parametrize("command", ["embed", "exchange-sim"])
+    def test_out_of_memory_exits_3(self, workdir, command, monkeypatch, capsys):
+        keygen(workdir)
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.24 GiB for an array")
+
+        if command == "embed":
+            monkeypatch.setattr(chaostego.codec, "iter_positions", exhausted)
+            argv = TestEmbedExtract().embed_argv(workdir)
+        else:
+            monkeypatch.setattr(chaostego.keymat, "select_positions", exhausted)
+            argv = ["exchange-sim", "--alice", str(workdir / "secret.key"),
+                    "--pub", str(workdir / "public.key"), "--out", str(workdir / "t.txt")]
+        err = self.run_clean(workdir, argv, 3, capsys)
+        assert err.startswith("error: out of memory")

@@ -23,7 +23,7 @@ from chaostego.errors import (
     EncodingError,
     InsufficientCapacity,
 )
-from chaostego.imagery import BitMatrix, RasterImage, flip_count
+from chaostego.imagery import RasterImage, flip_count
 from chaostego.keymat import PublicCoupling, SecretKeySet
 from conftest import random_image
 
@@ -139,8 +139,8 @@ class TestEmbed:
         payload = encode_message("", "ascii7")  # all bits 0
         bundle = embed(cover, payload, keys, coupling)
         assert bundle.stego == cover
-        assert np.all(bundle.ones.bits == 1)
-        assert np.all(bundle.zeros.bits == 0)
+        assert np.all(bundle.ones == 1)
+        assert np.all(bundle.zeros == 0)
 
     def test_flips_equal_one_bits_on_zero_cover(self, live_keys):
         # On an all-zero cover every 1-bit forces a flip and every 0-bit
@@ -156,7 +156,7 @@ class TestEmbed:
 
         all_bits = header + body
         assert flip_count(cover, bundle.stego) == sum(all_bits)
-        marked = bundle.ones.bits == bundle.zeros.bits
+        marked = bundle.ones == bundle.zeros
         flat = select_positions(keys, coupling, ImageDims(128, 128), len(all_bits))
         one_cells = np.sort(flat[np.array(all_bits) == 1])
         assert np.array_equal(np.flatnonzero(marked), one_cells)
@@ -169,12 +169,12 @@ class TestEmbed:
         bundle = embed(cover, payload, keys, coupling)
 
         changed_pixels = np.argwhere(cover.samples != bundle.stego.samples)
-        marked = np.argwhere(bundle.ones.bits == bundle.zeros.bits)
+        marked = np.argwhere(bundle.ones == bundle.zeros)
         assert {tuple(x) for x in changed_pixels} == {tuple(x) for x in marked}
         # untouched cells keep ones=1, zeros=0
-        untouched = bundle.ones.bits != bundle.zeros.bits
-        assert np.all(bundle.ones.bits[untouched] == 1)
-        assert np.all(bundle.zeros.bits[untouched] == 0)
+        untouched = bundle.ones != bundle.zeros
+        assert np.all(bundle.ones[untouched] == 1)
+        assert np.all(bundle.zeros[untouched] == 0)
         # pure LSB embedding: no sample moved by more than one level
         delta = np.abs(cover.samples.astype(int) - bundle.stego.samples.astype(int))
         assert delta.max() <= 1
@@ -272,7 +272,7 @@ class TestExtract:
 
         n = len(payload.bits)
         flat = select_positions(keys, coupling, ImageDims(64, 64), n)
-        marked = (bundle.ones.bits == bundle.zeros.bits).ravel()
+        marked = (bundle.ones == bundle.zeros).ravel()
         unchanged_payload_idx = [i for i in range(HEADER_BITS, n) if not marked[flat[i]]]
         victims = unchanged_payload_idx[::3]
         corrupted = bundle.stego.samples.copy()
@@ -294,8 +294,8 @@ class TestExtract:
         samples = stego.samples.copy()
         claim = [(1 << 20 >> i) & 1 for i in range(31, -1, -1)]
         samples.reshape(-1)[flat] = claim
-        bundle = StegoBundle(RasterImage(8, 8, 1, samples), BitMatrix.filled(8, 8, 1),
-                             BitMatrix.filled(8, 8, 0), coupling, "raw")
+        bundle = StegoBundle(RasterImage(8, 8, 1, samples), np.ones((8, 8), dtype=np.uint8),
+                             np.zeros((8, 8), dtype=np.uint8), coupling, "raw")
         from chaostego.errors import ExtractError
         with pytest.raises(ExtractError):
             extract(bundle, keys)
@@ -303,9 +303,25 @@ class TestExtract:
     def test_mismatched_side_matrices_rejected(self, live_keys):
         keys, coupling = live_keys
         stego = RasterImage(8, 8, 1, np.zeros(64, dtype=np.uint8))
-        ones, zeros = BitMatrix.filled(4, 4, 1), BitMatrix.filled(4, 4, 0)
+        ones, zeros = np.ones((4, 4), dtype=np.uint8), np.zeros((4, 4), dtype=np.uint8)
         with pytest.raises(DimensionMismatch):
             extract(StegoBundle(stego, ones, zeros, coupling, "raw"), keys)
+
+    def test_mark_shape_mismatch_names_both_shapes(self, live_keys):
+        keys, coupling = live_keys
+        stego = RasterImage(4, 2, 3, np.zeros(24, dtype=np.uint8))
+        ones = np.ones((4, 6), dtype=np.uint8)
+        zeros = np.zeros((4, 2), dtype=np.uint8)  # pixel grid, not sample grid
+        with pytest.raises(DimensionMismatch, match=r"shape \(4, 2\) .* shape \(4, 6\)"):
+            extract(StegoBundle(stego, ones, zeros, coupling, "raw"), keys)
+
+    def test_marks_are_uint8_arrays_shaped_like_the_samples(self, live_keys):
+        keys, coupling = live_keys
+        cover = random_image(np.random.default_rng(18), 24, 16, channels=3)
+        bundle = embed(cover, encode_message("marks", "ascii7"), keys, coupling)
+        for m in (bundle.ones, bundle.zeros):
+            assert m.dtype == np.uint8 and m.shape == bundle.stego.samples.shape == (24, 48)
+            assert m.flags.c_contiguous
 
     @pytest.mark.parametrize("mode,message", [
         ("ascii7", "plain ASCII text"),

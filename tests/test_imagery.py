@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from chaostego.errors import DimensionMismatch, DomainError, ParseError
 from chaostego.imagery import (
-    BitMatrix,
     RasterImage,
     flip_count,
     load_pbm,
@@ -30,9 +29,8 @@ images = st.builds(
 )
 
 matrices = st.builds(
-    lambda rows, cols, seed: BitMatrix(
-        rows, cols,
-        np.random.default_rng(seed).integers(0, 2, (rows, cols), dtype=np.uint8),
+    lambda rows, cols, seed: np.random.default_rng(seed).integers(
+        0, 2, (rows, cols), dtype=np.uint8
     ),
     st.integers(1, 10), st.integers(1, 21), st.integers(0, 2**32 - 1),
 )
@@ -70,6 +68,8 @@ class TestLoadPnm:
             b"P5\n70000 70000\n255\n",      # > 2^31 - 1 cells
             b"P5\n1 x\n255\n\x00",          # non-numeric token
             b"P5",                          # header cut off
+            b"P5\n" + b"9" * 5000 + b" 1\n255\n\x00",  # width beyond int()'s digit limit
+            b"P5\n1 1\n" + b"9" * 5000 + b"\n\x00",    # maxval beyond it
         ],
     )
     def test_malformed_rejected(self, data):
@@ -94,35 +94,67 @@ class TestSavePnm:
 class TestPbm:
     def test_bit_order_msb_first(self):
         m = load_pbm(b"P4\n8 1\n" + bytes([0b10110000]))
-        assert m.bits.ravel().tolist() == [1, 0, 1, 1, 0, 0, 0, 0]
+        assert m.ravel().tolist() == [1, 0, 1, 1, 0, 0, 0, 0]
 
     def test_row_padding(self):
-        m = BitMatrix(1, 5, [1, 1, 0, 1, 1])
+        m = np.array([[1, 1, 0, 1, 1]], dtype=np.uint8)
         data = save_pbm(m)
         assert data == b"P4\n5 1\n" + bytes([0b11011000])  # 3 zero padding bits
-        assert load_pbm(data) == m
+        assert np.array_equal(load_pbm(data), m)
 
     def test_padding_ignored_on_read(self):
         # Same matrix with padding bits set: values beyond col 5 are dropped.
         m = load_pbm(b"P4\n5 1\n" + bytes([0b11011111]))
-        assert m.bits.ravel().tolist() == [1, 1, 0, 1, 1]
+        assert m.ravel().tolist() == [1, 1, 0, 1, 1]
 
     def test_malformed_rejected(self):
         with pytest.raises(ParseError):
             load_pbm(b"P5\n8 1\n\x00")
         with pytest.raises(ParseError):
             load_pbm(b"P4\n16 2\n\x00\x00\x00")  # needs 4 bytes
+        with pytest.raises(ParseError, match="too many digits"):
+            load_pbm(b"P4\n" + b"9" * 5000 + b" 1\n\x00")
+        with pytest.raises(ParseError, match="too many digits"):
+            load_pbm(b"P4\n1 " + b"9" * 5000 + b"\n\x00")
 
     @settings(max_examples=60)
     @given(matrices)
     def test_round_trip_identity(self, m):
-        assert load_pbm(save_pbm(m)) == m
+        assert np.array_equal(load_pbm(save_pbm(m)), m)
+
+    def test_load_returns_contiguous_uint8_grid(self):
+        m = load_pbm(b"P4\n5 2\n" + bytes([0b10100000, 0b01011000]))
+        assert m.shape == (2, 5) and m.dtype == np.uint8
+        assert m.flags.c_contiguous and m.flags.writeable
+        assert m.tolist() == [[1, 0, 1, 0, 0], [0, 1, 0, 1, 1]]
+
+    @pytest.mark.parametrize(
+        "marks",
+        [
+            [[0, 1]],                               # not an array
+            np.zeros(4, dtype=np.uint8),            # 1-D
+            np.zeros((1, 2, 2), dtype=np.uint8),    # 3-D
+            np.zeros((0, 3), dtype=np.uint8),       # empty
+            np.array([[0, 2]], dtype=np.uint8),     # cell above 1
+            np.array([[0, 1]], dtype=np.int64),     # wider than uint8
+            np.array([[0.0, 1.0]]),                 # not integers
+        ],
+    )
+    def test_save_rejects_non_bit_matrices(self, marks):
+        with pytest.raises(DomainError):
+            save_pbm(marks)
+
+    def test_save_takes_bool_cells(self):
+        cells = [[1, 0, 1, 1, 0, 0, 0, 0, 1]]
+        expected = b"P4\n9 1\n" + bytes([0b10110000, 0b10000000])
+        assert save_pbm(np.array(cells, dtype=bool)) == expected
+        assert save_pbm(np.array(cells, dtype=np.uint8)) == expected
 
 
 class TestFlipCount:
     def test_identical_images(self):
         img = gray(2, 2, [9, 8, 7, 6])
-        assert flip_count(img, img.copy()) == 0
+        assert flip_count(img, RasterImage(img.rows, img.cols, img.channels, img.samples.copy())) == 0
 
     def test_single_lsb_change(self):
         cover = gray(1, 2, [200, 10])
@@ -132,7 +164,7 @@ class TestFlipCount:
     def test_symmetry(self):
         rng = np.random.default_rng(7)
         a = RasterImage(6, 6, 1, rng.integers(0, 256, 36, dtype=np.uint8))
-        b = a.copy()
+        b = RasterImage(a.rows, a.cols, a.channels, a.samples.copy())
         b.samples[1, 3] ^= 1
         b.samples[4, 2] ^= 1
         assert flip_count(a, b) == flip_count(b, a) == 2

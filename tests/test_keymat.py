@@ -1,5 +1,6 @@
 """Key validation, key file format, key generation, exchange simulation."""
 
+import dataclasses
 import json
 import math
 import random
@@ -153,7 +154,7 @@ class TestExchange:
     def test_transcript_never_carries_secrets(self, live_keys):
         keys, coupling = live_keys
         t = simulate_exchange(keys, keys, coupling, ImageDims(64, 64), k=100)
-        serialized = json.dumps(t.as_dict())
+        serialized = json.dumps(dataclasses.asdict(t))
         for secret in (keys.alpha1, keys.alpha2, keys.x0, keys.y0):
             assert float.hex(secret) not in serialized
             assert repr(secret) not in serialized
