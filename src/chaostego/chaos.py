@@ -167,7 +167,7 @@ def select_positions(keys: SecretKeySet, coupling: PublicCoupling, dims: ImageDi
     if count == 0:
         return np.empty(0, dtype=np.int64)
     r = coupling.value
-    if not (0.0 < r <= 1.0) or not math.isfinite(r):
+    if not 0.0 < r <= 1.0:
         raise DomainError("coupling factor must satisfy 0 < R <= 1")
     # Outside (0,1) the map leaves [0,1] and the orbit indexes off the grid.
     if not (0.0 < keys.x0 < 1.0) or not (0.0 < keys.y0 < 1.0):

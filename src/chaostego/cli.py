@@ -123,16 +123,6 @@ def _write_output(path: str | None, text: str) -> None:
         _write_files((path, text.encode("utf-8")))
 
 
-# The library entry points (codec.embed/extract, keymat.simulate_exchange)
-# check key invariants; loading only reads and parses.
-def _load_secret(path: str) -> keymat.SecretKeySet:
-    return keymat.parse_secret_keys(_read_text(path))
-
-
-def _load_public(path: str) -> tuple[keymat.PublicCoupling, str | None]:
-    return keymat.parse_public_key(_read_text(path))
-
-
 def _stego_paths(out_base: str, channels: int) -> tuple[Path, Path, Path]:
     ext = ".pgm" if channels == 1 else ".ppm"
     base = Path(out_base)
@@ -176,6 +166,9 @@ def format_attack_csv(points: list[analysis.AttackPoint]) -> str:
 # Subcommand handlers
 # ---------------------------------------------------------------------------
 
+# The library entry points (codec.embed/extract, keymat.simulate_exchange)
+# check key invariants; the handlers only read and parse key files.
+
 def _cmd_keygen(args) -> int:
     keys, coupling = keymat.generate_keys(args.seed)
     _write_files(
@@ -186,9 +179,9 @@ def _cmd_keygen(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    violations = keymat.validate_keys(_load_secret(args.secret))
+    violations = keymat.validate_keys(keymat.parse_secret_keys(_read_text(args.secret)))
     if args.pub:
-        coupling, _ = _load_public(args.pub)
+        coupling, _ = keymat.parse_public_key(_read_text(args.pub))
         violations += keymat.validate_coupling(coupling)
     for v in violations:
         print(v, file=sys.stderr)
@@ -197,8 +190,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_embed(args) -> int:
     cover = imagery.load_pnm(_read_bytes(args.cover))
-    keys = _load_secret(args.secret)
-    coupling, _ = _load_public(args.pub)
+    keys = keymat.parse_secret_keys(_read_text(args.secret))
+    coupling, _ = keymat.parse_public_key(_read_text(args.pub))
     if args.mode == "raw":
         message = _read_bytes(args.msg)
     else:
@@ -221,8 +214,8 @@ def _cmd_extract(args) -> int:
     stego = imagery.load_pnm(_read_bytes(args.stego))
     ones = imagery.load_pbm(_read_bytes(args.ones))
     zeros = imagery.load_pbm(_read_bytes(args.zeros))
-    keys = _load_secret(args.secret)
-    coupling, mode = _load_public(args.pub)
+    keys = keymat.parse_secret_keys(_read_text(args.secret))
+    coupling, mode = keymat.parse_public_key(_read_text(args.pub))
     if mode is None:
         raise ParseError(f"{args.pub}: no mode tag (embed writes one)")
     bundle = codec.StegoBundle(stego, ones, zeros, coupling, mode)
@@ -256,9 +249,9 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_exchange_sim(args) -> int:
-    alice = _load_secret(args.alice)
-    bob = _load_secret(args.bob) if args.bob else alice
-    coupling, _ = _load_public(args.pub)
+    alice = keymat.parse_secret_keys(_read_text(args.alice))
+    bob = keymat.parse_secret_keys(_read_text(args.bob)) if args.bob else alice
+    coupling, _ = keymat.parse_public_key(_read_text(args.pub))
     transcript = keymat.simulate_exchange(
         alice, bob, coupling, chaos.ImageDims(args.rows, args.cols), k=args.prefix
     )

@@ -9,12 +9,13 @@ byte-reproducible; readers tolerate the usual netpbm whitespace and
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, ParseError
 
 _MAX_CELLS = 2**31 - 1
-_WHITESPACE = b" \t\n\r\x0b\x0c"
 
 
 class RasterImage:
@@ -77,77 +78,68 @@ class RasterImage:
 # netpbm parsing
 # ---------------------------------------------------------------------------
 
-def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    """Skip whitespace/comments, then read one header token."""
-    n = len(data)
-    while pos < n:
-        b = data[pos : pos + 1]
-        if b in _WHITESPACE:
-            pos += 1
-        elif b == b"#":
-            while pos < n and data[pos : pos + 1] != b"\n":
-                pos += 1
-        else:
-            break
-    if pos >= n:
-        raise ParseError("truncated netpbm header")
-    start = pos
-    while pos < n and data[pos : pos + 1] not in _WHITESPACE and data[pos : pos + 1] != b"#":
-        pos += 1
-    return data[start:pos], pos
+# One header field: separators (whitespace bytes, or a "#" comment through its
+# newline), then the token that runs to the next separator.  The token is
+# empty only at the end of the data or at a comment that never ends.  The
+# separators are spelled as a whitespace run, then comments each followed by
+# a whitespace run, so that a long run is one repeat, not one per byte.
+_FIELD = re.compile(rb"[ \t\n\r\v\f]*(?:#[^\n]*\n[ \t\n\r\v\f]*)*([^ \t\n\r\v\f#]*)")
 
 
-def _read_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
-    token, pos = _read_token(data, pos)
-    if not token.isdigit():
-        raise ParseError(f"netpbm header: {what} must be a decimal integer")
-    try:
-        return int(token), pos
-    except ValueError:  # more digits than int() converts
-        raise ParseError(f"netpbm header: {what} has too many digits") from None
+def _read_netpbm(data: bytes, formats: dict[bytes, int], kind: str) -> tuple[np.ndarray, int, int]:
+    """Check a binary netpbm header and raster length; split the raster off.
 
-
-def _skip_single_whitespace(data: bytes, pos: int) -> int:
+    ``formats`` maps each accepted magic to its samples per pixel, or to 0
+    for the P4 bitmap, which has no maxval field and packs eight pixels into
+    each byte of a row.  Returns the raster as a read-only ``rows x
+    row_bytes`` view of ``data``, the pixel columns and the samples per pixel.
+    """
+    if len(data) < 2:
+        raise ParseError("not a netpbm file")
+    magic = data[:2]
+    if magic not in formats:
+        want = " or ".join(m.decode() for m in formats)
+        raise ParseError(f"unsupported netpbm magic {magic!r} (want {want})")
+    channels = formats[magic]
+    fields: list[int] = []
+    pos = 2
+    for what in ("width", "height", "maxval")[: 3 if channels else 2]:
+        m = _FIELD.match(data, pos)
+        token, pos = m[1], m.end()
+        if not token:
+            raise ParseError("truncated netpbm header")
+        if not token.isdigit():
+            raise ParseError(f"netpbm header: {what} must be a decimal integer")
+        try:
+            fields.append(int(token))
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"netpbm header: {what} has too many digits") from None
+        if what == "height":
+            cols, rows = fields
+            if cols < 1 or rows < 1:
+                raise ParseError("netpbm header: dimensions must be positive")
+            if rows * cols > _MAX_CELLS:
+                raise ParseError("netpbm header: declared dimensions are implausibly large")
+    if channels and fields[2] != 255:
+        raise ParseError(f"unsupported maxval {fields[2]} (only 8-bit images, maxval 255)")
     # Exactly one whitespace byte separates the header from the raster.
-    if pos >= len(data) or data[pos : pos + 1] not in _WHITESPACE:
+    if not data[pos : pos + 1].isspace():
         raise ParseError("netpbm header: expected whitespace before raster data")
-    return pos + 1
-
-
-def _read_header_dims(data: bytes, pos: int) -> tuple[int, int, int]:
-    cols, pos = _read_int(data, pos, "width")
-    rows, pos = _read_int(data, pos, "height")
-    if cols < 1 or rows < 1:
-        raise ParseError("netpbm header: dimensions must be positive")
-    if rows * cols > _MAX_CELLS:
-        raise ParseError("netpbm header: declared dimensions are implausibly large")
-    return rows, cols, pos
+    pos += 1
+    row_bytes = cols * channels if channels else (cols + 7) // 8
+    need, got = rows * row_bytes, len(data) - pos
+    if got < need:
+        raise ParseError(f"truncated {kind}: expected {need} bytes, got {got}")
+    if got > need:
+        raise ParseError(f"trailing bytes after {kind} data")
+    raster = np.frombuffer(data, np.uint8, count=need, offset=pos)
+    return raster.reshape(rows, row_bytes), cols, channels
 
 
 def load_pnm(data: bytes) -> RasterImage:
     """Parse a binary PGM (P5) or PPM (P6) with maxval 255."""
-    if len(data) < 2:
-        raise ParseError("not a netpbm file")
-    magic = data[:2]
-    if magic == b"P5":
-        channels = 1
-    elif magic == b"P6":
-        channels = 3
-    else:
-        raise ParseError(f"unsupported netpbm magic {magic!r} (want P5 or P6)")
-    rows, cols, pos = _read_header_dims(data, 2)
-    maxval, pos = _read_int(data, pos, "maxval")
-    if maxval != 255:
-        raise ParseError(f"unsupported maxval {maxval} (only 8-bit images, maxval 255)")
-    pos = _skip_single_whitespace(data, pos)
-    need = rows * cols * channels
-    payload = data[pos : pos + need]
-    if len(payload) < need:
-        raise ParseError(f"truncated raster: expected {need} bytes, got {len(payload)}")
-    if len(data) > pos + need:
-        raise ParseError("trailing bytes after raster data")
-    samples = np.frombuffer(payload, dtype=np.uint8)
-    return RasterImage(rows, cols, channels, samples)
+    raster, cols, channels = _read_netpbm(data, {b"P5": 1, b"P6": 3}, "raster")
+    return RasterImage(len(raster), cols, channels, raster)
 
 
 def save_pnm(image: RasterImage) -> bytes:
@@ -162,20 +154,7 @@ def load_pbm(data: bytes) -> np.ndarray:
 
     Returns a C-contiguous ``rows x cols`` uint8 array of 0/1 cells.
     """
-    if len(data) < 2:
-        raise ParseError("not a netpbm file")
-    if data[:2] != b"P4":
-        raise ParseError(f"unsupported netpbm magic {data[:2]!r} (want P4)")
-    rows, cols, pos = _read_header_dims(data, 2)
-    pos = _skip_single_whitespace(data, pos)
-    row_bytes = (cols + 7) // 8
-    need = rows * row_bytes
-    payload = data[pos : pos + need]
-    if len(payload) < need:
-        raise ParseError(f"truncated bitmap: expected {need} bytes, got {len(payload)}")
-    if len(data) > pos + need:
-        raise ParseError("trailing bytes after bitmap data")
-    packed = np.frombuffer(payload, dtype=np.uint8).reshape(rows, row_bytes)
+    packed, cols, _ = _read_netpbm(data, {b"P4": 0}, "bitmap")
     return np.ascontiguousarray(np.unpackbits(packed, axis=1)[:, :cols])
 
 

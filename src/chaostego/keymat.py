@@ -67,7 +67,7 @@ def _check_alpha(name: str, value: float, violations: list[str]) -> None:
 
 
 def _check_seed(name: str, value: float, violations: list[str]) -> None:
-    if not math.isfinite(value) or not (0.0 < value < 1.0):
+    if not 0.0 < value < 1.0:
         violations.append(f"{name}: must lie strictly between 0 and 1")
     elif value == 0.5:
         violations.append(f"{name}: must not equal 0.5")
@@ -90,7 +90,7 @@ def validate_keys(keys: SecretKeySet) -> list[str]:
 def validate_coupling(coupling: PublicCoupling) -> list[str]:
     """Return violations of the 0 < R <= 1 bound (empty list means valid)."""
     r = coupling.value
-    if not math.isfinite(r) or not (0.0 < r <= 1.0):
+    if not 0.0 < r <= 1.0:
         return ["R: must satisfy 0 < R <= 1"]
     return []
 

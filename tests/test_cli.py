@@ -7,6 +7,7 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -555,6 +556,21 @@ class TestHostileInput:
         (workdir / "big.pgm").write_bytes(b"P5\n" + b"9" * 5000 + b" 1\n255\n\x00")
         argv = ["attack", "--image", str(workdir / "big.pgm"), "--out", str(workdir / "curve.csv")]
         assert "too many digits" in self.run_clean(workdir, argv, 2, capsys)
+
+    def test_hostile_netpbm_header_parses_in_bounded_time(self, workdir, capsys):
+        # Parse work stays linear at C speed in the header's size: a
+        # 4*10**6-digit width is refused, and a 4*10**6-byte comment
+        # skipped, each well within 0.5 s.
+        wide = workdir / "wide.pgm"
+        wide.write_bytes(b"P5\n" + b"9" * 4_000_000 + b" 1\n255\n\x00")
+        chatty = workdir / "chatty.pgm"
+        chatty.write_bytes(b"P5\n#" + b"c" * 4_000_000 + b"\n8 8\n255\n" + bytes(range(64)))
+        for image, code in ((wide, 2), (chatty, 0)):
+            argv = ["attack", "--image", str(image), "--out", str(workdir / "curve.csv")]
+            started = time.perf_counter()
+            assert run(argv) == code
+            assert time.perf_counter() - started < 0.5
+        assert "too many digits" in capsys.readouterr().err
 
     def test_pbm_digits_beyond_int_limit_exit_2(self, workdir, capsys):
         keygen(workdir)

@@ -70,11 +70,30 @@ class TestLoadPnm:
             b"P5",                          # header cut off
             b"P5\n" + b"9" * 5000 + b" 1\n255\n\x00",  # width beyond int()'s digit limit
             b"P5\n1 1\n" + b"9" * 5000 + b"\n\x00",    # maxval beyond it
+            b"P5\n1 1\n255#c\n\x07",        # comment between maxval and raster
+            b"P5\n1 #1\n255\n\x07",         # digits in a comment are no field
+            b"P5\n1 1\n255",                # header cut off after maxval
+            b"P5\n1 1 #c",                  # header cut off in a comment
         ],
     )
     def test_malformed_rejected(self, data):
         with pytest.raises(ParseError):
             load_pnm(data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"P51 1\n255\n\x07",            # magic runs straight into the width
+            b"P5\r1\x0b1\x0c255\t\x07",     # CR, VT, FF and tab separate fields
+            b"P5\n1#c\n1 255\n\x07",        # "#" right after a field
+            b"P5 #9 9\n1 1 # 3 3\n255\n\x07",
+            b"P5\n1 1\n255\n\n",            # the raster's first byte is "\n"
+        ],
+    )
+    def test_accepted_header_forms(self, data):
+        img = load_pnm(data)
+        assert (img.rows, img.cols, img.channels) == (1, 1, 1)
+        assert img.samples.tobytes() == data[-1:]
 
 
 class TestSavePnm:
@@ -116,6 +135,12 @@ class TestPbm:
             load_pbm(b"P4\n" + b"9" * 5000 + b" 1\n\x00")
         with pytest.raises(ParseError, match="too many digits"):
             load_pbm(b"P4\n1 " + b"9" * 5000 + b"\n\x00")
+        with pytest.raises(ParseError, match="expected whitespace before raster"):
+            load_pbm(b"P4\n8 1#c\n\x80")
+
+    def test_accepted_header_form(self):
+        m = load_pbm(b"P4 #c\n8#c\n1\n\x80")
+        assert m.tolist() == [[1, 0, 0, 0, 0, 0, 0, 0]]
 
     @settings(max_examples=60)
     @given(matrices)
