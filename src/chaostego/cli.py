@@ -63,6 +63,15 @@ def _file_key(path: str | Path) -> tuple | str:
     return parent.st_dev, parent.st_ino, os.path.basename(path)
 
 
+def _named(path: str | Path) -> Path:
+    """``path`` as a Path, refused when it has no file name ("", ".", "/",
+    "..") to stage a temp file beside or to put a suffix on."""
+    target = Path(path)
+    if target.name in ("", ".."):
+        raise ParseError(f"cannot write {str(path)!r}: no file name")
+    return target
+
+
 def _write_files(*files: tuple[str | Path, bytes]) -> None:
     """Write all of a command's ``(path, data)`` outputs, or none of them.
 
@@ -96,7 +105,7 @@ def _write_files(*files: tuple[str | Path, bytes]) -> None:
             if st is not None and not stat.S_ISREG(st.st_mode):
                 direct.append((path, data))
                 continue
-            target = Path(path)
+            target = _named(path)
             tmp = target.with_name(f".{target.name}.{os.getpid()}-{i}.tmp")
             staged.append((tmp, path))
             with open(tmp, "xb") as fh:
@@ -125,7 +134,7 @@ def _write_output(path: str | None, text: str) -> None:
 
 def _stego_paths(out_base: str, channels: int) -> tuple[Path, Path, Path]:
     ext = ".pgm" if channels == 1 else ".ppm"
-    base = Path(out_base)
+    base = _named(out_base)
     return (
         base.with_name(base.name + ext),
         base.with_name(base.name + ".ones.pbm"),
@@ -348,6 +357,57 @@ def _add_command(parser: _Parser, name: str) -> _Parser:
     return parser
 
 
+# The add_argument keywords _parse_direct reads exactly as argparse would.
+_DIRECT_KWARGS = {"action", "required", "type", "choices", "default", "help"}
+
+
+def _parse_direct(name: str, tokens: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse would build for ``tokens`` when they are exact
+    flags of subcommand ``name``, each non-boolean one followed by a value
+    that does not start with ``-`` and passes the flag's type and choices,
+    with every required flag present.  Anything else (help, abbreviations,
+    ``--flag=value``, dash-leading values, unknown, missing or bad
+    arguments) returns None and is left to argparse, as is a table entry
+    using a keyword not in ``_DIRECT_KWARGS``, an action other than
+    ``store_true`` or a string default (argparse passes one through the
+    flag's type)."""
+    _, handler, arguments = _COMMANDS[name]
+    values = {"handler": handler}
+    flags = {}
+    for flag, kwargs in arguments:
+        action = kwargs.get("action")
+        if (not kwargs.keys() <= _DIRECT_KWARGS or action not in (None, "store_true")
+                or isinstance(kwargs.get("default"), str)):
+            return None
+        store_true = action == "store_true"
+        dest = flag.lstrip("-").replace("-", "_")
+        values[dest] = kwargs.get("default", False if store_true else None)
+        flags[flag] = dest, kwargs, store_true
+    seen = set()
+    rest = iter(tokens)
+    for token in rest:
+        if token not in flags:
+            return None
+        dest, kwargs, store_true = flags[token]
+        seen.add(token)
+        if store_true:
+            values[dest] = True
+            continue
+        value = next(rest, "-")
+        if value.startswith("-"):
+            return None
+        try:
+            value = kwargs.get("type", str)(value)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if kwargs.get("choices") is not None and value not in kwargs["choices"]:
+            return None
+        values[dest] = value
+    if any(kwargs.get("required") and flag not in seen for flag, kwargs in arguments):
+        return None
+    return argparse.Namespace(**values)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="chaostego", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -359,20 +419,23 @@ def _build_parser() -> _Parser:
 def run(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] in _COMMANDS:
-        # A known subcommand parses with its own parser alone, which is the
-        # same parser the full tree would hand its arguments to.
-        parser = _add_command(_Parser(prog=f"chaostego {argv[0]}"), argv[0])
-        argv = argv[1:]
-    else:  # top-level help and usage errors
-        parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
+    name = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _parse_direct(name, argv[1:]) if name else None
+    if args is None:
+        if name:
+            # A known subcommand parses with its own parser alone, which is
+            # the same parser the full tree would hand its arguments to.
+            parser = _add_command(_Parser(prog=f"chaostego {name}"), name)
+            argv = argv[1:]
+        else:  # top-level help and usage errors
+            parser = _build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except _UsageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except SystemExit as exc:  # --help
+            return int(exc.code or 0)
     try:
         return args.handler(args)
     except (CapacityError, ExtractError) as exc:

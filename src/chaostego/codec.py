@@ -181,14 +181,15 @@ def embed(
 
     stego = cover.samples.copy()
     samples = stego.reshape(-1)
-    changed = (samples[flat] & 1) != bits
-    f_ch, b_ch = flat[changed], bits[changed]
-    samples[f_ch] = (samples[f_ch] & 0xFE) | b_ch
+    old = samples[flat]
+    changed = (old ^ bits) & 1  # 1 where the LSB must flip
+    samples[flat] = old ^ changed
 
+    # A changed sample gets its bit in both marks; an unchanged one 1 and 0.
     ones = np.ones_like(stego)
     zeros = np.zeros_like(stego)
-    ones.reshape(-1)[f_ch] = b_ch
-    zeros.reshape(-1)[f_ch] = b_ch
+    ones.reshape(-1)[flat] = bits | (changed ^ 1)
+    zeros.reshape(-1)[flat] = bits & changed
 
     stego_image = RasterImage(cover.rows, cover.cols, cover.channels, stego)
     return StegoBundle(stego_image, ones, zeros, coupling, payload.mode)

@@ -2,6 +2,7 @@
 
 import argparse
 import errno
+import io
 import os
 import stat
 import subprocess
@@ -9,17 +10,20 @@ import sys
 import threading
 import time
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chaostego
 from chaostego import cli
 from chaostego.cli import run
 from chaostego.codec import embed, encode_message
 from chaostego.imagery import load_pnm, save_pbm, save_pnm
-from chaostego.keymat import format_public_key, parse_public_key, parse_secret_keys
+from chaostego.keymat import MODES, format_public_key, parse_public_key, parse_secret_keys
 from conftest import random_image
 
 
@@ -283,6 +287,30 @@ class TestDispatch:
         with pytest.raises(AssertionError):
             run(["frobnicate"])
 
+    def test_valid_invocations_build_no_parser(self, workdir, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("argparse parser built")
+        monkeypatch.setattr(cli, "_Parser", refuse)
+        d = workdir
+        keys = ["--secret", str(d / "secret.key"), "--pub", str(d / "public.key")]
+        invocations = [
+            ["keygen", "--out", str(d / "secret.key"), "--pub", str(d / "public.key"),
+             "--seed", "11"],
+            ["validate", *keys],
+            TestEmbedExtract().embed_argv(d),
+            TestEmbedExtract().extract_argv(d),
+            ["analyze", "--cover", str(d / "cover.pgm"), "--stego", str(d / "stego.pgm"),
+             "--payload-bits", "200", "--diff-entropy", "--out", str(d / "report.txt")],
+            ["attack", "--image", str(d / "stego.pgm"), "--step", "25", "--out", str(d / "c.csv")],
+            ["exchange-sim", "--alice", str(d / "secret.key"), "--pub", str(d / "public.key"),
+             "--rows", "16", "--cols", "16", "--prefix", "10", "--out", str(d / "t.txt")],
+            ["bifurcation", "--alpha-min", "0.8", "--alpha-max", "1.2", "--alpha-steps", "2",
+             "--x0", "0.3", "--samples", "2", "--out", str(d / "b.csv")],
+        ]
+        assert sorted(argv[0] for argv in invocations) == sorted(cli._COMMANDS)
+        for argv in invocations:
+            assert run(argv) == 0, argv
+
     def test_module_entry_point_reads_sys_argv(self, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
         env = dict(os.environ, PYTHONPATH=str(Path(chaostego.__file__).parents[1]))
@@ -291,6 +319,131 @@ class TestDispatch:
         assert child.returncode == 0
         assert child.stderr == ""
         assert child.stdout == full_tree_subparser("embed").format_help()
+
+
+# Values for drawn flags: good ones for each type of flag, and any value
+# (good, dash-leading, bad int, bad float, bad choice or junk) for any flag.
+GOOD_VALUES = {int: ["0", "7", " 12"], float: ["0.5", "1e3", "nan"], str: ["a.key", "", "x y"]}
+ANY_VALUES = [*GOOD_VALUES[str], "3", "-", "--", "-3", "-h", "ten", "1.5", "x", "latin1", *MODES]
+
+
+@st.composite
+def subcommand_argv(draw):
+    """A subcommand and tokens for it: every required flag with a good
+    value, then a few edits (optional or repeated flags, bad or dash-leading
+    values, ``--flag=value``, lone flags, abbreviations, junk, a dropped
+    flag), all in any order."""
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    arguments = cli._COMMANDS[name][2]
+    prefixes = sorted({flag[:k] for flag, _ in arguments for k in range(1, len(flag))})
+
+    def good(flag, kwargs):
+        if kwargs.get("action"):
+            return [flag]
+        return [flag, draw(st.sampled_from(
+            list(kwargs.get("choices") or GOOD_VALUES[kwargs.get("type", str)])))]
+
+    units = [good(flag, kwargs) for flag, kwargs in arguments if kwargs.get("required")]
+    for _ in range(draw(st.integers(0, 3))):
+        flag, kwargs = draw(st.sampled_from(arguments))
+        edit = draw(st.sampled_from(["good", "any", "any", "inline", "lone", "drop", "other"]))
+        if edit == "good":
+            units.append(good(flag, kwargs))
+        elif edit == "any":
+            units.append([flag, draw(st.sampled_from(ANY_VALUES))])
+        elif edit == "inline":
+            units.append(["=".join(good(flag, kwargs))])
+        elif edit == "lone":
+            units.append([flag])
+        elif edit == "drop" and units:
+            units.pop(draw(st.integers(0, len(units) - 1)))
+        else:
+            units.append([draw(st.sampled_from(
+                [*prefixes, "-h", "--help", "--bogus", "-x", "junk", ""]))])
+    return [name] + [token for unit in draw(st.permutations(units)) for token in unit]
+
+
+def argparse_reprs(argv):
+    """The repr of each value argparse parses from ``argv`` (repr tells 1
+    from 1.0 and True, and nan from nan), or None on help or a usage error."""
+    parser = cli._add_command(cli._Parser(prog=f"chaostego {argv[0]}"), argv[0])
+    with redirect_stdout(io.StringIO()):
+        try:
+            return {k: repr(v) for k, v in vars(parser.parse_args(argv[1:])).items()}
+        except (cli._UsageError, SystemExit):
+            return None
+
+
+def direct_reprs(argv):
+    args = cli._parse_direct(argv[0], argv[1:])
+    return None if args is None else {k: repr(v) for k, v in vars(args).items()}
+
+
+def echo_handler(args):
+    print(sorted((k, repr(v)) for k, v in vars(args).items() if k != "handler"))
+    return 0
+
+
+def run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestDirectParse:
+    """``cli._parse_direct`` either defers or returns what argparse would."""
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(subcommand_argv())
+    def test_direct_walk_matches_argparse(self, argv):
+        direct = direct_reprs(argv)
+        if direct is not None:
+            assert direct == argparse_reprs(argv)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_COMMANDS",
+                       {n: (h, echo_handler, a) for n, (h, _, a) in cli._COMMANDS.items()})
+            walked = run_captured(argv)
+            mp.setattr(cli, "_parse_direct", lambda name, tokens: None)
+            assert run_captured(argv) == walked
+
+    @pytest.mark.parametrize("argv", [
+        ["attack", "--image", "i.pgm"],
+        ["attack", "--image", "i.pgm", "--image", "j.pgm", "--step", "5", "--step", " 7"],
+        ["analyze", "--cover", "c", "--stego", "", "--diff-entropy", "--diff-entropy"],
+        ["embed", "--mode", "raw", "--out", "o", "--pub", "p", "--secret", "s",
+         "--msg", "m", "--cover", "c"],
+        ["bifurcation", "--alpha-min", "nan", "--alpha-max", "1e3", "--alpha-steps", "2",
+         "--x0", "0.5"],
+    ])
+    def test_exact_pairs_are_read_directly(self, argv):
+        expected = argparse_reprs(argv)
+        assert expected is not None and direct_reprs(argv) == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["attack", "--help"], ["attack", "-h"], ["attack", "--image"],
+        ["attack", "--im", "i.pgm"], ["attack", "--image=i.pgm"], ["attack", "--image", "-"],
+        ["attack", "--image", "i.pgm", "--step", "-3"], ["attack", "--image", "i.pgm", "junk"],
+        ["attack", "--image", "i.pgm", "--step", "ten"],
+        ["attack", "--image", "i.pgm", "--step", "1.5"],
+        ["attack", "--image", "i.pgm", "--bogus", "1"], ["attack", "--step", "5"],
+        ["attack", "--image", "i", "--", "x"],
+        ["analyze", "--cover", "c", "--stego", "s", "--diff-entropy", "yes"],
+        ["embed", "--cover", "c", "--msg", "m", "--secret", "s", "--pub", "p",
+         "--mode", "raw", "--mode", "latin1", "--out", "o"],
+    ])
+    def test_anything_else_is_left_to_argparse(self, argv):
+        assert cli._parse_direct(argv[0], argv[1:]) is None
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(nargs=2), dict(action="count"), dict(type=int, default="5"),
+    ], ids=["nargs", "count", "string-default"])
+    def test_unhandled_table_entry_is_left_to_argparse(self, kwargs, monkeypatch):
+        help_text, handler, arguments = cli._COMMANDS["attack"]
+        arguments = (*arguments, ("--extra", kwargs))
+        monkeypatch.setitem(cli._COMMANDS, "attack", (help_text, handler, arguments))
+        assert cli._parse_direct("attack", ["--image", "i.pgm"]) is None
 
 
 def snapshot(root):
@@ -571,6 +724,21 @@ class TestHostileInput:
             assert run(argv) == code
             assert time.perf_counter() - started < 0.5
         assert "too many digits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, out", [
+        *[(command, "") for command in ("keygen-out", "keygen-pub", "embed", "extract",
+                                        "analyze", "attack", "exchange-sim", "bifurcation")],
+        ("embed", "."), ("embed", "/"), ("embed", "sub/.."),
+    ])
+    def test_nameless_output_path_exits_2(self, workdir, command, out, capsys):
+        keygen(workdir)
+        assert TestEmbedExtract().embed(workdir) == 0
+        if out == "sub/..":  # without the check: <workdir>/sub/...pgm and its marks
+            (workdir / "sub").mkdir()
+            out = str(workdir / out)
+        argv = TestOutputWrites().failing_argv(workdir, command, out)
+        err = self.run_clean(workdir, argv, 2, capsys)
+        assert err == f"error: cannot write {out!r}: no file name\n"
 
     def test_pbm_digits_beyond_int_limit_exit_2(self, workdir, capsys):
         keygen(workdir)
