@@ -357,43 +357,3 @@ def bifurcation_scan(
             recorded.append(x)
         out.append((alpha, recorded))
     return out
-
-
-_DIFF_H = 1e-7
-_LYAPUNOV_TRANSIENT = 1000
-
-
-def _numeric_slope(x: float, alpha: float) -> float:
-    # Central difference; one-sided at the interval edges where a
-    # symmetric stencil would leave (0,1).
-    if x + _DIFF_H >= 1.0:
-        return (map_step(x, alpha) - map_step(x - _DIFF_H, alpha)) / _DIFF_H
-    if x - _DIFF_H <= 0.0:
-        return (map_step(x + _DIFF_H, alpha) - map_step(x, alpha)) / _DIFF_H
-    return (map_step(x + _DIFF_H, alpha) - map_step(x - _DIFF_H, alpha)) / (2.0 * _DIFF_H)
-
-
-def lyapunov_estimate(alpha: float, x0: float, n_iters: int) -> float:
-    """Average log-slope along the orbit, via finite differences.
-
-    Positive values are evidence of chaos for the given parameter; the
-    map family is only guaranteed interesting on part of its parameter
-    range, so this is a diagnostic rather than a certificate.
-    """
-    if not (0.5 < alpha <= ALPHA_MAX):
-        raise DomainError("map parameter must satisfy 0.5 < alpha <= 2**511")
-    if not (0.0 < x0 < 1.0) or x0 == 0.5:
-        raise DomainError("x0 must lie in (0,1) excluding 0.5")
-    if n_iters < 10_000:
-        raise DomainError("n_iters must be at least 10000")
-
-    x = sanitize(x0)
-    for _ in range(_LYAPUNOV_TRANSIENT):
-        x = sanitize(map_step(x, alpha))
-    total = 0.0
-    for _ in range(n_iters):
-        d = _numeric_slope(x, alpha)
-        if d != 0.0:  # a zero slope sample would send the log to -inf
-            total += math.log(abs(d))
-        x = sanitize(map_step(x, alpha))
-    return total / n_iters

@@ -349,14 +349,6 @@ _COMMANDS = {
 }
 
 
-def _add_command(parser: _Parser, name: str) -> _Parser:
-    _, handler, arguments = _COMMANDS[name]
-    for flag, kwargs in arguments:
-        parser.add_argument(flag, **kwargs)
-    parser.set_defaults(handler=handler)
-    return parser
-
-
 # The add_argument keywords _parse_direct reads exactly as argparse would.
 _DIRECT_KWARGS = {"action", "required", "type", "choices", "default", "help"}
 
@@ -372,7 +364,7 @@ def _parse_direct(name: str, tokens: list[str]) -> argparse.Namespace | None:
     ``store_true`` or a string default (argparse passes one through the
     flag's type)."""
     _, handler, arguments = _COMMANDS[name]
-    values = {"handler": handler}
+    values = {"command": name, "handler": handler}
     flags = {}
     for flag, kwargs in arguments:
         action = kwargs.get("action")
@@ -411,8 +403,11 @@ def _parse_direct(name: str, tokens: list[str]) -> argparse.Namespace | None:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="chaostego", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, (help_text, _, _) in _COMMANDS.items():
-        _add_command(sub.add_parser(name, help=help_text), name)
+    for name, (help_text, handler, arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, kwargs in arguments:
+            command.add_argument(flag, **kwargs)
+        command.set_defaults(handler=handler)
     return parser
 
 
@@ -421,16 +416,9 @@ def run(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     name = argv[0] if argv and argv[0] in _COMMANDS else None
     args = _parse_direct(name, argv[1:]) if name else None
-    if args is None:
-        if name:
-            # A known subcommand parses with its own parser alone, which is
-            # the same parser the full tree would hand its arguments to.
-            parser = _add_command(_Parser(prog=f"chaostego {name}"), name)
-            argv = argv[1:]
-        else:  # top-level help and usage errors
-            parser = _build_parser()
+    if args is None:  # help, usage errors and argv the walk leaves to argparse
         try:
-            args = parser.parse_args(argv)
+            args = _build_parser().parse_args(argv)
         except _UsageError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE

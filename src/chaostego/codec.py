@@ -68,11 +68,6 @@ class MessagePayload:
             return NotImplemented
         return self.mode == other.mode and np.array_equal(self.bits, other.bits)
 
-    @property
-    def declared_length(self) -> int:
-        """Payload bit count claimed by the header."""
-        return _header_value(self.bits[:HEADER_BITS])
-
 
 def _header_value(header: np.ndarray) -> int:
     """The big-endian count held by 32 header bits."""
@@ -115,7 +110,7 @@ def encode_message(message, mode: str) -> MessagePayload:
 
 def decode_message(payload: MessagePayload):
     """Inverse of encode_message; returns str (text modes) or bytes (raw)."""
-    declared = payload.declared_length
+    declared = _header_value(payload.bits[:HEADER_BITS])
     body = payload.bits[HEADER_BITS:]
     if len(body) != declared:
         raise DecodeError(

@@ -183,7 +183,9 @@ def format_public_key(coupling: PublicCoupling, mode: str | None = None) -> str:
 #: turn negative above alpha ~ 2.2 (the endpoint fixed point attracts once
 #: its slope 4/alpha**2 drops below 1), and coupling factors much below 1
 #: contract even chaotic pairs onto short cycles.  Draws outside this box
-#: mostly produce orbits that cannot address a whole image.
+#: mostly produce orbits that cannot address a whole image.  The exponents
+#: at both alpha endpoints and at 2.2 are checked in tests/test_chaos.py
+#: (TestLyapunovEstimate).
 ALPHA_RANGE = (0.6, 1.8)
 COUPLING_RANGE = (0.95, 1.0)
 SEED_RANGE = (0.01, 0.99)

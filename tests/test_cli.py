@@ -258,8 +258,8 @@ def full_tree_subparser(name):
 
 
 class TestDispatch:
-    """A known subcommand parses with its own parser only; help text, usage
-    errors and exit codes stay those of the full parser tree."""
+    """Well-formed argv builds no parser; help text, usage errors and exit
+    codes are those of the full parser tree."""
 
     @pytest.mark.parametrize("name", sorted(cli._COMMANDS))
     def test_subcommand_help_matches_full_tree(self, name, capsys):
@@ -366,10 +366,9 @@ def subcommand_argv(draw):
 def argparse_reprs(argv):
     """The repr of each value argparse parses from ``argv`` (repr tells 1
     from 1.0 and True, and nan from nan), or None on help or a usage error."""
-    parser = cli._add_command(cli._Parser(prog=f"chaostego {argv[0]}"), argv[0])
     with redirect_stdout(io.StringIO()):
         try:
-            return {k: repr(v) for k, v in vars(parser.parse_args(argv[1:])).items()}
+            return {k: repr(v) for k, v in vars(cli._build_parser().parse_args(argv)).items()}
         except (cli._UsageError, SystemExit):
             return None
 
@@ -713,16 +712,20 @@ class TestHostileInput:
     def test_hostile_netpbm_header_parses_in_bounded_time(self, workdir, capsys):
         # Parse work stays linear at C speed in the header's size: a
         # 4*10**6-digit width is refused, and a 4*10**6-byte comment
-        # skipped, each well within 0.5 s.
+        # skipped, each well within 0.5 s.  Tiny comments cost one regex
+        # repeat each: 2*10**6 of them (4 MB) parse in about 0.3-0.5 s, so
+        # they get a looser bound; the header length itself is not capped.
         wide = workdir / "wide.pgm"
         wide.write_bytes(b"P5\n" + b"9" * 4_000_000 + b" 1\n255\n\x00")
         chatty = workdir / "chatty.pgm"
         chatty.write_bytes(b"P5\n#" + b"c" * 4_000_000 + b"\n8 8\n255\n" + bytes(range(64)))
-        for image, code in ((wide, 2), (chatty, 0)):
+        terse = workdir / "terse.pgm"
+        terse.write_bytes(b"P5\n" + b"#\n" * 2_000_000 + b"8 8\n255\n" + bytes(range(64)))
+        for image, code, bound in ((wide, 2, 0.5), (chatty, 0, 0.5), (terse, 0, 2.0)):
             argv = ["attack", "--image", str(image), "--out", str(workdir / "curve.csv")]
             started = time.perf_counter()
             assert run(argv) == code
-            assert time.perf_counter() - started < 0.5
+            assert time.perf_counter() - started < bound
         assert "too many digits" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, out", [
