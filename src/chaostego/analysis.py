@@ -104,7 +104,7 @@ _GAMMA_EPS = 1e-16
 
 
 def _lower_series(a: float, x: float) -> float:
-    # P(a, x) by power series, for x < a + 1.
+    # P(a, x) / prefix by power series, for x < a + 1.
     term = 1.0 / a
     total = term
     k = 1
@@ -114,14 +114,11 @@ def _lower_series(a: float, x: float) -> float:
         if abs(term) < abs(total) * _GAMMA_EPS:
             break
         k += 1
-    log_prefix = -x + a * math.log(x) - math.lgamma(a)
-    if log_prefix < -745.0:  # exp underflow: the whole mass is in the tail
-        return 0.0
-    return total * math.exp(log_prefix)
+    return total
 
 
 def _upper_continued_fraction(a: float, x: float) -> float:
-    # Q(a, x) by modified Lentz continued fraction, for x >= a + 1.
+    # Q(a, x) / prefix by modified Lentz continued fraction, for x >= a + 1.
     tiny = 1e-300
     b = x + 1.0 - a
     c = 1.0 / tiny
@@ -141,10 +138,7 @@ def _upper_continued_fraction(a: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _GAMMA_EPS:
             break
-    log_prefix = -x + a * math.log(x) - math.lgamma(a)
-    if log_prefix < -745.0:
-        return 0.0
-    return math.exp(log_prefix) * h
+    return h
 
 
 def gamma_q(a: float, x: float) -> float:
@@ -159,10 +153,13 @@ def gamma_q(a: float, x: float) -> float:
         raise DomainError("integration limit must be finite and non-negative")
     if x == 0.0:
         return 1.0
+    # Both expansions scale by prefix = x**a e**-x / Gamma(a).
+    log_prefix = -x + a * math.log(x) - math.lgamma(a)
+    prefix = 0.0 if log_prefix < -745.0 else math.exp(log_prefix)  # exp underflow
     if x < a + 1.0:
-        q = 1.0 - _lower_series(a, x)
+        q = 1.0 - _lower_series(a, x) * prefix
     else:
-        q = _upper_continued_fraction(a, x)
+        q = _upper_continued_fraction(a, x) * prefix
     return min(max(q, 0.0), 1.0)
 
 

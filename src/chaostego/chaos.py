@@ -306,15 +306,11 @@ def _build(source: Path) -> Path:
     cache.mkdir(exist_ok=True)
     # Build beside the target and rename, so a concurrent build or load
     # never sees a half-written file.
-    fd, tmp = tempfile.mkstemp(prefix="orbit-", suffix=".so.tmp", dir=cache)
-    os.close(fd)
-    try:
-        subprocess.run([cc, *_CFLAGS, "-o", tmp, str(source)], check=True, capture_output=True, timeout=120)
-        os.chmod(tmp, 0o755)  # mkstemp's 0600 would hide it from other users
-        os.replace(tmp, lib)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    with tempfile.TemporaryDirectory(dir=cache) as tmp:
+        built = os.path.join(tmp, lib.name)
+        subprocess.run([cc, *_CFLAGS, "-o", built, str(source)], check=True, capture_output=True, timeout=120)
+        os.chmod(built, 0o755)  # loadable by other users whatever the umask
+        os.replace(built, lib)
     return lib
 
 

@@ -157,7 +157,7 @@ def format_quality_report(report: analysis.QualityReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_entropy_report(histogram_bits: float, diff_bits: float | None, prefix: str = "") -> str:
+def format_entropy_report(histogram_bits: float, diff_bits: float | None, prefix: str) -> str:
     lines = [f"{prefix}histogram_entropy_bits={histogram_bits!r}"]
     if diff_bits is not None:
         lines.append(f"{prefix}diff_entropy_bits={diff_bits!r}")
@@ -349,29 +349,21 @@ _COMMANDS = {
 }
 
 
-# The add_argument keywords _parse_direct reads exactly as argparse would.
-_DIRECT_KWARGS = {"action", "required", "type", "choices", "default", "help"}
-
-
 def _parse_direct(name: str, tokens: list[str]) -> argparse.Namespace | None:
     """The namespace argparse would build for ``tokens`` when they are exact
     flags of subcommand ``name``, each non-boolean one followed by a value
     that does not start with ``-`` and passes the flag's type and choices,
     with every required flag present.  Anything else (help, abbreviations,
     ``--flag=value``, dash-leading values, unknown, missing or bad
-    arguments) returns None and is left to argparse, as is a table entry
-    using a keyword not in ``_DIRECT_KWARGS``, an action other than
-    ``store_true`` or a string default (argparse passes one through the
-    flag's type)."""
+    arguments) returns None and is left to argparse.  The table uses only
+    keywords read here as argparse reads them: ``required``, ``type``,
+    ``choices``, a non-string ``default``, ``help`` and
+    ``action="store_true"``."""
     _, handler, arguments = _COMMANDS[name]
     values = {"command": name, "handler": handler}
     flags = {}
     for flag, kwargs in arguments:
-        action = kwargs.get("action")
-        if (not kwargs.keys() <= _DIRECT_KWARGS or action not in (None, "store_true")
-                or isinstance(kwargs.get("default"), str)):
-            return None
-        store_true = action == "store_true"
+        store_true = kwargs.get("action") == "store_true"
         dest = flag.lstrip("-").replace("-", "_")
         values[dest] = kwargs.get("default", False if store_true else None)
         flags[flag] = dest, kwargs, store_true

@@ -155,7 +155,7 @@ def load_pbm(data: bytes) -> np.ndarray:
     Returns a C-contiguous ``rows x cols`` uint8 array of 0/1 cells.
     """
     packed, cols, _ = _read_netpbm(data, {b"P4": 0}, "bitmap")
-    return np.ascontiguousarray(np.unpackbits(packed, axis=1)[:, :cols])
+    return np.unpackbits(packed, axis=1, count=cols)
 
 
 def save_pbm(marks: np.ndarray) -> bytes:

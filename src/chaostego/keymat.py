@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -53,8 +53,8 @@ class ChannelEvent(NamedTuple):
 class ExchangeTranscript:
     """Channel events of one simulated exchange plus the agreement flag."""
 
-    events: list[ChannelEvent] = field(default_factory=list)
-    agreement: bool = False
+    events: list[ChannelEvent]
+    agreement: bool
 
 
 def _check_alpha(name: str, value: float, violations: list[str]) -> None:
@@ -98,10 +98,11 @@ def validate_coupling(coupling: PublicCoupling) -> list[str]:
 # ---------------------------------------------------------------------------
 # Key files: UTF-8 text, one name=value pair per line, values written as
 # exact hexadecimal binary64 literals so no decimal round-trip ambiguity
-# exists.  Unknown names are rejected.
+# exists.  Unknown names are rejected and required ones must be present.
 # ---------------------------------------------------------------------------
 
-def _parse_pairs(text: str, what: str) -> dict[str, str]:
+def _parse_pairs(text: str, what: str, required: tuple[str, ...],
+                 optional: tuple[str, ...] = ()) -> dict[str, str]:
     pairs: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -113,6 +114,12 @@ def _parse_pairs(text: str, what: str) -> dict[str, str]:
         if name in pairs:
             raise ParseError(f"{what} line {lineno}: duplicate key {name!r}")
         pairs[name] = value.strip()
+    unknown = set(pairs) - {*required, *optional}
+    if unknown:
+        raise ParseError(f"{what}: unknown key {sorted(unknown)[0]!r}")
+    missing = [n for n in required if n not in pairs]
+    if missing:
+        raise ParseError(f"{what}: missing key {missing[0]!r}")
     return pairs
 
 
@@ -127,20 +134,12 @@ def _parse_hex_float(name: str, text: str, what: str) -> float:
         raise ParseError(f"{what}: {name} is not a hexadecimal float literal") from None
     except OverflowError:
         raise ParseError(f"{what}: {name} must be finite") from None
-    if not math.isfinite(value):
-        raise ParseError(f"{what}: {name} must be finite")
     return value
 
 
 def parse_secret_keys(text: str) -> SecretKeySet:
     """Parse a secret key file body into a SecretKeySet."""
-    pairs = _parse_pairs(text, "secret key file")
-    unknown = set(pairs) - set(_SECRET_FIELDS)
-    if unknown:
-        raise ParseError(f"secret key file: unknown key {sorted(unknown)[0]!r}")
-    missing = [n for n in _SECRET_FIELDS if n not in pairs]
-    if missing:
-        raise ParseError(f"secret key file: missing key {missing[0]!r}")
+    pairs = _parse_pairs(text, "secret key file", _SECRET_FIELDS)
     values = {n: _parse_hex_float(n, pairs[n], "secret key file") for n in _SECRET_FIELDS}
     return SecretKeySet(**values)
 
@@ -152,12 +151,7 @@ def format_secret_keys(keys: SecretKeySet) -> str:
 
 def parse_public_key(text: str) -> tuple[PublicCoupling, str | None]:
     """Parse a public key file into (coupling, mode-tag-or-None)."""
-    pairs = _parse_pairs(text, "public key file")
-    unknown = set(pairs) - {"R", "mode"}
-    if unknown:
-        raise ParseError(f"public key file: unknown key {sorted(unknown)[0]!r}")
-    if "R" not in pairs:
-        raise ParseError("public key file: missing key 'R'")
+    pairs = _parse_pairs(text, "public key file", ("R",), ("mode",))
     coupling = PublicCoupling(_parse_hex_float("R", pairs["R"], "public key file"))
     mode = pairs.get("mode")
     if mode is not None and mode not in MODES:
@@ -180,12 +174,12 @@ def format_public_key(coupling: PublicCoupling, mode: str | None = None) -> str:
 
 #: Sampling bounds for freshly generated key material.  The map family is
 #: only chaotic on part of its parameter range: measured Lyapunov exponents
-#: turn negative above alpha ~ 2.2 (the endpoint fixed point attracts once
+#: turn negative above alpha = 2 (the endpoint fixed point attracts once
 #: its slope 4/alpha**2 drops below 1), and coupling factors much below 1
 #: contract even chaotic pairs onto short cycles.  Draws outside this box
 #: mostly produce orbits that cannot address a whole image.  The exponents
-#: at both alpha endpoints and at 2.2 are checked in tests/test_chaos.py
-#: (TestLyapunovEstimate).
+#: at both alpha endpoints, 2.05 and 2.2 are checked in
+#: tests/test_chaos.py (TestLyapunovEstimate).
 ALPHA_RANGE = (0.6, 1.8)
 COUPLING_RANGE = (0.95, 1.0)
 SEED_RANGE = (0.01, 0.99)

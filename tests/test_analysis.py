@@ -174,6 +174,23 @@ class TestGammaQ:
         values = [gamma_q(a, x) for x in xs]
         assert all(lo > hi for lo, hi in zip(values, values[1:]))
 
+    # Exact results, frozen: three series points (x < a + 1), one on
+    # x = a + 1 and three continued-fraction points, then one point past
+    # the exp-underflow cut on each branch.
+    @pytest.mark.parametrize("a, x, expected", [
+        (0.5, 0.3, "0x1.c11a991b0c6bep-2"),
+        (2.5, 1.0, "0x1.b2c3235f16995p-1"),
+        (10.0, 8.0, "0x1.6ee95ff58168dp-1"),
+        (3.0, 4.0, "0x1.e7a2b4b36030cp-3"),
+        (4.5, 12.0, "0x1.19e405671bb30p-8"),
+        (60.0, 75.5, "0x1.de15efaaeeab7p-6"),
+        (1.5, 40.0, "0x1.1b174400c3345p-55"),
+        (1000.0, 1.0, "0x1.0000000000000p+0"),
+        (0.5, 1000.0, "0x0.0p+0"),
+    ])
+    def test_pinned_values(self, a, x, expected):
+        assert gamma_q(a, x).hex() == expected
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             gamma_q(0.0, 1.0)

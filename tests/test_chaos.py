@@ -427,11 +427,15 @@ class TestLyapunovEstimate:
 
     def test_negative_past_chaotic_band(self):
         # For alpha > 2 the fixed point at 1 attracts with slope 4/alpha^2;
-        # the measured exponent settles on ln(4/alpha^2) < 0.  At 2.2 it is
-        # already negative, the bound keymat.ALPHA_RANGE's comment cites.
+        # the measured exponent settles on ln(4/alpha^2) < 0.  At 2.05 it is
+        # already negative: the band ends at alpha = 2, the bound
+        # keymat.ALPHA_RANGE's comment cites.
         lam = lyapunov_exponent(5.0)
         assert lam < -1.0
         assert lam == pytest.approx(math.log(4.0 / 25.0), abs=0.05)
         lam = lyapunov_exponent(2.2)
         assert lam < 0.0
         assert lam == pytest.approx(math.log(4.0 / 2.2**2), abs=0.05)
+        lam = lyapunov_exponent(2.05)
+        assert lam < 0.0
+        assert lam == pytest.approx(math.log(4.0 / 2.05**2), abs=0.05)
