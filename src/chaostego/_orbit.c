@@ -6,7 +6,7 @@
 
 #define EPSILON 0x1p-40
 
-/* Map outputs lie in [0, 1] and R <= 1, so sanitize never sees u > 1. */
+/* chaos.sanitize's rule: map outputs lie in [0, 1] and R <= 1, so no wrap. */
 static double sanitize(double u)
 {
     if (u == 0.0) return EPSILON;
@@ -37,7 +37,7 @@ int64_t orbit(double x, double y, double a1sq, double a2sq, double r, int64_t ro
     if (count < 1) return 0;
     uint64_t *seen = calloc(((uint64_t)rows * (uint64_t)cols + 63) / 64, sizeof *seen);
     if (!seen) return -1;
-    int64_t found = 0, save = 1, limit = 1;
+    int64_t found = 0, limit = 1;
     double tx = x, ty = y;
     for (int64_t steps = 1;; steps++) {
         int64_t col = (int64_t)(x * (double)cols), row = (int64_t)(y * (double)rows);
@@ -55,8 +55,7 @@ int64_t orbit(double x, double y, double a1sq, double a2sq, double r, int64_t ro
         if (steps >= limit) {
             if (steps >= cap) break;
             tx = x; ty = y;
-            save *= 2;
-            limit = save < cap ? save : cap;
+            limit = 2 * limit < cap ? 2 * limit : cap;
         }
         double x_next = map_step(sanitize(r * y), a1sq);
         double y_next = map_step(sanitize(r * x), a2sq);

@@ -107,14 +107,12 @@ def _lower_series(a: float, x: float) -> float:
     # P(a, x) / prefix by power series, for x < a + 1.
     term = 1.0 / a
     total = term
-    k = 1
-    while k < _GAMMA_MAX_ITER:
+    for k in range(1, _GAMMA_MAX_ITER):
         term *= x / (a + k)
         total += term
         if abs(term) < abs(total) * _GAMMA_EPS:
-            break
-        k += 1
-    return total
+            return total
+    raise DomainError(f"incomplete gamma series did not converge at a={a!r}, x={x!r}")
 
 
 def _upper_continued_fraction(a: float, x: float) -> float:
@@ -137,18 +135,21 @@ def _upper_continued_fraction(a: float, x: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _GAMMA_EPS:
-            break
-    return h
+            return h
+    raise DomainError(f"incomplete gamma continued fraction did not converge at a={a!r}, x={x!r}")
 
 
 def gamma_q(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x) in [0, 1].
 
     Series below x = a + 1, continued fraction above; absolute error
-    stays within 1e-10 over the tested domain.
+    stays within 1e-10 over the tested domain.  Raises
+    :class:`DomainError` where the expansion in use does not converge
+    within ``_GAMMA_MAX_ITER`` terms (near x = a for large a).
     """
-    if not (a > 0.0) or not math.isfinite(a):
-        raise DomainError("shape parameter must be finite and positive")
+    # From 2**53 on, a + 1 rounds to a and the expansions break down.
+    if not 0.0 < a < 2.0 ** 53:
+        raise DomainError("shape parameter must satisfy 0 < a < 2**53")
     if not (x >= 0.0) or not math.isfinite(x):
         raise DomainError("integration limit must be finite and non-negative")
     if x == 0.0:

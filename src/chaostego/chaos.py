@@ -49,11 +49,10 @@ class ImageDims(NamedTuple):
 
 
 class ChaosState(NamedTuple):
-    """Orbit point of the coupled system after ``n`` iterations."""
+    """Orbit point ``(x, y)`` of the coupled system."""
 
     x: float
     y: float
-    n: int
 
 
 def _check_dims(dims: ImageDims) -> ImageDims:
@@ -81,13 +80,12 @@ def map_step(x: float, alpha: float) -> float:
 
 
 def sanitize(u: float) -> float:
-    """Pull an orbit value back into (0,1) away from the absorbing set.
+    """Move an orbit value in [0,1] off the absorbing set.
 
-    Values above 1 are wrapped to their fractional part first; exact hits
-    on 0, 0.5 or 1 are shifted by 2**-40 so the orbit cannot die.
+    Exact hits on 0, 0.5 or 1 are shifted by 2**-40 so the orbit cannot
+    die; any other value is returned as is.  Map outputs lie in [0,1] and
+    R <= 1, so no orbit value exceeds 1; ``_orbit.c`` has the same rule.
     """
-    if u > 1.0:
-        u = u - math.floor(u)
     if u == 0.0:
         return EPSILON
     if u == 1.0:
@@ -105,7 +103,7 @@ def initial_state(keys: SecretKeySet) -> ChaosState:
     """
     x = sanitize(map_step(sanitize(keys.x0), keys.alpha1))
     y = sanitize(map_step(sanitize(keys.y0), keys.alpha2))
-    return ChaosState(x, y, 1)
+    return ChaosState(x, y)
 
 
 def coupled_step(state: ChaosState, alpha1: float, alpha2: float, r: float) -> ChaosState:
@@ -118,7 +116,7 @@ def coupled_step(state: ChaosState, alpha1: float, alpha2: float, r: float) -> C
         raise DomainError("coupling factor must satisfy 0 < R <= 1")
     x = sanitize(map_step(sanitize(r * state.y), alpha1))
     y = sanitize(map_step(sanitize(r * state.x), alpha2))
-    return ChaosState(x, y, state.n + 1)
+    return ChaosState(x, y)
 
 
 def to_pixel(x: float, y: float, dims: ImageDims) -> tuple[int, int]:
@@ -164,8 +162,6 @@ def select_positions(keys: SecretKeySet, coupling: PublicCoupling, dims: ImageDi
         raise DomainError("count must be non-negative")
     if count > cells:
         raise InsufficientCapacity(f"requested {count} unique positions from a grid of {cells} cells")
-    if count == 0:
-        return np.empty(0, dtype=np.int64)
     r = coupling.value
     if not 0.0 < r <= 1.0:
         raise DomainError("coupling factor must satisfy 0 < R <= 1")
@@ -174,7 +170,9 @@ def select_positions(keys: SecretKeySet, coupling: PublicCoupling, dims: ImageDi
         raise DomainError("seeds must lie strictly between 0 and 1")
     # map_step's alpha bound keeps every state in (0,1), which the kernels
     # rely on to index the seen-map in range.
-    x, y, _ = initial_state(keys)
+    x, y = initial_state(keys)
+    if count == 0:
+        return np.empty(0, dtype=np.int64)
     cap = iteration_cap(ImageDims(rows, cols))
     orbit = _native_orbit() or _orbit_python
     found = orbit(x, y, keys.alpha1 * keys.alpha1, keys.alpha2 * keys.alpha2, r, rows, cols, count, cap)
@@ -202,7 +200,7 @@ def _orbit_python(
     seen = bytearray(rows * cols)
     found: list[int] = []
     steps = 1
-    save = limit = 1
+    limit = 1
     tx, ty = x, y
     while True:
         col = int(x * cols)  # x in (0,1): int() is floor here
@@ -223,8 +221,7 @@ def _orbit_python(
             if steps >= cap:
                 break
             tx, ty = x, y
-            save *= 2
-            limit = min(save, cap)
+            limit = min(2 * limit, cap)
         # Cross-coupled step, sanitized before storage.
         u = sanitize(r * y)
         t = 2.0 * u - 1.0
@@ -336,11 +333,8 @@ def bifurcation_scan(
     if transient < 0 or samples < 0:
         raise DomainError("transient and samples must be non-negative")
 
-    if alpha_steps == 1:
-        grid = [alpha_min]
-    else:
-        step = (alpha_max - alpha_min) / (alpha_steps - 1)
-        grid = [alpha_min + i * step for i in range(alpha_steps)]
+    step = (alpha_max - alpha_min) / max(alpha_steps - 1, 1)
+    grid = [alpha_min + i * step for i in range(alpha_steps)]
 
     out: list[tuple[float, list[float]]] = []
     for alpha in grid:

@@ -34,8 +34,6 @@ from .keymat import MODES, PublicCoupling, SecretKeySet, validate_coupling, vali
 
 HEADER_BITS = 32
 
-_GROUP_BITS = {"ascii7": 7, "utf16": 16, "raw": 8}
-
 
 @dataclass(frozen=True)
 class MessagePayload:
@@ -93,12 +91,11 @@ def encode_message(message, mode: str) -> MessagePayload:
 
     if not isinstance(message, str):
         raise EncodingError(f"{mode} mode takes a character string")
-    width = _GROUP_BITS[mode]
-    limit = 0x7F if mode == "ascii7" else 0xFFFF
+    width = MODES[mode]
     # One code point per character; surrogatepass keeps lone surrogates,
     # which are single UTF-16 code units.
     cps = np.frombuffer(message.encode("utf-32-le", "surrogatepass"), dtype="<u4")
-    over = np.flatnonzero(cps > limit)
+    over = np.flatnonzero(cps > (1 << width) - 1)
     if over.size:
         cp = int(cps[over[0]])
         raise EncodingError(
@@ -116,7 +113,7 @@ def decode_message(payload: MessagePayload):
         raise DecodeError(
             f"header declares {declared} payload bits but {len(body)} are present"
         )
-    width = _GROUP_BITS[payload.mode]
+    width = MODES[payload.mode]
     if declared % width:
         raise DecodeError(
             f"{declared} payload bits is not a multiple of the {width}-bit "

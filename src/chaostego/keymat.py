@@ -19,7 +19,8 @@ import numpy as np
 from .chaos import ALPHA_MAX, ImageDims, select_positions
 from .errors import DomainError, InsufficientCapacity, ParseError
 
-MODES = ("ascii7", "utf16", "raw")
+#: Message modes and their bits per unit (a character, or a byte for raw).
+MODES = {"ascii7": 7, "utf16": 16, "raw": 8}
 
 _SECRET_FIELDS = ("alpha1", "alpha2", "x0", "y0")
 

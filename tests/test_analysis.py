@@ -191,6 +191,15 @@ class TestGammaQ:
     def test_pinned_values(self, a, x, expected):
         assert gamma_q(a, x).hex() == expected
 
+    # a + 1 rounds to a from 2**53 on; near x = a a large shape needs
+    # more than 1000 terms.  Each once crashed or returned a wrong value.
+    @pytest.mark.parametrize("a, x", [
+        (1e16, 1e16), (1e300, 1e300), (1e306, 1.0), (2.0 ** 53, 1.0), (1e5, 99999.0), (1e6, 999999.0),
+    ])
+    def test_refuses_where_it_cannot_converge(self, a, x):
+        with pytest.raises(DomainError):
+            gamma_q(a, x)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             gamma_q(0.0, 1.0)

@@ -81,12 +81,8 @@ class TestSanitize:
         assert sanitize(1.0) == 1.0 - EPSILON
         assert sanitize(0.5) == 0.5 + EPSILON
 
-    def test_wraps_fractional_part_above_one(self):
-        assert sanitize(2.3) == pytest.approx(0.3)
-        assert sanitize(2.5) == 0.5 + EPSILON  # wraps onto 0.5, then shifts
-        assert sanitize(3.0) == EPSILON
-
-    @given(st.floats(min_value=0.0, max_value=10.0, allow_nan=False))
+    # Map outputs lie in [0, 1] and R <= 1, so no orbit value exceeds 1.
+    @given(st.floats(min_value=0.0, max_value=1.0))
     def test_output_always_in_domain(self, u):
         v = sanitize(u)
         assert 0.0 < v < 1.0 and v != 0.5
@@ -95,36 +91,41 @@ class TestSanitize:
 class TestCoupledStep:
     def test_near_midpoint_outputs_near_zero(self):
         delta = 1e-9
-        state = ChaosState(0.5 - delta, 0.5 - delta, 1)
+        state = ChaosState(0.5 - delta, 0.5 - delta)
         nxt = coupled_step(state, 2.0, 3.0, 1.0)
         assert nxt.x < 1e-12 and nxt.y < 1e-12
         assert nxt.x > 0.0 and nxt.y > 0.0  # sanitization keeps it alive
 
     def test_swapped_closed_form_at_unit_alpha(self):
-        state = ChaosState(0.25, 0.3, 1)
+        state = ChaosState(0.25, 0.3)
         nxt = coupled_step(state, 1.0, 1.0, 1.0)
         assert nxt.x == (2 * 0.3 - 1) ** 2  # fed the other map's output
         assert nxt.y == 0.25
-        assert nxt.n == 2
 
     def test_deterministic(self):
-        state = ChaosState(0.31, 0.72, 5)
+        state = ChaosState(0.31, 0.72)
         a = coupled_step(state, 1.3, 1.7, 0.97)
         b = coupled_step(state, 1.3, 1.7, 0.97)
         assert a == b
 
     def test_rejects_bad_coupling(self):
         with pytest.raises(DomainError):
-            coupled_step(ChaosState(0.3, 0.4, 1), 1.0, 1.0, 0.0)
+            coupled_step(ChaosState(0.3, 0.4), 1.0, 1.0, 0.0)
         with pytest.raises(DomainError):
-            coupled_step(ChaosState(0.3, 0.4, 1), 1.0, 1.0, 1.5)
+            coupled_step(ChaosState(0.3, 0.4), 1.0, 1.0, 1.5)
+
+    def test_values_above_one_are_not_wrapped(self):
+        # sanitize passes them on and map_step refuses them.
+        with pytest.raises(DomainError):
+            initial_state(SecretKeySet(1.3, 1.7, 1.5, 0.72))
+        with pytest.raises(DomainError):
+            coupled_step(ChaosState(0.3, 1.5), 1.0, 1.0, 1.0)
 
     def test_bootstrap_is_uncoupled(self):
         keys = SecretKeySet(1.3, 1.7, 0.31, 0.72)
         first = initial_state(keys)
         assert first.x == sanitize(map_step(sanitize(0.31), 1.3))
         assert first.y == sanitize(map_step(sanitize(0.72), 1.7))
-        assert first.n == 1
 
 
 class TestToPixel:
@@ -155,6 +156,17 @@ class TestSelectPositions:
         flat = select_positions(keys, coupling, ImageDims(64, 64), 0)
         assert len(flat) == 0
         assert flat.dtype == np.int64
+
+    @pytest.mark.parametrize("keys,r", [
+        (SecretKeySet(0.6, 0.7, -0.3, 0.4), 0.99),
+        (SecretKeySet(0.6, 0.7, 0.3, 1.0), 0.99),
+        (SecretKeySet(0.4, 0.7, 0.3, 0.4), 0.99),
+        (SecretKeySet(0.6, 0.7, 0.3, 0.4), 0.0),
+        (SecretKeySet(0.6, 0.7, 0.3, 0.4), 1.5),
+    ], ids=["x0", "y0", "alpha1", "R-zero", "R-above-one"])
+    def test_zero_count_still_checks_keys(self, keys, r):
+        with pytest.raises(DomainError):
+            select_positions(keys, PublicCoupling(r), ImageDims(16, 16), 0)
 
     def test_deterministic_streams(self, live_keys):
         keys, coupling = live_keys
@@ -290,6 +302,13 @@ class TestNativeKernel:
         monkeypatch.setattr(chaos, "_CFLAGS", (*chaos._CFLAGS, "-g"))
         second = chaos._build(source)
         assert second != first and second.exists()
+
+    def test_kernel_epsilon_matches_python(self):
+        # The one constant both languages state; the self-check sees it
+        # only if an orbit hits 0, 0.5 or 1 exactly.
+        source = Path(chaos.__file__).with_name("_orbit.c").read_text()
+        (literal,) = [line.split()[2] for line in source.splitlines() if line.startswith("#define EPSILON ")]
+        assert float.fromhex(literal) == EPSILON
 
     def test_falls_back_when_the_build_fails(self, monkeypatch):
         def fail(source):

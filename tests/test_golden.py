@@ -136,36 +136,40 @@ def test_capacity_failures(dims, count, message, orbit_paths):
         assert str(info.value) == message, path
 
 
-def test_keygen_file_bytes(tmp_path):
+def test_keygen_file_bytes(tmp_path, orbit_paths):
+    for path in orbit_paths:
+        secret, public = tmp_path / f"{path}.s.key", tmp_path / f"{path}.p.key"
+        assert run(["keygen", "--out", str(secret), "--pub", str(public), "--seed", "42"]) == 0
+        assert secret.read_bytes() == KEYGEN_42_SECRET, path
+        assert public.read_bytes() == KEYGEN_42_PUBLIC, path
+
+
+def test_exchange_sim_output(tmp_path, orbit_paths):
     secret, public = tmp_path / "s.key", tmp_path / "p.key"
-    assert run(["keygen", "--out", str(secret), "--pub", str(public), "--seed", "42"]) == 0
-    assert secret.read_bytes() == KEYGEN_42_SECRET
-    assert public.read_bytes() == KEYGEN_42_PUBLIC
-
-
-def test_exchange_sim_output(tmp_path):
-    secret, public, out = tmp_path / "s.key", tmp_path / "p.key", tmp_path / "out.txt"
     secret.write_bytes(KEYGEN_42_SECRET)
     public.write_bytes(KEYGEN_42_PUBLIC)
-    argv = ["exchange-sim", "--alice", str(secret), "--pub", str(public),
-            "--rows", "97", "--cols", "89", "--prefix", "500", "--out", str(out)]
-    assert run(argv) == 0
-    assert out.read_text() == EXCHANGE_SIM_OUTPUT
+    for path in orbit_paths:
+        out = tmp_path / f"{path}.out.txt"
+        argv = ["exchange-sim", "--alice", str(secret), "--pub", str(public),
+                "--rows", "97", "--cols", "89", "--prefix", "500", "--out", str(out)]
+        assert run(argv) == 0
+        assert out.read_text() == EXCHANGE_SIM_OUTPUT, path
 
 
 @pytest.mark.parametrize("rows,cols,channels", [(40, 56, 1), (40, 56, 3)])
-def test_embed_file_bytes(rows, cols, channels):
+def test_embed_file_bytes(rows, cols, channels, orbit_paths):
     keys, coupling = KEY_SETS["seed42"]
     rng = np.random.default_rng(20121101)
     cover = RasterImage(rows, cols, channels, rng.integers(0, 256, rows * cols * channels, dtype=np.uint8))
     payload = encode_message("frozen vectors pin the keyed pixel order " * 4, "ascii7")
-    bundle = embed(cover, payload, keys, coupling)
-    got = (
-        sha256(save_pnm(bundle.stego)),
-        sha256(save_pbm(bundle.ones)),
-        sha256(save_pbm(bundle.zeros)),
-    )
-    assert got == EMBED_SHA256[channels]
+    for path in orbit_paths:
+        bundle = embed(cover, payload, keys, coupling)
+        got = (
+            sha256(save_pnm(bundle.stego)),
+            sha256(save_pbm(bundle.ones)),
+            sha256(save_pbm(bundle.zeros)),
+        )
+        assert got == EMBED_SHA256[channels], path
 
 
 #: The fixed stego image of the grading pins: an even-valued 64x64 cover
@@ -208,18 +212,20 @@ def attack_csv(tmp_path, image, step) -> bytes:
 
 
 @pytest.mark.parametrize("step", sorted(ATTACK_CSV_SHA256))
-def test_attack_csv_bytes(step, tmp_path):
-    write_grading_pair(tmp_path)
-    assert sha256(attack_csv(tmp_path, tmp_path / "stego.pgm", step)) == ATTACK_CSV_SHA256[step]
+def test_attack_csv_bytes(step, tmp_path, orbit_paths):
+    for path in orbit_paths:
+        write_grading_pair(tmp_path)
+        assert sha256(attack_csv(tmp_path, tmp_path / "stego.pgm", step)) == ATTACK_CSV_SHA256[step], path
 
 
-def test_analyze_output(tmp_path):
-    write_grading_pair(tmp_path)
-    out = tmp_path / "quality.txt"
-    argv = ["analyze", "--cover", str(tmp_path / "cover.pgm"), "--stego", str(tmp_path / "stego.pgm"),
-            "--diff-entropy", "--payload-bits", str(GRADING_PAYLOAD_BITS), "--out", str(out)]
-    assert run(argv) == 0
-    assert out.read_text() == ANALYZE_OUTPUT
+def test_analyze_output(tmp_path, orbit_paths):
+    for path in orbit_paths:
+        write_grading_pair(tmp_path)
+        out = tmp_path / "quality.txt"
+        argv = ["analyze", "--cover", str(tmp_path / "cover.pgm"), "--stego", str(tmp_path / "stego.pgm"),
+                "--diff-entropy", "--payload-bits", str(GRADING_PAYLOAD_BITS), "--out", str(out)]
+        assert run(argv) == 0
+        assert out.read_text() == ANALYZE_OUTPUT, path
 
 
 def test_attack_csv_bytes_below_100_samples(tmp_path):
