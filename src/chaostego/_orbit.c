@@ -30,7 +30,8 @@ static double map_step(double u, double asq)
  * only if it is new (the store stays in bounds because the loop ends as
  * soon as found == count).  Stops early once the (x, y) state repeats
  * (Brent's cycle finding): the state is saved at steps 1, 2, 4, 8, ...
- * and compared on steps to a seen cell. */
+ * and compared on steps to a seen cell.  The arguments meet the
+ * precondition in chaos._orbit_python's docstring. */
 int64_t orbit(double x, double y, double a1sq, double a2sq, double r, int64_t rows, int64_t cols,
               int64_t count, int64_t cap, int64_t *out)
 {
@@ -41,8 +42,6 @@ int64_t orbit(double x, double y, double a1sq, double a2sq, double r, int64_t ro
     double tx = x, ty = y;
     for (int64_t steps = 1;; steps++) {
         int64_t col = (int64_t)(x * (double)cols), row = (int64_t)(y * (double)rows);
-        if (col >= cols) col -= 1;
-        if (row >= rows) row -= 1;
         int64_t flat = row * cols + col;
         uint64_t bit = (uint64_t)1 << (flat & 63);
         int64_t fresh = !(seen[flat >> 6] & bit);

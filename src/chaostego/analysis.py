@@ -68,10 +68,7 @@ def psnr(cover: RasterImage, stego: RasterImage, payload_bits: int | None = None
 
 
 def _entropy_bits(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts[counts > 0] / total
+    p = counts[counts > 0] / counts.sum()
     return float(-np.sum(p * np.log2(p)))
 
 
@@ -89,7 +86,7 @@ def neighbor_diff_entropy(image: RasterImage) -> float:
     """
     if image.cols < 2:
         raise DomainError("neighbor differences need at least 2 columns")
-    planes = image.planes().astype(np.int16)
+    planes = image.samples.reshape(image.rows, image.cols, image.channels).astype(np.int16)
     deltas = planes[:, 1:, :] - planes[:, :-1, :]
     counts = np.bincount((deltas + PEAK_VALUE).ravel(), minlength=511)
     return _entropy_bits(counts)
@@ -142,8 +139,9 @@ def _upper_continued_fraction(a: float, x: float) -> float:
 def gamma_q(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x) in [0, 1].
 
-    Series below x = a + 1, continued fraction above; absolute error
-    stays within 1e-10 over the tested domain.  Raises
+    Series below x = a + 1, continued fraction above.  The absolute error
+    against scipy's ``gammaincc`` is within 1e-10 at the attack's shapes
+    (a <= 63.5) and about 2.3e-10 up to a = 1e6.  Raises
     :class:`DomainError` where the expansion in use does not converge
     within ``_GAMMA_MAX_ITER`` terms (near x = a for large a).
     """

@@ -191,6 +191,8 @@ def _orbit_python(
     or fewer if ``cap`` states pass or the state repeats first.
 
     The reference for ``_orbit.c`` and the fallback where it cannot run.
+    Precondition, which :func:`select_positions` meets: x, y in (0, 1),
+    0 < r <= 1 and count >= 1.  Every state then stays in (0, 1), so every cell is on the grid.
     Once an ``(x, y)`` state repeats (Brent's cycle finding) every later
     cell has been seen, so the loop stops with what the cap would give.
     The state is saved at steps 1, 2, 4, 8, ... behind the cap's compare
@@ -203,12 +205,8 @@ def _orbit_python(
     limit = 1
     tx, ty = x, y
     while True:
-        col = int(x * cols)  # x in (0,1): int() is floor here
+        col = int(x * cols)  # x in (0,1): int() is floor, below cols
         row = int(y * rows)
-        if col >= cols:
-            col -= 1
-        if row >= rows:
-            row -= 1
         flat = row * cols + col
         if not seen[flat]:
             seen[flat] = 1
@@ -338,7 +336,7 @@ def bifurcation_scan(
 
     out: list[tuple[float, list[float]]] = []
     for alpha in grid:
-        x = sanitize(x0)
+        x = x0
         for _ in range(transient):
             x = sanitize(map_step(x, alpha))
         recorded: list[float] = []

@@ -21,7 +21,6 @@ from .chaos import ImageDims
 # Bound under the name perfbench/tracing.py patches to time the orbit.
 from .chaos import select_positions as iter_positions
 from .errors import (
-    CapacityError,
     DecodeError,
     DimensionMismatch,
     DomainError,
@@ -163,13 +162,7 @@ def embed(
     """Write the payload bits into the cover at the keyed position stream."""
     _check_keys(keys, coupling)
     bits = payload.bits
-    nbits = len(bits)
-    capacity = cover.rows * cover.flat_cols
-    if nbits > capacity:
-        raise CapacityError(
-            f"payload of {nbits} bits exceeds the {capacity}-sample grid"
-        )
-    flat = iter_positions(keys, coupling, ImageDims(cover.rows, cover.flat_cols), nbits)
+    flat = iter_positions(keys, coupling, ImageDims(cover.rows, cover.flat_cols), len(bits))
 
     stego = cover.samples.copy()
     samples = stego.reshape(-1)

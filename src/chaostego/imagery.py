@@ -55,10 +55,6 @@ class RasterImage:
         """Width of the flattened sample grid (cols * channels)."""
         return self.cols * self.channels
 
-    def planes(self) -> np.ndarray:
-        """View shaped (rows, cols, channels)."""
-        return self.samples.reshape(self.rows, self.cols, self.channels)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RasterImage):
             return NotImplemented

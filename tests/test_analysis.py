@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gammaincc
 
 from chaostego.analysis import (
     _POV_MIN_PAIR_TOTAL,
@@ -195,10 +196,20 @@ class TestGammaQ:
     # more than the 1000 terms either expansion may take.
     @pytest.mark.parametrize("a, x", [
         (1e16, 1e16), (1e300, 1e300), (1e306, 1.0), (2.0 ** 53, 1.0), (1e5, 99999.0), (1e6, 999999.0),
+        (1e7, 1e7 + 1),
     ])
     def test_refuses_where_it_cannot_converge(self, a, x):
         with pytest.raises(DomainError):
             gamma_q(a, x)
+
+    def test_matches_scipy_at_the_attack_shapes(self):
+        # chi_square_attack calls gamma_q(dof / 2, chi / 2) with at most
+        # 127 degrees of freedom.
+        for k in range(1, 128):
+            a = k / 2.0
+            xs = np.linspace(0.0, 4.0 * a + 20.0, 60)
+            got = [gamma_q(a, float(x)) for x in xs]
+            assert np.allclose(got, gammaincc(a, xs), rtol=0.0, atol=1e-10), a
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

@@ -205,6 +205,26 @@ class TestSelectPositions:
         with pytest.raises(InsufficientCapacity):
             select_positions(keys, coupling, ImageDims(8, 8), 65)
 
+    def test_negative_count_rejected(self, live_keys):
+        keys, coupling = live_keys
+        with pytest.raises(DomainError, match="non-negative"):
+            select_positions(keys, coupling, ImageDims(8, 8), -1)
+
+    def test_top_edge_state_maps_to_the_last_cell(self, orbit_paths):
+        # The kernels do not clamp: for binary64 x < 1 and n < 2**53, x * n
+        # rounds below n, so truncation gives at most n - 1.  The largest
+        # state, nextafter(1, 0), must land on the last cell of any grid.
+        top = math.nextafter(1.0, 0.0)
+        n = np.arange(1, 2**20, dtype=np.int64)
+        assert np.array_equal((top * n).astype(np.int64), n - 1)
+        n = np.random.default_rng(14).integers(1, chaos._MAX_CELLS, 10**5)
+        assert np.array_equal((top * n).astype(np.int64), n - 1)
+        for path in orbit_paths:
+            orbit = chaos._native_orbit() or chaos._orbit_python
+            for rows, cols in ((1, 1), (1, 7), (7, 1), (3, 5), (97, 89), (1000, 1000)):
+                got = orbit(top, top, 1.69, 2.89, 0.97, rows, cols, 1, 1)
+                assert got.tolist() == [rows * cols - 1], (path, rows, cols)
+
     def test_orbit_collapse_reported(self):
         # alpha = 3 sits past the chaotic band (the endpoint fixed point
         # attracts once its slope 4/alpha^2 < 1), so this orbit covers only
@@ -309,6 +329,19 @@ class TestNativeKernel:
         source = Path(chaos.__file__).with_name("_orbit.c").read_text()
         (literal,) = [line.split()[2] for line in source.splitlines() if line.startswith("#define EPSILON ")]
         assert float.fromhex(literal) == EPSILON
+
+    @needs_cc
+    def test_kernel_compiles_without_warnings(self, tmp_path):
+        source = Path(chaos.__file__).with_name("_orbit.c")
+        built = subprocess.run(
+            ["cc", *chaos._CFLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "orbit.so"), str(source)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert built.returncode == 0, built.stderr
+
+    def test_falls_back_without_a_compiler(self, monkeypatch):
+        monkeypatch.setattr(chaos.shutil, "which", lambda name: None)
+        assert chaos._native_orbit.__wrapped__() is None
 
     def test_falls_back_when_the_build_fails(self, monkeypatch):
         def fail(source):

@@ -23,7 +23,14 @@ from chaostego import cli
 from chaostego.cli import run
 from chaostego.codec import embed, encode_message
 from chaostego.imagery import load_pnm, save_pbm, save_pnm
-from chaostego.keymat import MODES, format_public_key, parse_public_key, parse_secret_keys
+from chaostego.keymat import (
+    MODES,
+    SecretKeySet,
+    format_public_key,
+    format_secret_keys,
+    parse_public_key,
+    parse_secret_keys,
+)
 from conftest import random_image
 
 
@@ -134,6 +141,13 @@ class TestEmbedExtract:
         (workdir / "msg.txt").write_bytes(b"x" * 4096)  # 28k bits > 4096 samples
         assert self.embed(workdir) == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_oversized_message_names_the_grid(self, workdir, capsys):
+        keygen(workdir)
+        (workdir / "msg.txt").write_bytes(b"x" * 4096)
+        assert self.embed(workdir) == 3
+        assert capsys.readouterr().err == "error: requested 28704 unique positions from a grid of 4096 cells\n"
+        assert not (workdir / "stego.pgm").exists()
 
     def test_corrupt_cover_exits_2(self, workdir):
         keygen(workdir)
@@ -778,3 +792,77 @@ class TestHostileInput:
                     "--pub", str(workdir / "public.key"), "--out", str(workdir / "t.txt")]
         err = self.run_clean(workdir, argv, 3, capsys)
         assert err.startswith("error: out of memory")
+
+
+class TestUntestedErrorPaths:
+    """Error paths a user can reach that no other test takes: each ends
+    with one ``error:`` line and its exit code, and writes no output."""
+
+    run_clean = TestHostileInput.run_clean
+
+    @pytest.mark.parametrize("cover, reason", [
+        ("missing.pgm", "No such file or directory"),
+        ("subdir", "Is a directory"),
+    ])
+    def test_unreadable_cover_exits_2(self, workdir, cover, reason, capsys):
+        keygen(workdir)
+        (workdir / "subdir").mkdir()
+        path = workdir / cover
+        argv = TestEmbedExtract().embed_argv(workdir, cover=cover)
+        assert self.run_clean(workdir, argv, 2, capsys) == f"error: cannot read {path}: {reason}\n"
+
+    @pytest.mark.parametrize("command", ["validate", "embed"])
+    def test_non_utf8_text_exits_2(self, workdir, command, capsys):
+        keygen(workdir)
+        bad = workdir / ("secret.key" if command == "validate" else "msg.txt")
+        bad.write_bytes(b"\xff\xfe")
+        if command == "validate":
+            argv = ["validate", "--secret", str(bad)]
+        else:
+            argv = TestEmbedExtract().embed_argv(workdir)
+        assert self.run_clean(workdir, argv, 2, capsys) == f"error: {bad} is not valid UTF-8\n"
+
+    def test_blank_key_file_line_is_skipped(self, workdir, capsys):
+        keygen(workdir)
+        path = workdir / "secret.key"
+        path.write_text(path.read_text().replace("\n", "\n\n", 1))
+        assert run(["validate", "--secret", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_key_line_without_equals_exits_2(self, workdir, capsys):
+        keygen(workdir)
+        path = workdir / "secret.key"
+        path.write_text("alpha1 0x1p0\n" + path.read_text())
+        err = self.run_clean(workdir, ["validate", "--secret", str(path)], 2, capsys)
+        assert err == "error: secret key file line 1: expected name=value\n"
+
+    def test_hex_literal_with_bad_digits_exits_2(self, workdir, capsys):
+        keygen(workdir)
+        path = workdir / "secret.key"
+        TestInvalidKeys.replace_line(path, "alpha1", "0xZZ")
+        err = self.run_clean(workdir, ["validate", "--secret", str(path)], 2, capsys)
+        assert err == "error: secret key file: alpha1 is not a hexadecimal float literal\n"
+
+    def test_one_byte_image_exits_2(self, workdir, capsys):
+        (workdir / "one.pgm").write_bytes(b"P")
+        argv = ["attack", "--image", str(workdir / "one.pgm"), "--out", str(workdir / "curve.csv")]
+        assert self.run_clean(workdir, argv, 2, capsys) == "error: not a netpbm file\n"
+
+    def test_extract_with_collapsing_keys_exits_3(self, workdir, capsys):
+        keygen(workdir)
+        assert TestEmbedExtract().embed(workdir) == 0
+        (workdir / "secret.key").write_text(format_secret_keys(SecretKeySet(3.0, 2.5, 0.31, 0.72)))
+        argv = TestEmbedExtract().extract_argv(workdir)
+        err = self.run_clean(workdir, argv, 3, capsys)
+        assert err.startswith("error: position stream could not be regenerated: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["exchange-sim", "--rows", "0"],
+        ["bifurcation", "--alpha-min", "0.6", "--alpha-max", "1.9", "--alpha-steps", "3",
+         "--x0", "0.3", "--transient", "-1"],
+    ], ids=["exchange-sim-rows", "bifurcation-transient"])
+    def test_out_of_domain_number_exits_2(self, workdir, argv, capsys):
+        keygen(workdir)
+        if argv[0] == "exchange-sim":
+            argv = [*argv, "--alice", str(workdir / "secret.key"), "--pub", str(workdir / "public.key")]
+        self.run_clean(workdir, [*argv, "--out", str(workdir / "out.txt")], 2, capsys)

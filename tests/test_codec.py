@@ -225,6 +225,13 @@ class TestEmbed:
         with pytest.raises(CapacityError):
             embed(cover, encode_message("too big", "ascii7"), keys, coupling)
 
+    def test_oversized_payload_gets_the_generator_message(self, live_keys):
+        # The position generator makes the one capacity check.
+        keys, coupling = live_keys
+        cover = RasterImage(4, 4, 1, np.zeros(16, dtype=np.uint8))
+        with pytest.raises(InsufficientCapacity, match="^requested 81 unique positions from a grid of 16 cells$"):
+            embed(cover, encode_message("too big", "ascii7"), keys, coupling)
+
     def test_degenerate_key_propagates_capacity_error(self):
         # Orbit collapse surfaces as InsufficientCapacity, a CapacityError.
         keys = SecretKeySet(3.0, 2.5, 0.31, 0.72)

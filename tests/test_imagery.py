@@ -36,6 +36,27 @@ matrices = st.builds(
 )
 
 
+class TestRasterImage:
+    @pytest.mark.parametrize("rows, cols, channels, samples, message", [
+        (0, 4, 1, np.zeros(0, dtype=np.uint8), "at least 1x1"),
+        (4, 0, 1, np.zeros(0, dtype=np.uint8), "at least 1x1"),
+        (2, 2, 2, np.zeros(8, dtype=np.uint8), "channels must be 1"),
+        (2, 2, 1, np.zeros(4, dtype=np.float64), "must be integers"),
+        (2, 2, 1, np.array([0, 1, 2, -1]), r"lie in \[0, 255\]"),
+        (2, 2, 1, np.array([0, 1, 2, 256]), r"lie in \[0, 255\]"),
+        (2, 2, 1, np.zeros(5, dtype=np.uint8), "expected 4 samples, got 5"),
+    ], ids=["rows-0", "cols-0", "channels-2", "float", "below-0", "above-255", "count"])
+    def test_rejects_bad_arguments(self, rows, cols, channels, samples, message):
+        with pytest.raises(ValueError, match=message):
+            RasterImage(rows, cols, channels, samples)
+
+    def test_in_range_int64_samples_become_uint8(self):
+        values = np.arange(0, 256, 17, dtype=np.int64)[:12]
+        image = RasterImage(2, 2, 3, values)
+        assert image.samples.dtype == np.uint8
+        assert image == RasterImage(2, 2, 3, values.astype(np.uint8))
+
+
 class TestLoadPnm:
     def test_smallest_pgm(self):
         img = load_pnm(b"P5\n2 2\n255\n" + bytes([0, 1, 2, 3]))
