@@ -794,7 +794,7 @@ class TestHostileInput:
         assert err.startswith("error: out of memory")
 
 
-class TestUntestedErrorPaths:
+class TestReachableErrorPaths:
     """Error paths a user can reach that no other test takes: each ends
     with one ``error:`` line and its exit code, and writes no output."""
 
