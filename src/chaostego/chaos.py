@@ -1,10 +1,11 @@
-"""Cross-coupled chaotic maps and duplicate-free pixel position selection.
+"""Cross-coupled chaotic maps, the key rule and pixel position selection.
 
 Two copies of a one-parameter rational map are cross-coupled through a
 public factor: each map's next input is the other map's previous output
 scaled by the factor. The resulting orbit, converted to integer pixel
 coordinates and deduplicated, is the shared secret ordering in which
-payload bits are placed into an image.
+payload bits are placed into an image. The validators state which keys
+and coupling factors the generator accepts, and it checks them first.
 
 All iteration happens in IEEE-754 binary64 with a fixed evaluation order
 (no FMA, no extended precision), so two independent runs with the same
@@ -39,6 +40,44 @@ EPSILON = 2.0 ** -40
 #: Largest accepted map parameter.  The map squares it, and above 2**511 the
 #: square can overflow to inf, after which the orbit turns to NaN.
 ALPHA_MAX = 2.0 ** 511
+
+
+def _check_alpha(name: str, value: float, violations: list[str]) -> None:
+    if not math.isfinite(value):
+        violations.append(f"{name}: must be finite")
+    elif not value > 0.5:
+        violations.append(f"{name}: must be greater than 0.5")
+    elif value > ALPHA_MAX:
+        violations.append(f"{name}: must not exceed 2**511")
+
+
+def _check_seed(name: str, value: float, violations: list[str]) -> None:
+    if not 0.0 < value < 1.0:
+        violations.append(f"{name}: must lie strictly between 0 and 1")
+    elif value == 0.5:
+        violations.append(f"{name}: must not equal 0.5")
+
+
+def validate_keys(keys: SecretKeySet) -> list[str]:
+    """Return every violated key invariant (empty list means valid).
+
+    Messages name the offending field but never echo its value, so they
+    are safe to surface on a terminal or in logs.
+    """
+    violations: list[str] = []
+    _check_alpha("alpha1", keys.alpha1, violations)
+    _check_alpha("alpha2", keys.alpha2, violations)
+    _check_seed("x0", keys.x0, violations)
+    _check_seed("y0", keys.y0, violations)
+    return violations
+
+
+def validate_coupling(coupling: PublicCoupling) -> list[str]:
+    """Return violations of the 0 < R <= 1 bound (empty list means valid)."""
+    r = coupling.value
+    if not 0.0 < r <= 1.0:
+        return ["R: must satisfy 0 < R <= 1"]
+    return []
 
 
 class ImageDims(NamedTuple):
@@ -149,11 +188,15 @@ def select_positions(keys: SecretKeySet, coupling: PublicCoupling, dims: ImageDi
     :func:`_orbit_python`; both inline :func:`coupled_step`'s map
     arithmetic and :func:`to_pixel` and perform the exact same binary64
     operations in the same order, which the test suite cross-checks
-    against the step-by-step functions.  Raises
+    against the step-by-step functions.  Raises :class:`DomainError`
+    naming every violated key and coupling field before anything else,
     :class:`InsufficientCapacity` if the iteration cap runs out, or the
     orbit closes a cycle, before ``count`` unique positions are found, and
     :class:`MemoryError` if the compiled kernel cannot allocate its seen-map.
     """
+    violations = validate_keys(keys) + validate_coupling(coupling)
+    if violations:
+        raise DomainError("invalid keys: " + "; ".join(violations))
     rows, cols = _check_dims(dims)
     cells = rows * cols
     if cells > _MAX_CELLS:
@@ -163,13 +206,6 @@ def select_positions(keys: SecretKeySet, coupling: PublicCoupling, dims: ImageDi
     if count > cells:
         raise InsufficientCapacity(f"requested {count} unique positions from a grid of {cells} cells")
     r = coupling.value
-    if not 0.0 < r <= 1.0:
-        raise DomainError("coupling factor must satisfy 0 < R <= 1")
-    # Outside (0,1) the map leaves [0,1] and the orbit indexes off the grid.
-    if not (0.0 < keys.x0 < 1.0) or not (0.0 < keys.y0 < 1.0):
-        raise DomainError("seeds must lie strictly between 0 and 1")
-    # map_step's alpha bound keeps every state in (0,1), which the kernels
-    # rely on to index the seen-map in range.
     x, y = initial_state(keys)
     if count == 0:
         return np.empty(0, dtype=np.int64)

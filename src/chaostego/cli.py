@@ -175,8 +175,8 @@ def format_attack_csv(points: list[analysis.AttackPoint]) -> str:
 # Subcommand handlers
 # ---------------------------------------------------------------------------
 
-# The library entry points (codec.embed/extract, keymat.simulate_exchange)
-# check key invariants; the handlers only read and parse key files.
+# chaos.select_positions, under every library entry point, checks the key
+# invariants; the handlers only read and parse key files.
 
 def _cmd_keygen(args) -> int:
     keys, coupling = keymat.generate_keys(args.seed)
@@ -189,7 +189,7 @@ def _cmd_keygen(args) -> int:
 
 def _cmd_validate(args) -> int:
     violations = keymat.validate_keys(keymat.parse_secret_keys(_read_text(args.secret)))
-    if args.pub:
+    if args.pub is not None:
         coupling, _ = keymat.parse_public_key(_read_text(args.pub))
         violations += keymat.validate_coupling(coupling)
     for v in violations:
@@ -259,7 +259,7 @@ def _cmd_attack(args) -> int:
 
 def _cmd_exchange_sim(args) -> int:
     alice = keymat.parse_secret_keys(_read_text(args.alice))
-    bob = keymat.parse_secret_keys(_read_text(args.bob)) if args.bob else alice
+    bob = keymat.parse_secret_keys(_read_text(args.bob)) if args.bob is not None else alice
     coupling, _ = keymat.parse_public_key(_read_text(args.pub))
     transcript = keymat.simulate_exchange(
         alice, bob, coupling, chaos.ImageDims(args.rows, args.cols), k=args.prefix

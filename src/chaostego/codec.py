@@ -23,13 +23,12 @@ from .chaos import select_positions as iter_positions
 from .errors import (
     DecodeError,
     DimensionMismatch,
-    DomainError,
     EncodingError,
     ExtractError,
     InsufficientCapacity,
 )
 from .imagery import RasterImage
-from .keymat import MODES, PublicCoupling, SecretKeySet, validate_coupling, validate_keys
+from .keymat import MODES, PublicCoupling, SecretKeySet
 
 HEADER_BITS = 32
 
@@ -147,12 +146,6 @@ class StegoBundle:
     mode: str
 
 
-def _check_keys(keys: SecretKeySet, coupling: PublicCoupling) -> None:
-    bad = validate_keys(keys) + validate_coupling(coupling)
-    if bad:
-        raise DomainError("invalid keys: " + "; ".join(bad))
-
-
 def embed(
     cover: RasterImage,
     payload: MessagePayload,
@@ -160,7 +153,6 @@ def embed(
     coupling: PublicCoupling,
 ) -> StegoBundle:
     """Write the payload bits into the cover at the keyed position stream."""
-    _check_keys(keys, coupling)
     bits = payload.bits
     flat = iter_positions(keys, coupling, ImageDims(cover.rows, cover.flat_cols), len(bits))
 
@@ -187,7 +179,6 @@ def extract(bundle: StegoBundle, keys: SecretKeySet) -> MessagePayload:
     was changed and the bit is that shared mark; otherwise the bit is the
     stego LSB (which under lossless transport equals the cover LSB).
     """
-    _check_keys(keys, bundle.coupling)
     samples = bundle.stego.samples
     for m in (bundle.ones, bundle.zeros):
         if m.shape != samples.shape:

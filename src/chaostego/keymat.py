@@ -1,4 +1,4 @@
-"""Key material, validation, key files, and the exchange simulation.
+"""Key material, key files, key generation and the exchange simulation.
 
 The four reals seeding the coupled generator are a pre-shared secret;
 the only value that ever crosses the channel in the open is the coupling
@@ -9,14 +9,13 @@ image and are modeled here as opaque digests).
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .chaos import ALPHA_MAX, ImageDims, select_positions
+from .chaos import ImageDims, select_positions, validate_coupling, validate_keys
 from .errors import DomainError, InsufficientCapacity, ParseError
 
 #: Message modes and their bits per unit (a character, or a byte for raw).
@@ -56,44 +55,6 @@ class ExchangeTranscript:
 
     events: list[ChannelEvent]
     agreement: bool
-
-
-def _check_alpha(name: str, value: float, violations: list[str]) -> None:
-    if not math.isfinite(value):
-        violations.append(f"{name}: must be finite")
-    elif not value > 0.5:
-        violations.append(f"{name}: must be greater than 0.5")
-    elif value > ALPHA_MAX:
-        violations.append(f"{name}: must not exceed 2**511")
-
-
-def _check_seed(name: str, value: float, violations: list[str]) -> None:
-    if not 0.0 < value < 1.0:
-        violations.append(f"{name}: must lie strictly between 0 and 1")
-    elif value == 0.5:
-        violations.append(f"{name}: must not equal 0.5")
-
-
-def validate_keys(keys: SecretKeySet) -> list[str]:
-    """Return every violated key invariant (empty list means valid).
-
-    Messages name the offending field but never echo its value, so they
-    are safe to surface on a terminal or in logs.
-    """
-    violations: list[str] = []
-    _check_alpha("alpha1", keys.alpha1, violations)
-    _check_alpha("alpha2", keys.alpha2, violations)
-    _check_seed("x0", keys.x0, violations)
-    _check_seed("y0", keys.y0, violations)
-    return violations
-
-
-def validate_coupling(coupling: PublicCoupling) -> list[str]:
-    """Return violations of the 0 < R <= 1 bound (empty list means valid)."""
-    r = coupling.value
-    if not 0.0 < r <= 1.0:
-        return ["R: must satisfy 0 < R <= 1"]
-    return []
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +219,6 @@ def simulate_exchange(
     parties derived the identical first-k positions, which requires the
     secrets to match bit for bit.
     """
-    for label, keys in (("alice", alice_keys), ("bob", bob_keys)):
-        bad = validate_keys(keys)
-        if bad:
-            raise DomainError(f"{label} keys invalid: {'; '.join(bad)}")
-    bad = validate_coupling(coupling)
-    if bad:
-        raise DomainError("; ".join(bad))
     if k < 1:
         raise DomainError("agreement prefix length must be positive")
 

@@ -1,5 +1,6 @@
 """Map iteration, sanitization, and position stream behavior."""
 
+import itertools
 import math
 import os
 import shutil
@@ -24,6 +25,8 @@ from chaostego.chaos import (
     sanitize,
     select_positions,
     to_pixel,
+    validate_coupling,
+    validate_keys,
 )
 from chaostego.errors import DomainError, InsufficientCapacity
 from chaostego.keymat import ALPHA_RANGE, PublicCoupling, SecretKeySet
@@ -167,6 +170,27 @@ class TestSelectPositions:
     def test_zero_count_still_checks_keys(self, keys, r):
         with pytest.raises(DomainError):
             select_positions(keys, PublicCoupling(r), ImageDims(16, 16), 0)
+
+    def test_refuses_exactly_what_the_validators_refuse(self, orbit_paths):
+        # One key rule: select_positions raises DomainError iff the
+        # validators report a violation, names every one, and checks keys
+        # before the count.  Valid edge keys may still run out of capacity.
+        alphas = (math.nan, 0.5, math.nextafter(0.5, 1.0), 2.0**511, math.nextafter(2.0**511, math.inf))
+        seeds = (0.0, 5e-324, 0.5, math.nextafter(1.0, 0.0), 1.0)
+        couplings = (0.0, 5e-324, 1.0, math.nextafter(1.0, 2.0))
+        dims = ImageDims(16, 16)
+        for path in orbit_paths:
+            for a1, a2, x0, y0, r, count in itertools.product(alphas, alphas, seeds, seeds, couplings, (0, 5)):
+                keys, coupling = SecretKeySet(a1, a2, x0, y0), PublicCoupling(r)
+                bad = validate_keys(keys) + validate_coupling(coupling)
+                try:
+                    select_positions(keys, coupling, dims, count)
+                    got = None
+                except DomainError as exc:
+                    got = str(exc)
+                except InsufficientCapacity:
+                    got = None
+                assert got == ("invalid keys: " + "; ".join(bad) if bad else None), (path, keys, r, count)
 
     def test_deterministic_streams(self, live_keys):
         keys, coupling = live_keys

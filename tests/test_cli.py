@@ -856,6 +856,19 @@ class TestReachableErrorPaths:
         err = self.run_clean(workdir, argv, 3, capsys)
         assert err.startswith("error: position stream could not be regenerated: ")
 
+    @pytest.mark.parametrize("command", ["exchange-sim", "validate"])
+    def test_empty_key_path_is_read_not_skipped(self, workdir, command, capsys):
+        # An empty --bob or --pub is a path like any other: it must not fall
+        # back to Alice's keys or skip the public file.
+        keygen(workdir)
+        secret = str(workdir / "secret.key")
+        if command == "exchange-sim":
+            argv = ["exchange-sim", "--alice", secret, "--bob", "", "--pub", str(workdir / "public.key"),
+                    "--out", str(workdir / "out.txt")]
+        else:
+            argv = ["validate", "--secret", secret, "--pub", ""]
+        assert self.run_clean(workdir, argv, 2, capsys) == "error: cannot read : Is a directory\n"
+
     @pytest.mark.parametrize("argv", [
         ["exchange-sim", "--rows", "0"],
         ["bifurcation", "--alpha-min", "0.6", "--alpha-max", "1.9", "--alpha-steps", "3",

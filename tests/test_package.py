@@ -1,7 +1,8 @@
 """The package root exports exactly the names README's "Library use" shows,
-every name it lists under a module exists there, and its shell examples
-are valid invocations."""
+every name it lists under a module exists there, its shell examples are
+valid invocations, and each module uses what it imports."""
 
+import ast
 import importlib
 import re
 import shlex
@@ -23,14 +24,41 @@ def test_root_names_match_readme_library_use():
     assert exported == documented
 
 
-def test_readme_module_names_exist():
+def readme_module_names():
+    """{module: names} for each ``chaostego.<module>`` (`name`, ...) entry
+    in README's "Library use"."""
     section = README.read_text().split("## Library use", 1)[1].split("\n## ", 1)[0]
     listed = re.findall(r"`chaostego\.(\w+)`\s*\(([^)]*)\)", section)
-    assert {module for module, _ in listed} == {"codec", "imagery", "keymat", "analysis"}
-    for module, names in listed:
+    return {module: set(re.findall(r"`(\w+)`", names)) for module, names in listed}
+
+
+def test_readme_module_names_exist():
+    listed = readme_module_names()
+    assert set(listed) == {"codec", "imagery", "keymat", "analysis"}
+    for module, names in listed.items():
         attributes = vars(importlib.import_module(f"chaostego.{module}"))
-        for name in re.findall(r"`(\w+)`", names):
+        for name in names:
             assert name in attributes, f"README lists chaostego.{module}.{name}"
+
+
+def test_every_import_is_used_or_listed():
+    # The unused-import rule of a linter, which the project does not use:
+    # each package module other than __init__ must use every name it
+    # imports, or README's "Library use" must list the name under it.
+    listed = readme_module_names()
+    for path in sorted(Path(chaostego.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = imported - used - listed.get(path.stem, set())
+        assert not unused, f"chaostego.{path.stem} imports {sorted(unused)} and never uses them"
 
 
 def readme_commands():
