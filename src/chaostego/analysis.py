@@ -69,7 +69,7 @@ def psnr(cover: RasterImage, stego: RasterImage, payload_bits: int | None = None
 
 def _entropy_bits(counts: np.ndarray) -> float:
     p = counts[counts > 0] / counts.sum()
-    return float(-np.sum(p * np.log2(p)))
+    return 0.0 - float(np.sum(p * np.log2(p)))  # +0.0, not -0.0, for one value
 
 
 def histogram_entropy(image: RasterImage) -> float:
@@ -179,8 +179,12 @@ def chi_square_attack(image: RasterImage, step_percent: int) -> list[AttackPoint
     frequencies are equalized (stego-like); near 0 means natural imbalance.
     Prefixes with fewer than 2 usable pairs record p_embedding = 0.
 
-    One pass: each prefix's histogram is the previous one plus the counts
-    of the samples that extend it.
+    Cumulative histograms: one ``bincount`` per new segment, summed down
+    the prefixes.  The pair statistics then come from whole-array passes
+    over every prefix at once; they are elementwise, so each term keeps
+    its bits.  Only each prefix's sum over its included pairs (the same
+    compressed array a per-prefix scan sums) and its ``gamma_q`` call
+    stay per prefix.
     """
     if not (1 <= step_percent <= 100):
         raise DomainError("step_percent must lie in [1, 100]")
@@ -189,24 +193,17 @@ def chi_square_attack(image: RasterImage, step_percent: int) -> list[AttackPoint
     percents = list(range(step_percent, 101, step_percent))
     if percents[-1] != 100:
         percents.append(100)
+    bounds = [0] + [(total * t) // 100 for t in percents]
+    hists = np.cumsum([np.bincount(flat[s:e], minlength=256) for s, e in zip(bounds, bounds[1:])], axis=0)
+    even = hists[:, 0::2].astype(np.float64)
+    pair_total = even + hists[:, 1::2]
+    included = pair_total > _POV_MIN_PAIR_TOTAL
+    expected = pair_total / 2.0
+    terms = np.divide((even - expected) ** 2, expected, out=np.zeros_like(even), where=included)
+    dofs = included.sum(axis=1) - 1
     points: list[AttackPoint] = []
-    hist = np.zeros(256, dtype=np.int64)
-    start = 0
-    for t in percents:
-        end = (total * t) // 100
-        hist += np.bincount(flat[start:end], minlength=256)
-        start = end
-        even = hist[0::2].astype(np.float64)
-        odd = hist[1::2].astype(np.float64)
-        pair_total = even + odd
-        included = pair_total > _POV_MIN_PAIR_TOTAL
-        expected = pair_total[included] / 2.0
-        chi = float(np.sum((even[included] - expected) ** 2 / expected)) if included.any() else 0.0
-        dof = int(included.sum()) - 1
-        if dof >= 1:
-            p = gamma_q(dof / 2.0, chi / 2.0)
-        else:
-            p = 0.0  # not enough occupied pairs to detect anything
+    for t, row, mask, dof in zip(percents, terms, included, dofs.tolist()):
+        chi = float(row[mask].sum())
+        p = gamma_q(dof / 2.0, chi / 2.0) if dof >= 1 else 0.0
         points.append(AttackPoint(t / 100.0, chi, max(dof, 0), p))
     return points
-

@@ -106,7 +106,8 @@ class TestPsnr:
 
 class TestHistogramEntropy:
     def test_constant_image(self):
-        assert histogram_entropy(gray(4, 4, [77] * 16)) == 0.0
+        h = histogram_entropy(gray(4, 4, [77] * 16))
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0
 
     def test_uniform_histogram_is_eight_bits(self):
         img = gray(16, 16, list(range(256)))
@@ -124,7 +125,8 @@ class TestHistogramEntropy:
 
 class TestNeighborDiffEntropy:
     def test_constant_image(self):
-        assert neighbor_diff_entropy(gray(3, 4, [9] * 12)) == 0.0
+        h = neighbor_diff_entropy(gray(3, 4, [9] * 12))
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0
 
     def test_alternating_columns_give_one_bit(self):
         # 5 columns alternating 0,255: per row the diffs are +255, -255,
@@ -264,6 +266,12 @@ def per_prefix_attack(image, step_percent):
     return points
 
 
+def reprs(points):
+    """The attack's points as the CSV prints them, field by field, so a
+    -0.0 or NaN difference counts as a difference."""
+    return [tuple(map(repr, point)) for point in points]
+
+
 class TestChiSquareAttack:
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(
@@ -282,7 +290,19 @@ class TestChiSquareAttack:
         high = min(low + width, 255)
         values = rng.integers(low, high, rows * cols * channels, dtype=np.uint8, endpoint=True)
         image = RasterImage(rows, cols, channels, values)
-        assert chi_square_attack(image, step) == per_prefix_attack(image, step)
+        assert reprs(chi_square_attack(image, step)) == reprs(per_prefix_attack(image, step))
+
+    def test_workload_sized_scan_equals_per_prefix_oracle(self):
+        # Random samples, then even-only ones: the p-values sweep from 1
+        # towards 0, through both of gamma_q's expansions.
+        rng = np.random.default_rng(34)
+        samples = rng.integers(0, 256, 512 * 512, dtype=np.uint8)
+        samples[samples.size // 2:] &= 0xFE
+        points = chi_square_attack(RasterImage(512, 512, 1, samples), 1)
+        assert reprs(points) == reprs(per_prefix_attack(RasterImage(512, 512, 1, samples), 1))
+        series = sum(p.chi_square / 2.0 < p.dof / 2.0 + 1.0 for p in points)
+        assert (len(points), series) == (100, 51)
+        assert sum(0.0 < p.p_embedding < 1.0 for p in points) == 59
 
     def test_equal_pairs_scan_is_all_ones(self):
         img = paired_cover(100, 100)  # every 10% prefix has even length

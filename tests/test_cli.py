@@ -621,6 +621,20 @@ class TestAnalysisCommands:
                 "cover_diff_entropy_bits", "stego_diff_entropy_bits"} <= set(pairs)
         assert float(pairs["psnr_db"]) > 40.0
 
+    def test_single_valued_histograms_print_positive_zero(self, tmp_path, capsys):
+        # A 2x1 image of samples 7, 8 has one neighbor difference; a 1x1
+        # image has one sample value.  Both entropies are +0.0, not -0.0.
+        (tmp_path / "two.pgm").write_bytes(b"P5\n2 1\n255\n\x07\x08")
+        (tmp_path / "one.pgm").write_bytes(b"P5\n1 1\n255\n\x07")
+        two = str(tmp_path / "two.pgm")
+        assert run(["analyze", "--cover", two, "--stego", two, "--diff-entropy"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "cover_diff_entropy_bits=0.0" in lines and "stego_diff_entropy_bits=0.0" in lines
+        one = str(tmp_path / "one.pgm")
+        assert run(["analyze", "--cover", one, "--stego", one]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "cover_histogram_entropy_bits=0.0" in lines and "stego_histogram_entropy_bits=0.0" in lines
+
     @pytest.mark.parametrize("bits,code", [("-1", 2), (str(64 * 64 + 1), 3)])
     def test_analyze_payload_bits_out_of_range(self, workdir, bits, code, capsys):
         keygen(workdir)

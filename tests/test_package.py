@@ -1,9 +1,11 @@
 """The package root exports exactly the names README's "Library use" shows,
 every name it lists under a module exists there, its shell examples are
-valid invocations, and each module uses what it imports."""
+valid invocations, each module uses what it imports, and the benchmark
+evidence at the repository root comes in complete, paired files."""
 
 import ast
 import importlib
+import json
 import re
 import shlex
 import types
@@ -12,7 +14,8 @@ from pathlib import Path
 import chaostego
 from chaostego import cli
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_root_names_match_readme_library_use():
@@ -83,3 +86,21 @@ def test_readme_commands_name_real_subcommands_and_flags():
             if token.startswith("-"):
                 assert token in flags, f"README passes {token} to chaostego {argv[0]}"
         cli._build_parser().parse_args(argv)  # raises on a usage error
+
+
+def test_bench_files_are_named_correct_and_paired():
+    # A speed claim counts only from paired perfbench runs of one change,
+    # saved as BENCH_<change>_<parent|change>_<workload>_<seed>.json.
+    workloads = {w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]}
+    pattern = re.compile(r"BENCH_(\d+)_(parent|change)_(%s)_(\d+)\.json" % "|".join(map(re.escape, workloads)))
+    runs = set()
+    for path in sorted(ROOT.glob("BENCH_*.json")):
+        match = pattern.fullmatch(path.name)
+        assert match, f"{path.name}: not BENCH_<change>_<parent|change>_<workload>_<seed>.json"
+        result = json.loads(path.read_text().strip().splitlines()[-1])
+        assert result["correct"] is True, f"{path.name}: correct is not true"
+        runs.add(match.groups())
+    for change, side, workload, seed in runs:
+        partner = "change" if side == "parent" else "parent"
+        name = f"BENCH_{change}_{side}_{workload}_{seed}.json"
+        assert (change, partner, workload, seed) in runs, f"{name} has no {partner} run"
