@@ -17,9 +17,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, DimensionMismatch, DomainError
-from .imagery import RasterImage
+from .imagery import RasterImage, abs_difference
 
 PEAK_VALUE = 255  # 8-bit unsigned samples
+_COUNT_CHUNK = 1 << 15  # samples per bincount call; its intp copy stays at 256 KB
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,11 @@ def psnr(cover: RasterImage, stego: RasterImage, payload_bits: int | None = None
     Identical images report infinite PSNR.  ``payload_bits``, when known,
     fills in the hiding capacity in bits per pixel; it must lie between 0
     and the sample count.
+
+    The differences stay uint8 (``imagery.abs_difference``) and their
+    squares uint16, which holds 255**2 exactly, so the int64 sum is the
+    same integer a widened copy gives.  Working memory: about 3 bytes per
+    sample.
     """
     if (cover.rows, cover.cols, cover.channels) != (stego.rows, stego.cols, stego.channels):
         raise DimensionMismatch(f"{cover!r} vs {stego!r}: dimensions must match")
@@ -57,8 +63,8 @@ def psnr(cover: RasterImage, stego: RasterImage, payload_bits: int | None = None
         if payload_bits > cover.samples.size:
             raise CapacityError(f"{payload_bits} payload bits exceed the {cover.samples.size}-sample grid")
         hc = payload_bits / (cover.rows * cover.cols)
-    delta = cover.samples.astype(np.int16) - stego.samples.astype(np.int16)
-    mse = float(np.sum(np.square(delta, dtype=np.int32), dtype=np.int64) / delta.size)
+    delta = abs_difference(cover, stego)
+    mse = float(np.sum(np.square(delta, dtype=np.uint16), dtype=np.int64) / delta.size)
     if mse == 0.0:
         psnr_db = math.inf
     else:
@@ -67,29 +73,43 @@ def psnr(cover: RasterImage, stego: RasterImage, payload_bits: int | None = None
     return QualityReport(psnr_db=psnr_db, mse=mse, flips=flips, hiding_capacity_bpp=hc)
 
 
+def _bincount(values: np.ndarray, bins: int) -> np.ndarray:
+    # np.bincount copies its input to intp; a chunk at a time bounds that copy.
+    flat = values.ravel()
+    counts = np.zeros(bins, dtype=np.int64)
+    for start in range(0, flat.size, _COUNT_CHUNK):
+        counts += np.bincount(flat[start : start + _COUNT_CHUNK], minlength=bins)
+    return counts
+
+
 def _entropy_bits(counts: np.ndarray) -> float:
     p = counts[counts > 0] / counts.sum()
     return 0.0 - float(np.sum(p * np.log2(p)))  # +0.0, not -0.0, for one value
 
 
 def histogram_entropy(image: RasterImage) -> float:
-    """Shannon entropy of the 256-bin sample-value histogram, in bits."""
-    counts = np.bincount(image.samples.ravel(), minlength=256)
-    return _entropy_bits(counts)
+    """Shannon entropy of the 256-bin sample-value histogram, in bits.
+
+    The uint8 samples are counted a bounded chunk at a time, so the
+    working memory is a fixed 256 KB.
+    """
+    return _entropy_bits(_bincount(image.samples, 256))
 
 
 def neighbor_diff_entropy(image: RasterImage) -> float:
     """Shannon entropy of horizontal neighbor differences (511 bins).
 
     Differences are taken within each channel plane and pooled into one
-    histogram over [-255, 255].
+    histogram over [-255, 255].  They are int16, shifted in place to
+    [0, 510] and counted a bounded chunk at a time: the working memory is
+    about 2 bytes per sample plus a fixed 256 KB.
     """
     if image.cols < 2:
         raise DomainError("neighbor differences need at least 2 columns")
-    planes = image.samples.reshape(image.rows, image.cols, image.channels).astype(np.int16)
-    deltas = planes[:, 1:, :] - planes[:, :-1, :]
-    counts = np.bincount((deltas + PEAK_VALUE).ravel(), minlength=511)
-    return _entropy_bits(counts)
+    planes = image.samples.reshape(image.rows, image.cols, image.channels)
+    deltas = np.subtract(planes[:, 1:, :], planes[:, :-1, :], dtype=np.int16)
+    deltas += PEAK_VALUE
+    return _entropy_bits(_bincount(deltas, 2 * PEAK_VALUE + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,14 @@ def save_pbm(marks: np.ndarray) -> bytes:
 # Change accounting
 # ---------------------------------------------------------------------------
 
+def abs_difference(cover: RasterImage, stego: RasterImage) -> np.ndarray:
+    """|cover - stego| per sample as uint8: the larger minus the smaller,
+    so no sample is widened.  The images must share dimensions."""
+    delta = np.maximum(cover.samples, stego.samples)
+    delta -= np.minimum(cover.samples, stego.samples)
+    return delta
+
+
 def flip_count(cover: RasterImage, stego: RasterImage) -> int:
     """Number of samples where the two images differ.
 
@@ -179,8 +187,8 @@ def flip_count(cover: RasterImage, stego: RasterImage) -> int:
         raise DimensionMismatch(
             f"{cover!r} vs {stego!r}: images must share dimensions and channels"
         )
-    delta = cover.samples.astype(np.int16) - stego.samples.astype(np.int16)
-    bad = np.argwhere(np.abs(delta) > 1)
+    delta = abs_difference(cover, stego)
+    bad = np.argwhere(delta > 1)
     if len(bad):
         shown = ", ".join(f"({r}, {c})" for r, c in bad[:5])
         raise DomainError(

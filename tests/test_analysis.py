@@ -1,6 +1,7 @@
 """Quality metrics, the incomplete gamma, and the chi-square attack."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy.special import gammaincc
 
 from chaostego.analysis import (
     _POV_MIN_PAIR_TOTAL,
+    _entropy_bits,
     chi_square_attack,
     gamma_q,
     histogram_entropy,
@@ -30,6 +32,30 @@ from conftest import random_image
 
 def gray(rows, cols, values):
     return RasterImage(rows, cols, 1, np.asarray(values, dtype=np.uint8))
+
+
+def psnr_oracle(cover, stego):
+    """PSNR's fields from int64 differences: mse and psnr_db as the report
+    prints them (repr), and the changed-sample count."""
+    delta = cover.samples.astype(np.int64) - stego.samples.astype(np.int64)
+    squares = int(np.sum(delta * delta))
+    mse = squares / delta.size
+    psnr_db = math.inf if squares == 0 else 10.0 * math.log10(255 * 255 / mse)
+    return repr(mse), repr(psnr_db), int(np.count_nonzero(delta))
+
+
+def pure_python_diff_entropy(image):
+    """Entropy of horizontal neighbor differences, counted in plain Python
+    inside each channel plane and pooled."""
+    pixels = image.samples.reshape(image.rows, image.cols, image.channels)
+    counts = {}
+    for r in range(image.rows):
+        for c in range(image.cols - 1):
+            for k in range(image.channels):
+                d = int(pixels[r, c + 1, k]) - int(pixels[r, c, k])
+                counts[d] = counts.get(d, 0) + 1
+    total = sum(counts.values())
+    return -sum((n / total) * math.log2(n / total) for n in counts.values()), counts
 
 
 def gamma_q_by_quadrature(a: float, x: float) -> float:
@@ -54,12 +80,14 @@ class TestPsnr:
         assert report.mse == 0.0 and report.flips == 0
 
     def test_full_scale_difference_is_zero_db(self):
-        cover = gray(4, 4, [0] * 16)
-        stego = gray(4, 4, [255] * 16)
-        report = psnr(cover, stego)
-        assert report.psnr_db == 0.0
-        assert report.mse == 255.0 ** 2
-        assert report.flips == 16
+        # 255**2 is the largest square; it must not wrap either way round.
+        zeros = gray(4, 4, [0] * 16)
+        peaks = gray(4, 4, [255] * 16)
+        for cover, stego in ((zeros, peaks), (peaks, zeros)):
+            report = psnr(cover, stego)
+            assert report.psnr_db == 0.0
+            assert report.mse == 255.0 ** 2
+            assert report.flips == 16
 
     def test_single_unit_difference_on_512(self):
         samples = np.zeros(512 * 512, dtype=np.uint8)
@@ -103,6 +131,31 @@ class TestPsnr:
         assert report.flips == 1
         assert report.mse == 4.5
 
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        rows=st.integers(1, 40),
+        cols=st.integers(1, 40),
+        channels=st.sampled_from([1, 3]),
+        kind=st.sampled_from(["independent", "identical", "lsb", "full-range"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_int64_oracle(self, rows, cols, channels, kind, seed):
+        rng = np.random.default_rng(seed)
+        size = rows * cols * channels
+        if kind == "full-range":
+            extremes = np.array([0, 255], dtype=np.uint8)
+            a, b = rng.choice(extremes, size), rng.choice(extremes, size)
+        else:
+            a = rng.integers(0, 256, size, dtype=np.uint8)
+            b = {
+                "independent": lambda: rng.integers(0, 256, size, dtype=np.uint8),
+                "identical": a.copy,
+                "lsb": lambda: a ^ rng.integers(0, 2, size, dtype=np.uint8),
+            }[kind]()
+        cover, stego = RasterImage(rows, cols, channels, a), RasterImage(rows, cols, channels, b)
+        report = psnr(cover, stego)
+        assert (repr(report.mse), repr(report.psnr_db), report.flips) == psnr_oracle(cover, stego)
+
 
 class TestHistogramEntropy:
     def test_constant_image(self):
@@ -138,19 +191,73 @@ class TestNeighborDiffEntropy:
     def test_matches_brute_force_histogram(self):
         rng = np.random.default_rng(24)
         img = random_image(rng, 256, 256)
-        counts = {}
-        arr = img.samples
-        for r in range(256):
-            for c in range(255):
-                d = int(arr[r, c + 1]) - int(arr[r, c])
-                counts[d] = counts.get(d, 0) + 1
-        total = sum(counts.values())
-        expected = -sum((n / total) * math.log2(n / total) for n in counts.values())
+        expected, _ = pure_python_diff_entropy(img)
+        assert neighbor_diff_entropy(img) == pytest.approx(expected, abs=1e-12)
+
+    def test_rgb_matches_pure_python_count(self):
+        # Differences stay inside each channel plane and pool into one
+        # histogram; full-scale columns put +-255 steps in every plane.
+        rng = np.random.default_rng(25)
+        pixels = rng.integers(0, 256, (24, 20, 3), dtype=np.uint8)
+        pixels[:, 3::4, :] = 0
+        pixels[:, 4::4, :] = 255
+        img = RasterImage(24, 20, 3, pixels)
+        expected, counts = pure_python_diff_entropy(img)
+        assert counts[255] > 0 and counts[-255] > 0
         assert neighbor_diff_entropy(img) == pytest.approx(expected, abs=1e-12)
 
     def test_single_column_rejected(self):
         with pytest.raises(DomainError):
             neighbor_diff_entropy(gray(4, 1, [1, 2, 3, 4]))
+
+
+class TestChunkedCounts:
+    """The entropies count a bounded chunk at a time; the counts, and so
+    the entropies' bits, equal one bincount over a widened copy."""
+
+    @pytest.mark.parametrize("rows, cols, channels", [(512, 512, 1), (300, 301, 3), (1, 100003, 1), (70001, 2, 1)])
+    def test_equal_to_one_widened_bincount(self, rows, cols, channels):
+        rng = np.random.default_rng(rows * cols)
+        img = random_image(rng, rows, cols, channels)
+        hist = np.bincount(img.samples.ravel().astype(np.int64), minlength=256)
+        planes = img.samples.reshape(rows, cols, channels).astype(np.int64)
+        diffs = np.bincount((planes[:, 1:, :] - planes[:, :-1, :] + 255).ravel(), minlength=511)
+        assert repr(histogram_entropy(img)) == repr(_entropy_bits(hist))
+        assert repr(neighbor_diff_entropy(img)) == repr(_entropy_bits(diffs))
+
+
+def allocated_per_sample(call, samples):
+    """Peak bytes a second call allocates beyond its inputs, per sample."""
+    call()  # first-call costs stay out of the measurement
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return (tracemalloc.get_traced_memory()[1] - base) / samples
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestWorkingMemory:
+    """Grading works in uint8/uint16/int16 values and bounded count
+    buffers: no statistic makes a widened full-image copy."""
+
+    @pytest.mark.parametrize("rows, cols, channels", [(512, 512, 1), (256, 256, 3)])
+    @pytest.mark.parametrize("statistic", ["psnr", "histogram_entropy", "neighbor_diff_entropy"])
+    def test_at_most_four_and_a_half_bytes_per_sample(self, statistic, rows, cols, channels):
+        rng = np.random.default_rng(26)
+        cover = random_image(rng, rows, cols, channels)
+        stego = random_image(rng, rows, cols, channels)
+        call = {
+            "psnr": lambda: psnr(cover, stego),
+            "histogram_entropy": lambda: histogram_entropy(stego),
+            "neighbor_diff_entropy": lambda: neighbor_diff_entropy(stego),
+        }[statistic]
+        assert allocated_per_sample(call, cover.samples.size) <= 4.5
 
 
 class TestGammaQ:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from chaostego.errors import DimensionMismatch, DomainError, ParseError
 from chaostego.imagery import (
     RasterImage,
+    abs_difference,
     flip_count,
     load_pbm,
     load_pnm,
@@ -221,9 +222,38 @@ class TestFlipCount:
         with pytest.raises(DomainError, match=r"\(0, 0\)"):
             flip_count(cover, stego)
 
+    def test_report_covers_both_signs_and_full_range(self):
+        # 0 -> 255 and 255 -> 0 both count; positions come in row-major order.
+        cover = gray(2, 3, [0, 7, 255, 9, 255, 4])
+        stego = gray(2, 3, [255, 6, 0, 9, 253, 4])
+        message = "3 samples differ by more than 1 (not LSB-only), first at (0, 0), (0, 2), (1, 1)"
+        for a, b in ((cover, stego), (stego, cover)):
+            with pytest.raises(DomainError) as raised:
+                flip_count(a, b)
+            assert str(raised.value) == message
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             flip_count(gray(1, 2, [0, 0]), gray(2, 1, [0, 0]))
         rgb = RasterImage(1, 2, 3, np.zeros(6, dtype=np.uint8))
         with pytest.raises(DimensionMismatch):
             flip_count(gray(1, 2, [0, 0]), rgb)
+
+
+class TestAbsDifference:
+    @settings(max_examples=60, derandomize=True)
+    @given(images, st.integers(0, 2**32 - 1))
+    def test_equals_the_widened_difference(self, a, seed):
+        samples = np.random.default_rng(seed).integers(0, 256, a.samples.size, dtype=np.uint8)
+        b = RasterImage(a.rows, a.cols, a.channels, samples)
+        delta = abs_difference(a, b)
+        assert delta.dtype == np.uint8 and delta.shape == a.samples.shape
+        widened = np.abs(a.samples.astype(np.int64) - b.samples.astype(np.int64))
+        assert np.array_equal(delta, widened)
+        assert np.array_equal(abs_difference(b, a), delta)
+
+    def test_full_range_and_inputs_untouched(self):
+        a = gray(1, 4, [0, 255, 0, 255])
+        b = gray(1, 4, [255, 0, 0, 255])
+        assert abs_difference(a, b).tolist() == [[255, 255, 0, 0]]
+        assert a.samples.tolist() == [[0, 255, 0, 255]] and b.samples.tolist() == [[255, 0, 0, 255]]
