@@ -1,6 +1,6 @@
-/* Compiled form of chaos._orbit_python: the same binary64 operations in
- * the same order.  Build with -ffp-contract=off -fno-fast-math so no FMA
- * or reassociation can change a bit of the orbit. */
+/* Compiled form of chaos._orbit_python, one chaos.coupled_step per step:
+ * the same binary64 operations in the same order.  Build with -ffp-contract=off
+ * -fno-fast-math so no FMA or reassociation can change a bit of the orbit. */
 #include <stdint.h>
 #include <stdlib.h>
 
@@ -32,10 +32,11 @@ static double map_step(double u, double asq)
  * (Brent's cycle finding): the state is saved at steps 1, 2, 4, 8, ...
  * and compared on steps to a seen cell.  The arguments meet the
  * precondition in chaos._orbit_python's docstring. */
-int64_t orbit(double x, double y, double a1sq, double a2sq, double r, int64_t rows, int64_t cols,
+int64_t orbit(double x, double y, double alpha1, double alpha2, double r, int64_t rows, int64_t cols,
               int64_t count, int64_t cap, int64_t *out)
 {
     if (count < 1) return 0;
+    double a1sq = alpha1 * alpha1, a2sq = alpha2 * alpha2; /* chaos.map_step's alpha * alpha */
     uint64_t *seen = calloc(((uint64_t)rows * (uint64_t)cols + 63) / 64, sizeof *seen);
     if (!seen) return -1;
     int64_t found = 0, limit = 1;

@@ -185,11 +185,10 @@ def select_positions(keys: SecretKeySet, coupling: PublicCoupling, dims: ImageDi
     Returns flat indices ``(row-1)*cols + (col-1)`` into the row-major
     ``rows x cols`` grid as a 1-D int64 array.  The orbit runs in the
     compiled kernel where it builds and passes its self-check, else in
-    :func:`_orbit_python`; both inline :func:`coupled_step`'s map
-    arithmetic and :func:`to_pixel` and perform the exact same binary64
-    operations in the same order, which the test suite cross-checks
-    against the step-by-step functions.  Raises :class:`DomainError`
-    naming every violated key and coupling field before anything else,
+    :func:`_orbit_python`, which steps through :func:`coupled_step`; the
+    kernel performs the exact same binary64 operations in the same order,
+    which its self-check and the test suite confirm.  Raises
+    :class:`DomainError` naming every violated key and coupling field before anything else,
     :class:`InsufficientCapacity` if the iteration cap runs out, or the
     orbit closes a cycle, before ``count`` unique positions are found, and
     :class:`MemoryError` if the compiled kernel cannot allocate its seen-map.
@@ -211,7 +210,7 @@ def select_positions(keys: SecretKeySet, coupling: PublicCoupling, dims: ImageDi
         return np.empty(0, dtype=np.int64)
     cap = iteration_cap(ImageDims(rows, cols))
     orbit = _native_orbit() or _orbit_python
-    found = orbit(x, y, keys.alpha1 * keys.alpha1, keys.alpha2 * keys.alpha2, r, rows, cols, count, cap)
+    found = orbit(x, y, keys.alpha1, keys.alpha2, r, rows, cols, count, cap)
     if len(found) < count:
         raise InsufficientCapacity(
             "position generator exhausted its iteration cap "
@@ -221,52 +220,42 @@ def select_positions(keys: SecretKeySet, coupling: PublicCoupling, dims: ImageDi
 
 
 def _orbit_python(
-    x: float, y: float, a1sq: float, a2sq: float, r: float, rows: int, cols: int, count: int, cap: int
+    x: float, y: float, alpha1: float, alpha2: float, r: float, rows: int, cols: int, count: int, cap: int
 ) -> np.ndarray:
     """Unique flat indices of the orbit from ``(x, y)``: ``count`` of them,
     or fewer if ``cap`` states pass or the state repeats first.
 
-    The reference for ``_orbit.c`` and the fallback where it cannot run.
+    The reference for ``_orbit.c`` and the fallback where it cannot run:
+    each step is one :func:`coupled_step`, so the fallback is the spec.
     Precondition, which :func:`select_positions` meets: x, y in (0, 1),
     0 < r <= 1 and count >= 1.  Every state then stays in (0, 1), so every cell is on the grid.
     Once an ``(x, y)`` state repeats (Brent's cycle finding) every later
     cell has been seen, so the loop stops with what the cap would give.
     The state is saved at steps 1, 2, 4, 8, ... behind the cap's compare
     and checked only on steps to a seen cell (a repeat always is one), so
-    cycle finding costs at most one float compare per step.
+    cycle finding costs at most one state compare per step.
     """
     seen = bytearray(rows * cols)
     found: list[int] = []
     steps = 1
     limit = 1
-    tx, ty = x, y
+    state = saved = ChaosState(x, y)
     while True:
-        col = int(x * cols)  # x in (0,1): int() is floor, below cols
-        row = int(y * rows)
-        flat = row * cols + col
+        # to_pixel's rule, 0-based: with x, y in (0,1) int() is floor and no clamp can fire.
+        flat = int(state.y * rows) * cols + int(state.x * cols)
         if not seen[flat]:
             seen[flat] = 1
             found.append(flat)
             if len(found) == count:
                 break
-        elif x == tx and y == ty:
+        elif state == saved:
             break
         if steps >= limit:
             if steps >= cap:
                 break
-            tx, ty = x, y
+            saved = state
             limit = min(2 * limit, cap)
-        # Cross-coupled step, sanitized before storage.
-        u = sanitize(r * y)
-        t = 2.0 * u - 1.0
-        num = a1sq * (t * t)
-        x_next = num / ((4.0 * u) * (1.0 - u) + num)
-        u = sanitize(r * x)
-        t = 2.0 * u - 1.0
-        num = a2sq * (t * t)
-        y_next = num / ((4.0 * u) * (1.0 - u) + num)
-        x = sanitize(x_next)
-        y = sanitize(y_next)
+        state = coupled_step(state, alpha1, alpha2, r)
         steps += 1
     return np.array(found, dtype=np.int64)
 
@@ -287,7 +276,7 @@ def _self_check_cases():
         (1.3, 1.7, 0.31, 0.72, 0.97, 100),
     ):
         x, y = sanitize(map_step(x0, a1)), sanitize(map_step(y0, a2))
-        yield (x, y, a1 * a1, a2 * a2, r, 16, 16, 256, case_cap)
+        yield (x, y, a1, a2, r, 16, 16, 256, case_cap)
 
 
 @functools.cache
@@ -308,9 +297,9 @@ def _native_orbit():
     kernel.argtypes = [ctypes.c_double] * 5 + [ctypes.c_int64] * 4 + [ctypes.c_void_p]
     kernel.restype = ctypes.c_int64
 
-    def orbit(x, y, a1sq, a2sq, r, rows, cols, count, cap):
+    def orbit(x, y, alpha1, alpha2, r, rows, cols, count, cap):
         out = np.empty(count, dtype=np.int64)
-        found = kernel(x, y, a1sq, a2sq, r, rows, cols, count, cap, out.ctypes.data)
+        found = kernel(x, y, alpha1, alpha2, r, rows, cols, count, cap, out.ctypes.data)
         if found < 0:
             raise MemoryError(f"no memory for the seen-map of a {rows}x{cols} grid")
         return out[:found]
@@ -358,12 +347,16 @@ def bifurcation_scan(
     For each alpha the map is iterated ``transient`` times from ``x0``
     (discarded), then ``samples`` further iterates are recorded.
     """
-    if not (0.5 < alpha_min < alpha_max) or not math.isfinite(alpha_max):
-        raise DomainError("parameter grid must satisfy 0.5 < alpha_min < alpha_max")
+    violations: list[str] = []
+    _check_alpha("alpha_min", alpha_min, violations)
+    _check_alpha("alpha_max", alpha_max, violations)
+    _check_seed("x0", x0, violations)
+    if violations:
+        raise DomainError("invalid scan: " + "; ".join(violations))
+    if not alpha_min < alpha_max:
+        raise DomainError("parameter grid must satisfy alpha_min < alpha_max")
     if alpha_steps < 1:
         raise DomainError("alpha_steps must be at least 1")
-    if not (0.0 < x0 < 1.0) or x0 == 0.5:
-        raise DomainError("x0 must lie in (0,1) excluding 0.5")
     if transient < 0 or samples < 0:
         raise DomainError("transient and samples must be non-negative")
 

@@ -29,7 +29,8 @@ def live_keys():
 @pytest.fixture
 def orbit_paths(monkeypatch):
     """Loop over this to run a test body once per orbit implementation:
-    the compiled kernel (where it loaded), then the pure-Python loop.
+    the compiled kernel (where it loaded), then ``chaos._orbit_python``,
+    the step functions composed.
 
     A loop rather than a parametrization keeps each test's id unchanged.
     """

@@ -246,7 +246,7 @@ class TestSelectPositions:
         for path in orbit_paths:
             orbit = chaos._native_orbit() or chaos._orbit_python
             for rows, cols in ((1, 1), (1, 7), (7, 1), (3, 5), (97, 89), (1000, 1000)):
-                got = orbit(top, top, 1.69, 2.89, 0.97, rows, cols, 1, 1)
+                got = orbit(top, top, 1.3, 1.7, 0.97, rows, cols, 1, 1)
                 assert got.tolist() == [rows * cols - 1], (path, rows, cols)
 
     def test_orbit_collapse_reported(self):
@@ -275,7 +275,7 @@ class TestSelectPositions:
                 select_positions(SecretKeySet(**fields), PublicCoupling(0.97), ImageDims(16, 16), 10)
 
     def test_matches_composed_single_steps(self, live_keys, orbit_paths):
-        # The inlined kernel loop must reproduce the public step functions
+        # Both orbit paths must reproduce the public step functions
         # exactly, state for state.
         keys, coupling = live_keys
         dims = ImageDims(128, 128)
@@ -292,6 +292,27 @@ class TestSelectPositions:
         for path in orbit_paths:
             got = select_positions(keys, coupling, dims, len(expected))
             assert got.tolist() == expected, path
+
+    def test_python_path_steps_through_coupled_step(self, live_keys, monkeypatch):
+        # The fallback is the spec: every state after the first is one
+        # coupled_step call, and the stream is those states' first-seen cells.
+        keys, coupling = live_keys
+        dims = ImageDims(32, 32)
+        states = [initial_state(keys)]
+
+        def recording_step(*args):
+            states.append(coupled_step(*args))
+            return states[-1]
+
+        monkeypatch.setattr(chaos, "_native_orbit", lambda: None)
+        monkeypatch.setattr(chaos, "coupled_step", recording_step)
+        got = select_positions(keys, coupling, dims, 500)
+        assert len(states) > 1, "the Python orbit never called coupled_step"
+        cells = []
+        for state in states:
+            col, row = to_pixel(state.x, state.y, dims)
+            cells.append((row - 1) * dims.cols + (col - 1))
+        assert got.tolist() == list(dict.fromkeys(cells))
 
     def test_cycle_ends_collapsing_orbit_early(self, monkeypatch):
         # This orbit enters an exact cycle within a few hundred steps; the
@@ -465,12 +486,21 @@ class TestBifurcationScan:
             (0.8, 1.2, 0, 0.3),     # no steps
             (0.8, 1.2, 5, 0.5),     # degenerate seed
             (0.8, 1.2, 5, 0.0),     # seed on the boundary
+            (0.6, 1e300, 5, 0.3),   # grid above the map's 2**511 bound
         ],
     )
     def test_rejects_bad_grids(self, args):
         amin, amax, steps, x0 = args
         with pytest.raises(DomainError):
             bifurcation_scan(amin, amax, steps, x0, 10, 10)
+
+    def test_checks_the_grid_before_iterating(self):
+        # map_step would refuse every alpha above 2**511, so the scan
+        # refuses such a grid up front, even where it would iterate nothing.
+        with pytest.raises(DomainError, match=r"alpha_max: must not exceed 2\*\*511"):
+            bifurcation_scan(0.6, 1e300, 5, 0.3, 0, 0)
+        with pytest.raises(DomainError, match="alpha_min: must be greater than 0.5"):
+            bifurcation_scan(0.5, 1.0, 5, 0.3, 0, 0)
 
 
 def lyapunov_exponent(alpha, x0=0.3, n_iters=20_000, transient=1000):

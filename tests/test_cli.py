@@ -887,7 +887,10 @@ class TestReachableErrorPaths:
         ["exchange-sim", "--rows", "0"],
         ["bifurcation", "--alpha-min", "0.6", "--alpha-max", "1.9", "--alpha-steps", "3",
          "--x0", "0.3", "--transient", "-1"],
-    ], ids=["exchange-sim-rows", "bifurcation-transient"])
+        # map_step refuses alphas above 2**511: the scan refuses them even with nothing to iterate.
+        ["bifurcation", "--alpha-min", "0.6", "--alpha-max", "1e300", "--alpha-steps", "5",
+         "--x0", "0.3", "--transient", "0", "--samples", "0"],
+    ], ids=["exchange-sim-rows", "bifurcation-transient", "bifurcation-alpha-max"])
     def test_out_of_domain_number_exits_2(self, workdir, argv, capsys):
         keygen(workdir)
         if argv[0] == "exchange-sim":
