@@ -24,14 +24,15 @@ static double map_step(double u, double asq)
 
 /* Writes up to count unique flat indices to out and returns how many it
  * found, or -1 if the seen-map cannot be allocated.  The seen-map is one
- * bit per cell, calloc'd here: on fresh memory only the pages the orbit
- * touches become resident.  Dedup has no branch on the seen bit, a coin flip
- * near half fill: every step stores its cell at out[found] and counts it
- * only if it is new (the store stays in bounds because the loop ends as
- * soon as found == count).  Stops early once the (x, y) state repeats
- * (Brent's cycle finding): the state is saved at steps 1, 2, 4, 8, ...
- * and compared on steps to a seen cell.  The arguments meet the
- * precondition in chaos._orbit_python's docstring. */
+ * bit per cell, calloc'd here: while glibc serves it by mmap only the pages
+ * the orbit touches become resident, but after a large map is freed in this
+ * process a later one may come from the heap and be zeroed whole.  Dedup
+ * has no branch on the seen bit, a coin flip near half fill: every step
+ * stores its cell at out[found] and counts it only if it is new (the store
+ * stays in bounds because the loop ends as soon as found == count).  Stops
+ * early once the (x, y) state repeats (Brent's cycle finding): the state is
+ * saved at steps 1, 2, 4, 8, ... and compared on steps to a seen cell.  The
+ * arguments meet the precondition in chaos._orbit_python's docstring. */
 int64_t orbit(double x, double y, double alpha1, double alpha2, double r, int64_t rows, int64_t cols,
               int64_t count, int64_t cap, int64_t *out)
 {

@@ -184,10 +184,10 @@ def select_positions(keys: SecretKeySet, coupling: PublicCoupling, dims: ImageDi
 
     Returns flat indices ``(row-1)*cols + (col-1)`` into the row-major
     ``rows x cols`` grid as a 1-D int64 array.  The orbit runs in the
-    compiled kernel where it builds and passes its self-check, else in
-    :func:`_orbit_python`, which steps through :func:`coupled_step`; the
-    kernel performs the exact same binary64 operations in the same order,
-    which its self-check and the test suite confirm.  Raises
+    compiled kernel where it builds and reproduces the frozen :data:`_SELF_CHECK`
+    streams, else in :func:`_orbit_python`, which steps through :func:`coupled_step`;
+    both perform the same binary64 operations in the same order, and the
+    tests pin both to the same frozen streams.  Raises
     :class:`DomainError` naming every violated key and coupling field before anything else,
     :class:`InsufficientCapacity` if the iteration cap runs out, or the
     orbit closes a cycle, before ``count`` unique positions are found, and
@@ -264,19 +264,17 @@ def _orbit_python(
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
 
 
-def _self_check_cases():
-    """Orbit arguments on which the compiled kernel must match
-    :func:`_orbit_python`.  On a 16x16 grid they leave the loop by each of
-    its exits in turn: ``count`` reached (a chaotic key, full cover), a
-    repeated state (a collapsing key), and the iteration cap with neither."""
-    cap = iteration_cap(ImageDims(16, 16))
-    for a1, a2, x0, y0, r, case_cap in (
-        (1.3, 1.7, 0.31, 0.72, 0.97, cap),
-        (3.0, 2.5, 0.31, 0.72, 0.9, cap),
-        (1.3, 1.7, 0.31, 0.72, 0.97, 100),
-    ):
-        x, y = sanitize(map_step(x0, a1)), sanitize(map_step(y0, a2))
-        yield (x, y, a1, a2, r, 16, 16, 256, case_cap)
+#: Streams the compiled kernel must reproduce, frozen from :func:`_orbit_python`: the arguments
+#: ``(alpha1, alpha2, x0, y0, r, rows, cols, count, cap)`` on a 16x16 grid (28391 is its
+#: :func:`iteration_cap`) and the SHA-256 of the flat indices as little-endian int64.
+_SELF_CHECK = (
+    ((1.3, 1.7, 0.31, 0.72, 0.97, 16, 16, 256, 28391),  # a chaotic key: full cover, 256 cells
+     "a5d5e608ae5b62ff3adfdc3f3c074cfc94c3721f6199cdd6c90c680611986562"),
+    ((3.0, 2.5, 0.31, 0.72, 0.9, 16, 16, 256, 28391),  # a collapsing key: 86 cells
+     "bdb2b8d76c902c6b2343f21933280005214e377c15124101e550c9dd9d618a09"),
+    ((1.3, 1.7, 0.31, 0.72, 0.97, 16, 16, 256, 100),  # the cap: 80 cells
+     "e687adbe040e8bd0f8bc976bb1642e216294abfa9457e32c7de1e0bc1384e059"),
+)
 
 
 @functools.cache
@@ -286,7 +284,7 @@ def _native_orbit():
     Builds ``_orbit.c`` with the system ``cc`` into the package's
     ``__pycache__`` on first use (one shared object per hash of the source,
     compiler and flags), loads it with ctypes and keeps it only if its
-    streams match :func:`_orbit_python` on every :func:`_self_check_cases` case.
+    stream matches the frozen digest of every :data:`_SELF_CHECK` case.
     """
     source = Path(__file__).with_name("_orbit.c")
     try:
@@ -304,8 +302,9 @@ def _native_orbit():
             raise MemoryError(f"no memory for the seen-map of a {rows}x{cols} grid")
         return out[:found]
 
-    for args in _self_check_cases():
-        if not np.array_equal(orbit(*args), _orbit_python(*args)):
+    for (a1, a2, x0, y0, *rest), digest in _SELF_CHECK:
+        found = orbit(sanitize(map_step(x0, a1)), sanitize(map_step(y0, a2)), a1, a2, *rest)
+        if hashlib.sha256(found.astype("<i8").tobytes()).hexdigest() != digest:
             return None
     return orbit
 

@@ -1,5 +1,6 @@
 """Map iteration, sanitization, and position stream behavior."""
 
+import hashlib
 import itertools
 import math
 import os
@@ -343,6 +344,21 @@ class TestSelectPositions:
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 
 
+def orbit_args(case):
+    """The orbit arguments of a ``chaos._SELF_CHECK`` case: its seeds advanced
+    one uncoupled step, as ``chaos._native_orbit`` does."""
+    a1, a2, x0, y0, *rest = case
+    return (sanitize(map_step(x0, a1)), sanitize(map_step(y0, a2)), a1, a2, *rest)
+
+
+def with_wrong_digest(index):
+    """``chaos._SELF_CHECK`` with the digest of case ``index`` changed in one bit."""
+    table = list(chaos._SELF_CHECK)
+    case, digest = table[index]
+    table[index] = (case, f"{int(digest, 16) ^ 1:064x}")
+    return tuple(table)
+
+
 class TestNativeKernel:
     @needs_cc
     def test_loads_where_a_compiler_exists(self):
@@ -398,15 +414,15 @@ class TestNativeKernel:
     def test_falls_back_when_the_self_check_disagrees(self, monkeypatch):
         if chaos._native_orbit() is None:
             pytest.skip("compiled kernel unavailable")
-        reference = chaos._orbit_python
-        monkeypatch.setattr(chaos, "_orbit_python", lambda *args: reference(*args)[:-1])
+        monkeypatch.setattr(chaos, "_SELF_CHECK", with_wrong_digest(0))
         assert chaos._native_orbit.__wrapped__() is None
 
     def test_self_check_cases_take_every_exit(self):
         # Doubling the cap changes nothing after a count or cycle exit, and
         # finds more cells after a cap exit.
         found = []
-        for args in chaos._self_check_cases():
+        for case, _ in chaos._SELF_CHECK:
+            args = orbit_args(case)
             longer = chaos._orbit_python(*args[:-1], 2 * args[-1])
             found.append((len(chaos._orbit_python(*args)), len(longer), args[7]))
         (full, full_longer, count), (cycle, cycle_longer, _), (capped, capped_longer, _) = found
@@ -414,18 +430,27 @@ class TestNativeKernel:
         assert cycle == cycle_longer < count
         assert capped < capped_longer < count
 
+    def test_self_check_digests_are_the_python_streams(self):
+        # Ties the frozen pins to the spec: the kernel is checked against
+        # these digests only, so they must be what _orbit_python gives.
+        for case, digest in chaos._SELF_CHECK:
+            found = chaos._orbit_python(*orbit_args(case))
+            assert hashlib.sha256(found.astype("<i8").tobytes()).hexdigest() == digest
+
     def test_falls_back_when_the_self_check_disagrees_at_the_cap(self, monkeypatch):
         if chaos._native_orbit() is None:
             pytest.skip("compiled kernel unavailable")
-        reference = chaos._orbit_python
-        capped = list(chaos._self_check_cases())[2]
-
-        def perturbed(*args):
-            found = reference(*args)
-            return found[:-1] if args == capped else found
-
-        monkeypatch.setattr(chaos, "_orbit_python", perturbed)
+        monkeypatch.setattr(chaos, "_SELF_CHECK", with_wrong_digest(2))
         assert chaos._native_orbit.__wrapped__() is None
+
+    @needs_cc
+    def test_self_check_runs_no_python_orbit(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the self-check ran the Python orbit")
+
+        monkeypatch.setattr(chaos, "_orbit_python", fail)
+        monkeypatch.setattr(chaos, "coupled_step", fail)
+        assert chaos._native_orbit.__wrapped__() is not None
 
     def test_reports_a_failed_seen_map_allocation(self, monkeypatch):
         # A grid no address space holds: rows*cols bits overflow any calloc.
