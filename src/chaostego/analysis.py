@@ -6,21 +6,29 @@ by comparing pair-of-values frequencies over growing sample prefixes.
 The attack's p-value comes from an in-house regularized upper incomplete
 gamma (series / continued fraction), kept independent of any library
 implementation so the statistic is self-contained.
+The histograms come from a small compiled counter, ``_counts.c``, where it
+builds; numpy's ``bincount`` gives the same counts where it does not.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import subprocess
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
+from .chaos import _build
 from .errors import CapacityError, DimensionMismatch, DomainError
 from .imagery import RasterImage, abs_difference
 
 PEAK_VALUE = 255  # 8-bit unsigned samples
 _COUNT_CHUNK = 1 << 15  # samples per bincount call; its intp copy stays at 256 KB
+_COUNTS_SOURCE = Path(__file__).with_name("_counts.c")
 
 
 @dataclass(frozen=True)
@@ -82,6 +90,78 @@ def _bincount(values: np.ndarray, bins: int) -> np.ndarray:
     return counts
 
 
+def _numpy_value_counts(flat: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """256-bin counts of each segment ``flat[bounds[s]:bounds[s + 1]]`` of the
+    uint8 samples, one int64 row per segment."""
+    return np.array([_bincount(flat[start:end], 256) for start, end in zip(bounds, bounds[1:])])
+
+
+def _numpy_difference_counts(samples: np.ndarray, step: int) -> np.ndarray:
+    """511-bin counts of ``samples[r, j + step] - samples[r, j] + 255`` over the
+    rows of the 2-D uint8 samples, as int16 values shifted in place."""
+    deltas = np.subtract(samples[:, step:], samples[:, :-step], dtype=np.int16)
+    deltas += PEAK_VALUE
+    return _bincount(deltas, 2 * PEAK_VALUE + 1)
+
+
+def _counts_check_input() -> tuple[np.ndarray, np.ndarray]:
+    """Samples and segment bounds the compiled counters must count as numpy
+    does: values scattered over the whole range, runs of 0 and of 255, 0 next
+    to 255, and an empty segment; 7 rows of 60, so 20 pixels of 3 channels."""
+    samples = (np.arange(420) * 131 % 256).astype(np.uint8)
+    samples[40:90] = 0
+    samples[90:130] = 255
+    samples[200:260:2] = 0
+    samples[201:260:2] = 255
+    return samples, np.array([0, 17, 17, 300, 420], dtype=np.int64)
+
+
+@functools.cache
+def _native_counts():
+    """The compiled counters with the signatures of :func:`_numpy_value_counts`
+    and :func:`_numpy_difference_counts`, as a pair, or None.
+
+    Builds ``_counts.c`` with :func:`chaos._build` on the first count, loads it
+    with ctypes and keeps it only if its counts of :func:`_counts_check_input`
+    equal numpy's, by value and by neighbor difference at steps 1 and 3.
+    """
+    try:
+        lib = ctypes.CDLL(str(_build(_COUNTS_SOURCE)))
+        count_values, count_differences = lib.count_values, lib.count_differences
+    except (OSError, subprocess.SubprocessError):
+        return None
+    count_values.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+    count_differences.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 3 + [ctypes.c_void_p]
+    count_values.restype = count_differences.restype = None
+
+    def value_counts(flat, bounds):
+        flat = np.ascontiguousarray(flat, dtype=np.uint8)
+        bounds = np.ascontiguousarray(bounds, dtype=np.int64)
+        out = np.empty((bounds.size - 1, 256), dtype=np.int64)
+        count_values(flat.ctypes.data, bounds.ctypes.data, out.shape[0], out.ctypes.data)
+        return out
+
+    def difference_counts(samples, step):
+        samples = np.ascontiguousarray(samples, dtype=np.uint8)
+        out = np.empty(2 * PEAK_VALUE + 1, dtype=np.int64)
+        count_differences(samples.ctypes.data, samples.shape[0], samples.shape[1], step, out.ctypes.data)
+        return out
+
+    samples, bounds = _counts_check_input()
+    grid = samples.reshape(7, 60)
+    if not np.array_equal(value_counts(samples, bounds), _numpy_value_counts(samples, bounds)):
+        return None
+    for step in (1, 3):
+        if not np.array_equal(difference_counts(grid, step), _numpy_difference_counts(grid, step)):
+            return None
+    return value_counts, difference_counts
+
+
+def _counters():
+    """``(value_counts, difference_counts)``: compiled where they load, else numpy."""
+    return _native_counts() or (_numpy_value_counts, _numpy_difference_counts)
+
+
 def _entropy_bits(counts: np.ndarray) -> float:
     p = counts[counts > 0] / counts.sum()
     return 0.0 - float(np.sum(p * np.log2(p)))  # +0.0, not -0.0, for one value
@@ -90,26 +170,28 @@ def _entropy_bits(counts: np.ndarray) -> float:
 def histogram_entropy(image: RasterImage) -> float:
     """Shannon entropy of the 256-bin sample-value histogram, in bits.
 
-    The uint8 samples are counted a bounded chunk at a time, so the
-    working memory is a fixed 256 KB.
+    The compiled counter reads the uint8 samples in place; the numpy
+    fallback counts them a bounded chunk at a time.  Either way the
+    working memory is fixed: 2 KB of counts, plus 256 KB on the fallback.
     """
-    return _entropy_bits(_bincount(image.samples, 256))
+    value_counts, _ = _counters()
+    flat = image.samples.ravel()
+    return _entropy_bits(value_counts(flat, np.array([0, flat.size]))[0])
 
 
 def neighbor_diff_entropy(image: RasterImage) -> float:
     """Shannon entropy of horizontal neighbor differences (511 bins).
 
     Differences are taken within each channel plane and pooled into one
-    histogram over [-255, 255].  They are int16, shifted in place to
-    [0, 510] and counted a bounded chunk at a time: the working memory is
-    about 2 bytes per sample plus a fixed 256 KB.
+    histogram over [-255, 255].  The compiled counter forms each one from
+    the uint8 samples in place, with no copy.  The numpy fallback makes
+    them int16, shifted in place to [0, 510] and counted a bounded chunk
+    at a time: about 2 bytes per sample plus a fixed 256 KB.
     """
     if image.cols < 2:
         raise DomainError("neighbor differences need at least 2 columns")
-    planes = image.samples.reshape(image.rows, image.cols, image.channels)
-    deltas = np.subtract(planes[:, 1:, :], planes[:, :-1, :], dtype=np.int16)
-    deltas += PEAK_VALUE
-    return _entropy_bits(_bincount(deltas, 2 * PEAK_VALUE + 1))
+    _, difference_counts = _counters()
+    return _entropy_bits(difference_counts(image.samples, image.channels))
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +243,9 @@ def gamma_q(a: float, x: float) -> float:
 
     Series below x = a + 1, continued fraction above.  The absolute error
     against scipy's ``gammaincc`` is within 1e-10 at the attack's shapes
-    (a <= 63.5) and about 2.3e-10 up to a = 1e6.  Raises
+    (a <= 63.5) and about 2.3e-10 up to a = 1e6.  Where the prefix
+    x**a e**-x / Gamma(a) underflows to 0, Q is exactly 1 below x = a + 1
+    and 0 above, and no expansion runs.  Otherwise raises
     :class:`DomainError` where the expansion in use does not converge
     within ``_GAMMA_MAX_ITER`` terms (near x = a for large a).
     """
@@ -174,7 +258,9 @@ def gamma_q(a: float, x: float) -> float:
         return 1.0
     # Both expansions scale by prefix = x**a e**-x / Gamma(a).
     log_prefix = -x + a * math.log(x) - math.lgamma(a)
-    prefix = 0.0 if log_prefix < -745.0 else math.exp(log_prefix)  # exp underflow
+    if log_prefix < -745.0:  # exp underflows: the prefix is 0 and fixes the result
+        return 1.0 if x < a + 1.0 else 0.0
+    prefix = math.exp(log_prefix)
     if x < a + 1.0:
         q = 1.0 - _lower_series(a, x) * prefix
     else:
@@ -199,12 +285,13 @@ def chi_square_attack(image: RasterImage, step_percent: int) -> list[AttackPoint
     frequencies are equalized (stego-like); near 0 means natural imbalance.
     Prefixes with fewer than 2 usable pairs record p_embedding = 0.
 
-    Cumulative histograms: one ``bincount`` per new segment, summed down
-    the prefixes.  The pair statistics then come from whole-array passes
-    over every prefix at once; they are elementwise, so each term keeps
-    its bits.  Only each prefix's sum over its included pairs (the same
-    compressed array a per-prefix scan sums) and its ``gamma_q`` call
-    stay per prefix.
+    Cumulative histograms: every new segment counted in one call of the
+    value counter (compiled, else one chunked ``bincount`` per segment),
+    summed down the prefixes.  The pair statistics then come from
+    whole-array passes over every prefix at once; they are elementwise, so
+    each term keeps its bits.  Only each prefix's sum over its included
+    pairs (the same compressed array a per-prefix scan sums) and its
+    ``gamma_q`` call stay per prefix.
     """
     if not (1 <= step_percent <= 100):
         raise DomainError("step_percent must lie in [1, 100]")
@@ -213,8 +300,9 @@ def chi_square_attack(image: RasterImage, step_percent: int) -> list[AttackPoint
     percents = list(range(step_percent, 101, step_percent))
     if percents[-1] != 100:
         percents.append(100)
-    bounds = [0] + [(total * t) // 100 for t in percents]
-    hists = np.cumsum([np.bincount(flat[s:e], minlength=256) for s, e in zip(bounds, bounds[1:])], axis=0)
+    bounds = np.array([0] + [(total * t) // 100 for t in percents], dtype=np.int64)
+    value_counts, _ = _counters()
+    hists = np.cumsum(value_counts(flat, bounds), axis=0)
     even = hists[:, 0::2].astype(np.float64)
     pair_total = even + hists[:, 1::2]
     included = pair_total > _POV_MIN_PAIR_TOTAL

@@ -311,7 +311,8 @@ def _native_orbit():
 
 def _build(source: Path) -> Path:
     """Path of the shared object built from ``source``, compiling it first
-    if this source, compiler and flag set have no build yet."""
+    if this source, compiler and flag set have no build yet.  It is named
+    after the source's stem: ``_orbit.c`` builds ``orbit-<sha256>.so``."""
     cache = source.parent / "__pycache__"
     cc = shutil.which("cc")
     if cc is None:
@@ -319,7 +320,7 @@ def _build(source: Path) -> Path:
     # The flags and the compiler decide the arithmetic as much as the source.
     build = hashlib.sha256(source.read_bytes())
     build.update("\0".join((os.path.realpath(cc), *_CFLAGS)).encode())
-    lib = cache / f"orbit-{build.hexdigest()}.so"
+    lib = cache / f"{source.stem.lstrip('_')}-{build.hexdigest()}.so"
     if lib.exists():
         return lib
     cache.mkdir(exist_ok=True)

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from chaostego import chaos
+from chaostego import analysis, chaos
 from chaostego.imagery import RasterImage
 from chaostego.keymat import generate_keys
 
@@ -41,6 +41,28 @@ def orbit_paths(monkeypatch):
         yield "python"
 
     return paths()
+
+
+@pytest.fixture
+def count_paths(monkeypatch):
+    """Loop over this to run a test body once per histogram counter: the
+    compiled ``_counts.c`` (where it loaded), then numpy's ``bincount``.
+
+    Like ``orbit_paths`` it keeps each test's id, but it can be looped over
+    again, so it nests inside ``orbit_paths`` and serves every example of a
+    Hypothesis test.
+    """
+    native = analysis._native_counts
+
+    class Paths:
+        def __iter__(self):
+            if native() is not None:
+                monkeypatch.setattr(analysis, "_native_counts", native)
+                yield "native"
+            monkeypatch.setattr(analysis, "_native_counts", lambda: None)
+            yield "numpy"
+
+    return Paths()
 
 
 def random_image(rng: np.random.Generator, rows: int, cols: int, channels: int = 1) -> RasterImage:

@@ -1,15 +1,21 @@
 """Quality metrics, the incomplete gamma, and the chi-square attack."""
 
 import math
+import os
+import shutil
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaincc
 
+from chaostego import analysis
 from chaostego.analysis import (
     _POV_MIN_PAIR_TOTAL,
     _entropy_bits,
@@ -212,18 +218,126 @@ class TestNeighborDiffEntropy:
 
 
 class TestChunkedCounts:
-    """The entropies count a bounded chunk at a time; the counts, and so
-    the entropies' bits, equal one bincount over a widened copy."""
+    """The entropies count with the compiled counter or a bounded numpy
+    chunk at a time; either way the counts, and so the entropies' bits,
+    equal one bincount over a widened copy."""
 
     @pytest.mark.parametrize("rows, cols, channels", [(512, 512, 1), (300, 301, 3), (1, 100003, 1), (70001, 2, 1)])
-    def test_equal_to_one_widened_bincount(self, rows, cols, channels):
+    def test_equal_to_one_widened_bincount(self, rows, cols, channels, count_paths):
         rng = np.random.default_rng(rows * cols)
         img = random_image(rng, rows, cols, channels)
         hist = np.bincount(img.samples.ravel().astype(np.int64), minlength=256)
         planes = img.samples.reshape(rows, cols, channels).astype(np.int64)
         diffs = np.bincount((planes[:, 1:, :] - planes[:, :-1, :] + 255).ravel(), minlength=511)
-        assert repr(histogram_entropy(img)) == repr(_entropy_bits(hist))
-        assert repr(neighbor_diff_entropy(img)) == repr(_entropy_bits(diffs))
+        for counter in count_paths:
+            assert repr(histogram_entropy(img)) == repr(_entropy_bits(hist)), counter
+            assert repr(neighbor_diff_entropy(img)) == repr(_entropy_bits(diffs)), counter
+
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+
+
+def widened_value_counts(samples, bounds):
+    return np.array([np.bincount(samples[s:e].astype(np.int64), minlength=256) for s, e in zip(bounds, bounds[1:])])
+
+
+def widened_difference_counts(samples, step):
+    wide = samples.astype(np.int64)
+    return np.bincount((wide[:, step:] - wide[:, :-step] + 255).ravel(), minlength=511)
+
+
+def counts_source_copy(tmp_path, *change):
+    """A copy of ``_counts.c`` in ``tmp_path``, with the one ``(old, new)``
+    replacement ``change`` names, if any."""
+    text = analysis._COUNTS_SOURCE.read_text()
+    if change:
+        old, new = change
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    source = tmp_path / "_counts.c"
+    source.write_text(text)
+    return source
+
+
+class TestNativeCounts:
+    """The compiled counters give np.bincount's counts, load where a
+    compiler exists and are dropped for numpy when they cannot be trusted."""
+
+    @needs_cc
+    def test_loads_where_a_compiler_exists(self):
+        assert analysis._native_counts() is not None
+
+    @needs_cc
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        rows=st.integers(1, 12),
+        cols=st.integers(2, 40),
+        channels=st.sampled_from([1, 3]),
+        extremes=st.sets(st.integers(0, 39)),
+        cuts=st.lists(st.integers(0, 12 * 40 * 3), max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(rows=1, cols=2, channels=3, extremes={0, 1}, cuts=[0, 3, 3, 6], seed=0)
+    def test_equal_to_widened_bincount(self, rows, cols, channels, extremes, cuts, seed):
+        # Columns of 0 next to columns of 255 give differences of +-255;
+        # sorted random cuts give empty and repeated segment bounds.
+        rng = np.random.default_rng(seed)
+        pixels = rng.integers(0, 256, (rows, cols, channels), dtype=np.uint8)
+        for column in extremes:
+            if column < cols:
+                pixels[:, column, :] = 255 * (column % 2)
+        samples = pixels.reshape(rows, cols * channels)
+        flat = samples.ravel()
+        bounds = np.array(sorted([0, flat.size] + [min(cut, flat.size) for cut in cuts]), dtype=np.int64)
+        value_counts, difference_counts = analysis._native_counts()
+        assert np.array_equal(value_counts(flat, bounds), widened_value_counts(flat, bounds))
+        assert np.array_equal(difference_counts(samples, channels), widened_difference_counts(samples, channels))
+
+    def test_check_input_has_runs_extremes_and_an_empty_segment(self):
+        samples, bounds = analysis._counts_check_input()
+        assert np.any(samples[1:] == samples[:-1]) and {0, 255} <= set(samples.tolist())
+        assert np.any(np.abs(np.diff(samples.astype(np.int64))) == 255)
+        assert np.any(np.diff(bounds) == 0) and bounds[-1] == samples.size
+
+    @needs_cc
+    def test_library_is_named_after_its_source(self, tmp_path):
+        lib = analysis._build(counts_source_copy(tmp_path))
+        assert lib.name.startswith("counts-") and lib.suffix == ".so"
+
+    def test_falls_back_when_the_build_fails(self, monkeypatch):
+        def fail(source):
+            raise OSError("no compiler")
+
+        monkeypatch.setattr(analysis, "_build", fail)
+        assert analysis._native_counts.__wrapped__() is None
+
+    @needs_cc
+    def test_loads_an_unchanged_copy(self, tmp_path, monkeypatch):
+        # The control for the two mutants below: a copy of the source loads.
+        monkeypatch.setattr(analysis, "_COUNTS_SOURCE", counts_source_copy(tmp_path))
+        assert analysis._native_counts.__wrapped__() is not None
+
+    @needs_cc
+    @pytest.mark.parametrize("old, new", [
+        ("lane[3][p[i + 3]]++;", "lane[3][p[i + 3] ^ 1]++;"),  # wrong value counts
+        ("lane[1][255 + b[j + 1] - a[j + 1]]++;", "lane[1][255 + b[j + 1] - a[j]]++;"),  # wrong differences
+    ])
+    def test_falls_back_when_the_check_counts_differ(self, tmp_path, monkeypatch, old, new):
+        monkeypatch.setattr(analysis, "_COUNTS_SOURCE", counts_source_copy(tmp_path, old, new))
+        assert analysis._native_counts.__wrapped__() is None
+
+    def test_loaded_on_first_count_not_at_import(self, tmp_path):
+        # Commands that grade nothing must not pay for the build or the check.
+        script = (
+            "import sys\n"
+            "from chaostego import analysis, cli\n"
+            "assert cli.run(['keygen', '--out', sys.argv[1], '--pub', sys.argv[2], '--seed', '3']) == 0\n"
+            "assert analysis._native_counts.cache_info().currsize == 0\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(analysis.__file__).parents[1]))
+        argv = [sys.executable, "-c", script, str(tmp_path / "s.key"), str(tmp_path / "p.key")]
+        child = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
 
 
 def allocated_per_sample(call, samples):
@@ -243,12 +357,14 @@ def allocated_per_sample(call, samples):
 
 
 class TestWorkingMemory:
-    """Grading works in uint8/uint16/int16 values and bounded count
-    buffers: no statistic makes a widened full-image copy."""
+    """Grading makes no widened full-image copy on either count path: PSNR
+    works in uint8/uint16 values, the compiled counters read the samples
+    in place, and the numpy fallback uses int16 differences and bounded
+    count buffers."""
 
     @pytest.mark.parametrize("rows, cols, channels", [(512, 512, 1), (256, 256, 3)])
     @pytest.mark.parametrize("statistic", ["psnr", "histogram_entropy", "neighbor_diff_entropy"])
-    def test_at_most_four_and_a_half_bytes_per_sample(self, statistic, rows, cols, channels):
+    def test_at_most_four_and_a_half_bytes_per_sample(self, statistic, rows, cols, channels, count_paths):
         rng = np.random.default_rng(26)
         cover = random_image(rng, rows, cols, channels)
         stego = random_image(rng, rows, cols, channels)
@@ -257,7 +373,8 @@ class TestWorkingMemory:
             "histogram_entropy": lambda: histogram_entropy(stego),
             "neighbor_diff_entropy": lambda: neighbor_diff_entropy(stego),
         }[statistic]
-        assert allocated_per_sample(call, cover.samples.size) <= 4.5
+        for counter in count_paths:
+            assert allocated_per_sample(call, cover.samples.size) <= 4.5, counter
 
 
 class TestGammaQ:
@@ -310,6 +427,15 @@ class TestGammaQ:
     def test_refuses_where_it_cannot_converge(self, a, x):
         with pytest.raises(DomainError):
             gamma_q(a, x)
+
+    @pytest.mark.parametrize("a, x, expected", [(1000.0, 1.0, 1.0), (0.5, 1000.0, 0.0), (60.0, 1200.0, 0.0)])
+    def test_underflowed_prefix_runs_no_expansion(self, a, x, expected, monkeypatch):
+        def fail(a, x):
+            raise AssertionError("an expansion ran although the prefix underflows")
+
+        monkeypatch.setattr(analysis, "_lower_series", fail)
+        monkeypatch.setattr(analysis, "_upper_continued_fraction", fail)
+        assert gamma_q(a, x) == expected and math.copysign(1.0, gamma_q(a, x)) == 1.0
 
     def test_matches_scipy_at_the_attack_shapes(self):
         # chi_square_attack calls gamma_q(dof / 2, chi / 2) with at most
@@ -380,7 +506,8 @@ def reprs(points):
 
 
 class TestChiSquareAttack:
-    @settings(max_examples=150, derandomize=True, deadline=None)
+    @settings(max_examples=150, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         rows=st.integers(1, 64),
         cols=st.integers(1, 64),
@@ -390,26 +517,31 @@ class TestChiSquareAttack:
         width=st.integers(0, 255),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_one_pass_scan_equals_per_prefix_oracle(self, rows, cols, channels, step, low, width, seed):
+    def test_one_pass_scan_equals_per_prefix_oracle(self, rows, cols, channels, step, low, width, seed,
+                                                     count_paths):
         # A narrow value range fills few pairs, so small images still
         # reach the pair-count threshold and report a statistic.
         rng = np.random.default_rng(seed)
         high = min(low + width, 255)
         values = rng.integers(low, high, rows * cols * channels, dtype=np.uint8, endpoint=True)
         image = RasterImage(rows, cols, channels, values)
-        assert reprs(chi_square_attack(image, step)) == reprs(per_prefix_attack(image, step))
+        expected = reprs(per_prefix_attack(image, step))
+        for counter in count_paths:
+            assert reprs(chi_square_attack(image, step)) == expected, counter
 
-    def test_workload_sized_scan_equals_per_prefix_oracle(self):
+    def test_workload_sized_scan_equals_per_prefix_oracle(self, count_paths):
         # Random samples, then even-only ones: the p-values sweep from 1
         # towards 0, through both of gamma_q's expansions.
         rng = np.random.default_rng(34)
         samples = rng.integers(0, 256, 512 * 512, dtype=np.uint8)
         samples[samples.size // 2:] &= 0xFE
-        points = chi_square_attack(RasterImage(512, 512, 1, samples), 1)
-        assert reprs(points) == reprs(per_prefix_attack(RasterImage(512, 512, 1, samples), 1))
-        series = sum(p.chi_square / 2.0 < p.dof / 2.0 + 1.0 for p in points)
-        assert (len(points), series) == (100, 51)
-        assert sum(0.0 < p.p_embedding < 1.0 for p in points) == 59
+        expected = reprs(per_prefix_attack(RasterImage(512, 512, 1, samples), 1))
+        for counter in count_paths:
+            points = chi_square_attack(RasterImage(512, 512, 1, samples), 1)
+            assert reprs(points) == expected, counter
+            series = sum(p.chi_square / 2.0 < p.dof / 2.0 + 1.0 for p in points)
+            assert (len(points), series) == (100, 51)
+            assert sum(0.0 < p.p_embedding < 1.0 for p in points) == 59
 
     def test_equal_pairs_scan_is_all_ones(self):
         img = paired_cover(100, 100)  # every 10% prefix has even length

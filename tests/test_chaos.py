@@ -393,12 +393,15 @@ class TestNativeKernel:
 
     @needs_cc
     def test_kernel_compiles_without_warnings(self, tmp_path):
-        source = Path(chaos.__file__).with_name("_orbit.c")
-        built = subprocess.run(
-            ["cc", *chaos._CFLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "orbit.so"), str(source)],
-            capture_output=True, text=True, timeout=120,
-        )
-        assert built.returncode == 0, built.stderr
+        # Every C source of the package: the orbit and the histogram counters.
+        sources = sorted(Path(chaos.__file__).parent.glob("*.c"))
+        assert {"_counts.c", "_orbit.c"} <= {source.name for source in sources}
+        for source in sources:
+            built = subprocess.run(
+                ["cc", *chaos._CFLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "lib.so"), str(source)],
+                capture_output=True, text=True, timeout=120,
+            )
+            assert built.returncode == 0, (source.name, built.stderr)
 
     def test_falls_back_without_a_compiler(self, monkeypatch):
         monkeypatch.setattr(chaos.shutil, "which", lambda name: None)

@@ -1,13 +1,15 @@
 """The package root exports exactly the names README's "Library use" shows,
 every name it lists under a module exists there, its shell examples are
-valid invocations, each module uses what it imports, and the benchmark
-evidence at the repository root comes in complete, paired files."""
+valid invocations, each module uses what it imports, every C source ships
+with the package, and the benchmark evidence at the repository root comes
+in complete, paired files."""
 
 import ast
 import importlib
 import json
 import re
 import shlex
+import tomllib
 import types
 from pathlib import Path
 
@@ -86,6 +88,15 @@ def test_readme_commands_name_real_subcommands_and_flags():
             if token.startswith("-"):
                 assert token in flags, f"README passes {token} to chaostego {argv[0]}"
         cli._build_parser().parse_args(argv)  # raises on a usage error
+
+
+def test_every_c_source_is_package_data():
+    # The kernels build from their sources at run time: a wheel without one
+    # silently runs its numpy or Python fallback.  The tests import from
+    # src/, so only this check sees a missing entry.
+    listed = tomllib.loads((ROOT / "pyproject.toml").read_text())["tool"]["setuptools"]["package-data"]["chaostego"]
+    sources = {path.name for path in (ROOT / "src" / "chaostego").glob("*.c")}
+    assert sources and sources <= set(listed), f"package-data lacks {sorted(sources - set(listed))}"
 
 
 def test_bench_files_are_named_correct_and_paired():
