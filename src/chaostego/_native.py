@@ -1,0 +1,63 @@
+"""Builds and loads ``_native.c``, the package's one C source: the orbit of
+:mod:`chaos` and the counters of :mod:`analysis`, which check what they take."""
+
+import ctypes
+import functools
+import hashlib
+import os
+import shutil
+import subprocess
+import tempfile
+from pathlib import Path
+
+#: Compiler flags that keep C's binary64 arithmetic identical to CPython's.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
+_SOURCE = Path(__file__).with_name("_native.c")
+
+
+@functools.cache
+def library():
+    """:data:`_SOURCE` built and loaded with ctypes, the argument and result
+    types of ``orbit``, ``count_values`` and ``count_differences`` declared,
+    or None if it cannot be built or loaded."""
+    try:
+        lib = ctypes.CDLL(str(_build(_SOURCE)))
+    except (OSError, subprocess.SubprocessError):
+        return None
+    lib.orbit.argtypes = [ctypes.c_double] * 5 + [ctypes.c_int64] * 4 + [ctypes.c_void_p]
+    lib.orbit.restype = ctypes.c_int64
+    lib.count_values.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+    lib.count_differences.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 3 + [ctypes.c_void_p]
+    lib.count_values.restype = lib.count_differences.restype = None
+    return lib
+
+
+def _build(source: Path) -> Path:
+    """Path of the shared object built from ``source`` with the system ``cc``
+    into the ``__pycache__`` beside it, compiling it first if this source,
+    compiler and flag set have no build yet.  It is named after the source's
+    stem: ``_native.c`` builds ``native-<sha256>.so``.  A new build deletes the
+    stem's older builds; on Linux and macOS a process that mapped one keeps it."""
+    cache = source.parent / "__pycache__"
+    cc = shutil.which("cc")
+    if cc is None:
+        raise OSError("no C compiler on PATH")
+    # The flags and the compiler decide the arithmetic as much as the source.
+    build = hashlib.sha256(source.read_bytes())
+    build.update("\0".join((os.path.realpath(cc), *_CFLAGS)).encode())
+    stem = source.stem.lstrip("_")
+    lib = cache / f"{stem}-{build.hexdigest()}.so"
+    if lib.exists():
+        return lib
+    cache.mkdir(exist_ok=True)
+    # Build beside the target and rename, so a concurrent build or load
+    # never sees a half-written file.
+    with tempfile.TemporaryDirectory(dir=cache) as tmp:
+        built = os.path.join(tmp, lib.name)
+        subprocess.run([cc, *_CFLAGS, "-o", built, str(source)], check=True, capture_output=True, timeout=120)
+        os.chmod(built, 0o755)  # loadable by other users whatever the umask
+        os.replace(built, lib)
+    for old in cache.glob(f"{stem}-{'[0-9a-f]' * 64}.so"):
+        if old != lib:
+            old.unlink(missing_ok=True)
+    return lib

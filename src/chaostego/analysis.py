@@ -6,29 +6,25 @@ by comparing pair-of-values frequencies over growing sample prefixes.
 The attack's p-value comes from an in-house regularized upper incomplete
 gamma (series / continued fraction), kept independent of any library
 implementation so the statistic is self-contained.
-The histograms come from a small compiled counter, ``_counts.c``, where it
-builds; numpy's ``bincount`` gives the same counts where it does not.
+The histograms come from the compiled counters of ``_native.c`` where they
+build; numpy's ``bincount`` gives the same counts where they do not.
 """
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import math
-import subprocess
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .chaos import _build
+from . import _native
 from .errors import CapacityError, DimensionMismatch, DomainError
 from .imagery import RasterImage, abs_difference
 
 PEAK_VALUE = 255  # 8-bit unsigned samples
 _COUNT_CHUNK = 1 << 15  # samples per bincount call; its intp copy stays at 256 KB
-_COUNTS_SOURCE = Path(__file__).with_name("_counts.c")
 
 
 @dataclass(frozen=True)
@@ -121,30 +117,25 @@ def _native_counts():
     """The compiled counters with the signatures of :func:`_numpy_value_counts`
     and :func:`_numpy_difference_counts`, as a pair, or None.
 
-    Builds ``_counts.c`` with :func:`chaos._build` on the first count, loads it
-    with ctypes and keeps it only if its counts of :func:`_counts_check_input`
-    equal numpy's, by value and by neighbor difference at steps 1 and 3.
+    Takes them from :func:`_native.library` on the first count and keeps
+    them only if their counts of :func:`_counts_check_input` equal numpy's,
+    by value and by neighbor difference at steps 1 and 3.
     """
-    try:
-        lib = ctypes.CDLL(str(_build(_COUNTS_SOURCE)))
-        count_values, count_differences = lib.count_values, lib.count_differences
-    except (OSError, subprocess.SubprocessError):
+    lib = _native.library()
+    if lib is None:
         return None
-    count_values.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
-    count_differences.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 3 + [ctypes.c_void_p]
-    count_values.restype = count_differences.restype = None
 
     def value_counts(flat, bounds):
         flat = np.ascontiguousarray(flat, dtype=np.uint8)
         bounds = np.ascontiguousarray(bounds, dtype=np.int64)
         out = np.empty((bounds.size - 1, 256), dtype=np.int64)
-        count_values(flat.ctypes.data, bounds.ctypes.data, out.shape[0], out.ctypes.data)
+        lib.count_values(flat.ctypes.data, bounds.ctypes.data, out.shape[0], out.ctypes.data)
         return out
 
     def difference_counts(samples, step):
         samples = np.ascontiguousarray(samples, dtype=np.uint8)
         out = np.empty(2 * PEAK_VALUE + 1, dtype=np.int64)
-        count_differences(samples.ctypes.data, samples.shape[0], samples.shape[1], step, out.ctypes.data)
+        lib.count_differences(samples.ctypes.data, samples.shape[0], samples.shape[1], step, out.ctypes.data)
         return out
 
     samples, bounds = _counts_check_input()

@@ -14,19 +14,14 @@ key material reproduce the exact same position stream.
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import hashlib
 import math
-import os
-import shutil
-import subprocess
-import tempfile
-from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
+from . import _native
 from .errors import DomainError, InsufficientCapacity
 from .imagery import _MAX_CELLS
 
@@ -123,7 +118,7 @@ def sanitize(u: float) -> float:
 
     Exact hits on 0, 0.5 or 1 are shifted by 2**-40 so the orbit cannot
     die; any other value is returned as is.  Map outputs lie in [0,1] and
-    R <= 1, so no orbit value exceeds 1; ``_orbit.c`` has the same rule.
+    R <= 1, so no orbit value exceeds 1; ``_native.c`` has the same rule.
     """
     if u == 0.0:
         return EPSILON
@@ -225,7 +220,7 @@ def _orbit_python(
     """Unique flat indices of the orbit from ``(x, y)``: ``count`` of them,
     or fewer if ``cap`` states pass or the state repeats first.
 
-    The reference for ``_orbit.c`` and the fallback where it cannot run:
+    The reference for the ``orbit`` of ``_native.c`` and the fallback where it cannot run:
     each step is one :func:`coupled_step`, so the fallback is the spec.
     Precondition, which :func:`select_positions` meets: x, y in (0, 1),
     0 < r <= 1 and count >= 1.  Every state then stays in (0, 1), so every cell is on the grid.
@@ -260,10 +255,6 @@ def _orbit_python(
     return np.array(found, dtype=np.int64)
 
 
-#: Compiler flags that keep C's binary64 arithmetic identical to CPython's.
-_CFLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
-
-
 #: Streams the compiled kernel must reproduce, frozen from :func:`_orbit_python`: the arguments
 #: ``(alpha1, alpha2, x0, y0, r, rows, cols, count, cap)`` on a 16x16 grid (28391 is its
 #: :func:`iteration_cap`) and the SHA-256 of the flat indices as little-endian int64.
@@ -279,25 +270,15 @@ _SELF_CHECK = (
 
 @functools.cache
 def _native_orbit():
-    """The compiled orbit with :func:`_orbit_python`'s signature, or None.
-
-    Builds ``_orbit.c`` with the system ``cc`` into the package's
-    ``__pycache__`` on first use (one shared object per hash of the source,
-    compiler and flags), loads it with ctypes and keeps it only if its
-    stream matches the frozen digest of every :data:`_SELF_CHECK` case.
-    """
-    source = Path(__file__).with_name("_orbit.c")
-    try:
-        lib = _build(source)
-        kernel = ctypes.CDLL(str(lib)).orbit
-    except (OSError, subprocess.SubprocessError):
+    """The compiled orbit with :func:`_orbit_python`'s signature, or None: the ``orbit``
+    of :func:`_native.library`, kept only if it reproduces every :data:`_SELF_CHECK` digest."""
+    lib = _native.library()
+    if lib is None:
         return None
-    kernel.argtypes = [ctypes.c_double] * 5 + [ctypes.c_int64] * 4 + [ctypes.c_void_p]
-    kernel.restype = ctypes.c_int64
 
     def orbit(x, y, alpha1, alpha2, r, rows, cols, count, cap):
         out = np.empty(count, dtype=np.int64)
-        found = kernel(x, y, alpha1, alpha2, r, rows, cols, count, cap, out.ctypes.data)
+        found = lib.orbit(x, y, alpha1, alpha2, r, rows, cols, count, cap, out.ctypes.data)
         if found < 0:
             raise MemoryError(f"no memory for the seen-map of a {rows}x{cols} grid")
         return out[:found]
@@ -307,31 +288,6 @@ def _native_orbit():
         if hashlib.sha256(found.astype("<i8").tobytes()).hexdigest() != digest:
             return None
     return orbit
-
-
-def _build(source: Path) -> Path:
-    """Path of the shared object built from ``source``, compiling it first
-    if this source, compiler and flag set have no build yet.  It is named
-    after the source's stem: ``_orbit.c`` builds ``orbit-<sha256>.so``."""
-    cache = source.parent / "__pycache__"
-    cc = shutil.which("cc")
-    if cc is None:
-        raise OSError("no C compiler on PATH")
-    # The flags and the compiler decide the arithmetic as much as the source.
-    build = hashlib.sha256(source.read_bytes())
-    build.update("\0".join((os.path.realpath(cc), *_CFLAGS)).encode())
-    lib = cache / f"{source.stem.lstrip('_')}-{build.hexdigest()}.so"
-    if lib.exists():
-        return lib
-    cache.mkdir(exist_ok=True)
-    # Build beside the target and rename, so a concurrent build or load
-    # never sees a half-written file.
-    with tempfile.TemporaryDirectory(dir=cache) as tmp:
-        built = os.path.join(tmp, lib.name)
-        subprocess.run([cc, *_CFLAGS, "-o", built, str(source)], check=True, capture_output=True, timeout=120)
-        os.chmod(built, 0o755)  # loadable by other users whatever the umask
-        os.replace(built, lib)
-    return lib
 
 
 def bifurcation_scan(

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from chaostego import analysis, chaos
+from chaostego import _native, analysis, chaos
 from chaostego.imagery import RasterImage
 from chaostego.keymat import generate_keys
 
@@ -27,6 +27,13 @@ def live_keys():
 
 
 @pytest.fixture
+def uncached_library(monkeypatch):
+    """Makes each ``_native.library()`` call build and load afresh, so a test
+    can change what it builds from without leaving the cached library changed."""
+    monkeypatch.setattr(_native, "library", _native.library.__wrapped__)
+
+
+@pytest.fixture
 def orbit_paths(monkeypatch):
     """Loop over this to run a test body once per orbit implementation:
     the compiled kernel (where it loaded), then ``chaos._orbit_python``,
@@ -46,7 +53,7 @@ def orbit_paths(monkeypatch):
 @pytest.fixture
 def count_paths(monkeypatch):
     """Loop over this to run a test body once per histogram counter: the
-    compiled ``_counts.c`` (where it loaded), then numpy's ``bincount``.
+    compiled counters of ``_native.c`` (where they loaded), then numpy's ``bincount``.
 
     Like ``orbit_paths`` it keeps each test's id, but it can be looped over
     again, so it nests inside ``orbit_paths`` and serves every example of a
@@ -63,6 +70,19 @@ def count_paths(monkeypatch):
             yield "numpy"
 
     return Paths()
+
+
+def native_source_copy(tmp_path, *change):
+    """A copy of ``_native.c`` in ``tmp_path``, with the one ``(old, new)``
+    replacement ``change`` names, if any."""
+    text = _native._SOURCE.read_text()
+    if change:
+        old, new = change
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    source = tmp_path / "_native.c"
+    source.write_text(text)
+    return source
 
 
 def random_image(rng: np.random.Generator, rows: int, cols: int, channels: int = 1) -> RasterImage:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaincc
 
-from chaostego import analysis
+from chaostego import _native, analysis
 from chaostego.analysis import (
     _POV_MIN_PAIR_TOTAL,
     _entropy_bits,
@@ -33,7 +33,7 @@ from chaostego.cli import (
 from chaostego.codec import embed, encode_message
 from chaostego.errors import CapacityError, DimensionMismatch, DomainError
 from chaostego.imagery import RasterImage
-from conftest import random_image
+from conftest import native_source_copy, random_image
 
 
 def gray(rows, cols, values):
@@ -246,19 +246,6 @@ def widened_difference_counts(samples, step):
     return np.bincount((wide[:, step:] - wide[:, :-step] + 255).ravel(), minlength=511)
 
 
-def counts_source_copy(tmp_path, *change):
-    """A copy of ``_counts.c`` in ``tmp_path``, with the one ``(old, new)``
-    replacement ``change`` names, if any."""
-    text = analysis._COUNTS_SOURCE.read_text()
-    if change:
-        old, new = change
-        assert text.count(old) == 1
-        text = text.replace(old, new)
-    source = tmp_path / "_counts.c"
-    source.write_text(text)
-    return source
-
-
 class TestNativeCounts:
     """The compiled counters give np.bincount's counts, load where a
     compiler exists and are dropped for numpy when they cannot be trusted."""
@@ -301,20 +288,26 @@ class TestNativeCounts:
 
     @needs_cc
     def test_library_is_named_after_its_source(self, tmp_path):
-        lib = analysis._build(counts_source_copy(tmp_path))
-        assert lib.name.startswith("counts-") and lib.suffix == ".so"
+        lib = _native._build(native_source_copy(tmp_path))
+        assert lib.name.startswith("native-") and lib.suffix == ".so"
 
-    def test_falls_back_when_the_build_fails(self, monkeypatch):
+    def test_falls_back_without_a_compiler(self, monkeypatch, uncached_library):
+        monkeypatch.setattr(_native.shutil, "which", lambda name: None)
+        assert _native.library() is None
+        assert analysis._native_counts.__wrapped__() is None
+
+    def test_falls_back_when_the_build_fails(self, monkeypatch, uncached_library):
         def fail(source):
             raise OSError("no compiler")
 
-        monkeypatch.setattr(analysis, "_build", fail)
+        monkeypatch.setattr(_native, "_build", fail)
+        assert _native.library() is None
         assert analysis._native_counts.__wrapped__() is None
 
     @needs_cc
-    def test_loads_an_unchanged_copy(self, tmp_path, monkeypatch):
+    def test_loads_an_unchanged_copy(self, tmp_path, monkeypatch, uncached_library):
         # The control for the two mutants below: a copy of the source loads.
-        monkeypatch.setattr(analysis, "_COUNTS_SOURCE", counts_source_copy(tmp_path))
+        monkeypatch.setattr(_native, "_SOURCE", native_source_copy(tmp_path))
         assert analysis._native_counts.__wrapped__() is not None
 
     @needs_cc
@@ -322,8 +315,8 @@ class TestNativeCounts:
         ("lane[3][p[i + 3]]++;", "lane[3][p[i + 3] ^ 1]++;"),  # wrong value counts
         ("lane[1][255 + b[j + 1] - a[j + 1]]++;", "lane[1][255 + b[j + 1] - a[j]]++;"),  # wrong differences
     ])
-    def test_falls_back_when_the_check_counts_differ(self, tmp_path, monkeypatch, old, new):
-        monkeypatch.setattr(analysis, "_COUNTS_SOURCE", counts_source_copy(tmp_path, old, new))
+    def test_falls_back_when_the_check_counts_differ(self, tmp_path, monkeypatch, uncached_library, old, new):
+        monkeypatch.setattr(_native, "_SOURCE", native_source_copy(tmp_path, old, new))
         assert analysis._native_counts.__wrapped__() is None
 
     def test_loaded_on_first_count_not_at_import(self, tmp_path):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaostego import chaos
+from chaostego import _native, chaos
 from chaostego.chaos import (
     EPSILON,
     ChaosState,
@@ -31,6 +31,7 @@ from chaostego.chaos import (
 )
 from chaostego.errors import DomainError, InsufficientCapacity
 from chaostego.keymat import ALPHA_RANGE, PublicCoupling, SecretKeySet
+from conftest import native_source_copy
 
 
 class TestMapStep:
@@ -366,52 +367,64 @@ class TestNativeKernel:
 
     @needs_cc
     def test_build_is_cached_by_source_hash(self, tmp_path):
-        source = tmp_path / "_orbit.c"
-        source.write_bytes(Path(chaos.__file__).with_name("_orbit.c").read_bytes())
-        lib = chaos._build(source)
+        source = native_source_copy(tmp_path)
+        lib = _native._build(source)
         assert lib.parent == tmp_path / "__pycache__"
-        assert lib.name.startswith("orbit-") and lib.suffix == ".so"
+        assert lib.name.startswith("native-") and lib.suffix == ".so"
         assert [p.name for p in lib.parent.iterdir()] == [lib.name]  # no temp file left
         mtime = lib.stat().st_mtime_ns
-        assert chaos._build(source) == lib and lib.stat().st_mtime_ns == mtime
+        assert _native._build(source) == lib and lib.stat().st_mtime_ns == mtime
 
     @needs_cc
     def test_flags_are_part_of_the_build_name(self, tmp_path, monkeypatch):
-        source = tmp_path / "_orbit.c"
-        source.write_bytes(Path(chaos.__file__).with_name("_orbit.c").read_bytes())
-        first = chaos._build(source)
-        monkeypatch.setattr(chaos, "_CFLAGS", (*chaos._CFLAGS, "-g"))
-        second = chaos._build(source)
+        source = native_source_copy(tmp_path)
+        first = _native._build(source)
+        monkeypatch.setattr(_native, "_CFLAGS", (*_native._CFLAGS, "-g"))
+        second = _native._build(source)
         assert second != first and second.exists()
+
+    @needs_cc
+    def test_a_rebuild_deletes_only_the_older_build(self, tmp_path):
+        source = native_source_copy(tmp_path)
+        first = _native._build(source)
+        kept = [first.with_name(name) for name in ("other.so", "native-old.so", f"orbit-{'0' * 64}.so")]
+        for path in kept:
+            path.write_bytes(b"")
+        source.write_bytes(source.read_bytes() + b"\n")  # a one-byte edit
+        second = _native._build(source)
+        assert second != first and not first.exists()
+        assert sorted(second.parent.iterdir()) == sorted([second, *kept])
 
     def test_kernel_epsilon_matches_python(self):
         # The one constant both languages state; the self-check sees it
         # only if an orbit hits 0, 0.5 or 1 exactly.
-        source = Path(chaos.__file__).with_name("_orbit.c").read_text()
+        source = _native._SOURCE.read_text()
         (literal,) = [line.split()[2] for line in source.splitlines() if line.startswith("#define EPSILON ")]
         assert float.fromhex(literal) == EPSILON
 
     @needs_cc
     def test_kernel_compiles_without_warnings(self, tmp_path):
-        # Every C source of the package: the orbit and the histogram counters.
+        # Every C source of the package: _native.c, the orbit and the histogram counters.
         sources = sorted(Path(chaos.__file__).parent.glob("*.c"))
-        assert {"_counts.c", "_orbit.c"} <= {source.name for source in sources}
+        assert "_native.c" in {source.name for source in sources}
         for source in sources:
             built = subprocess.run(
-                ["cc", *chaos._CFLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "lib.so"), str(source)],
+                ["cc", *_native._CFLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "lib.so"), str(source)],
                 capture_output=True, text=True, timeout=120,
             )
             assert built.returncode == 0, (source.name, built.stderr)
 
-    def test_falls_back_without_a_compiler(self, monkeypatch):
-        monkeypatch.setattr(chaos.shutil, "which", lambda name: None)
+    def test_falls_back_without_a_compiler(self, monkeypatch, uncached_library):
+        monkeypatch.setattr(_native.shutil, "which", lambda name: None)
+        assert _native.library() is None
         assert chaos._native_orbit.__wrapped__() is None
 
-    def test_falls_back_when_the_build_fails(self, monkeypatch):
+    def test_falls_back_when_the_build_fails(self, monkeypatch, uncached_library):
         def fail(source):
             raise OSError("no compiler")
 
-        monkeypatch.setattr(chaos, "_build", fail)
+        monkeypatch.setattr(_native, "_build", fail)
+        assert _native.library() is None
         assert chaos._native_orbit.__wrapped__() is None
 
     def test_falls_back_when_the_self_check_disagrees(self, monkeypatch):

@@ -1,8 +1,8 @@
 """The package root exports exactly the names README's "Library use" shows,
 every name it lists under a module exists there, its shell examples are
-valid invocations, each module uses what it imports, every C source ships
-with the package, and the benchmark evidence at the repository root comes
-in complete, paired files."""
+valid invocations, each module uses what it imports, only ``_native``
+builds or loads C, every C source ships with the package, and the
+benchmark evidence at the repository root comes in complete, paired files."""
 
 import ast
 import importlib
@@ -64,6 +64,21 @@ def test_every_import_is_used_or_listed():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused = imported - used - listed.get(path.stem, set())
         assert not unused, f"chaostego.{path.stem} imports {sorted(unused)} and never uses them"
+
+
+def test_only_native_builds_or_loads_compiled_code():
+    # Building and loading the C source is chaostego._native's policy
+    # alone: every other module takes its kernels from _native.library().
+    machinery = {"ctypes", "subprocess", "tempfile", "shutil"}
+    for path in sorted(Path(chaostego.__file__).parent.glob("*.py")):
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+        if path.stem != "_native":
+            assert not imported & machinery, f"chaostego.{path.stem} imports {sorted(imported & machinery)}"
 
 
 def readme_commands():
