@@ -8,9 +8,9 @@
  * min/max scan.  Each writes int64 counts into an array the caller owns.  Runs
  * of equal values would chain every increment on one counter through memory,
  * so consecutive samples go to interleaved sub-histograms (lanes) that are
- * summed at the end.  The lanes are int64 like the output: no array holds
- * 2**63 samples, so no count can wrap, whatever the image size (load_pnm's
- * largest image is 3 * (2**31 - 1) samples). */
+ * summed into each output row.  The lanes are int64 like the output: no array
+ * holds 2**63 samples, so no count can wrap, whatever the image size
+ * (load_pnm's largest image is 3 * (2**31 - 1) samples). */
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -78,15 +78,17 @@ int64_t orbit(double x, double y, double alpha1, double alpha2, double r, int64_
     return found;
 }
 
-/* out[s * 256 + v] = how many samples[i] == v for bounds[s] <= i < bounds[s + 1],
- * for each of the nseg segments; bounds holds nseg + 1 nondecreasing offsets. */
+/* out[s * 256 + v] = how many samples[i] == v for bounds[0] <= i < bounds[s + 1],
+ * for each of the nseg segments: the lanes are never cleared, so each row is
+ * the running total up to its segment's end.  bounds holds nseg + 1
+ * nondecreasing offsets. */
 void count_values(const uint8_t *samples, const int64_t *bounds, int64_t nseg, int64_t *out)
 {
     int64_t lane[4][256];
+    memset(lane, 0, sizeof lane);
     for (int64_t s = 0; s < nseg; s++, out += 256) {
         const uint8_t *p = samples + bounds[s];
         int64_t n = bounds[s + 1] - bounds[s], i = 0;
-        memset(lane, 0, sizeof lane);
         for (; i + 4 <= n; i += 4) {
             lane[0][p[i]]++;
             lane[1][p[i + 1]]++;

@@ -1,7 +1,9 @@
 """Builds and loads ``_native.c``, the package's one C source: the orbit of
-:mod:`chaos` and the counters of :mod:`analysis`, which check what they take."""
+:mod:`chaos` and the counters of :mod:`analysis`, which check what they take.
+Also takes ``renameat2`` from the C library, for :func:`exchange`."""
 
 import ctypes
+import errno
 import functools
 import hashlib
 import os
@@ -13,6 +15,13 @@ from pathlib import Path
 #: Compiler flags that keep C's binary64 arithmetic identical to CPython's.
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
 _SOURCE = Path(__file__).with_name("_native.c")
+
+#: Linux's ``AT_FDCWD`` and ``RENAME_EXCHANGE``.
+_AT_FDCWD = -100
+_RENAME_EXCHANGE = 2
+#: Errors by which ``renameat2`` says it cannot swap names here: no such system
+#: call, or a filesystem that does not support the flag.
+_NO_EXCHANGE = {errno.ENOSYS, errno.EINVAL, errno.EOPNOTSUPP}
 
 
 @functools.cache
@@ -61,3 +70,30 @@ def _build(source: Path) -> Path:
         if old != lib:
             old.unlink(missing_ok=True)
     return lib
+
+
+@functools.cache
+def _renameat2():
+    """The C library's ``renameat2``, its types declared, or None where it has none."""
+    try:
+        fn = ctypes.CDLL(None, use_errno=True).renameat2
+    except (OSError, AttributeError):
+        return None
+    fn.argtypes = [ctypes.c_int, ctypes.c_char_p, ctypes.c_int, ctypes.c_char_p, ctypes.c_uint]
+    fn.restype = ctypes.c_int
+    return fn
+
+
+def exchange(a, b) -> bool:
+    """Swap the names ``a`` and ``b``, both existing, in one atomic step, and
+    return True; return False where the system cannot (no ``renameat2``, or
+    ENOSYS, EINVAL or EOPNOTSUPP from it).  Any other failure raises OSError."""
+    renameat2 = _renameat2()
+    if renameat2 is None:
+        return False
+    if renameat2(_AT_FDCWD, os.fsencode(a), _AT_FDCWD, os.fsencode(b), _RENAME_EXCHANGE) == 0:
+        return True
+    err = ctypes.get_errno()
+    if err in _NO_EXCHANGE:
+        return False
+    raise OSError(err, os.strerror(err), os.fsdecode(a), None, os.fsdecode(b))

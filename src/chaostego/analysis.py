@@ -87,9 +87,10 @@ def _bincount(values: np.ndarray, bins: int) -> np.ndarray:
 
 
 def _numpy_value_counts(flat: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """256-bin counts of each segment ``flat[bounds[s]:bounds[s + 1]]`` of the
-    uint8 samples, one int64 row per segment."""
-    return np.array([_bincount(flat[start:end], 256) for start, end in zip(bounds, bounds[1:])])
+    """256-bin running counts of the uint8 samples, one int64 row per segment:
+    row ``s`` counts ``flat[bounds[0]:bounds[s + 1]]``."""
+    segments = [_bincount(flat[start:end], 256) for start, end in zip(bounds, bounds[1:])]
+    return np.cumsum(segments, axis=0)
 
 
 def _numpy_difference_counts(samples: np.ndarray, step: int) -> np.ndarray:
@@ -276,10 +277,10 @@ def chi_square_attack(image: RasterImage, step_percent: int) -> list[AttackPoint
     frequencies are equalized (stego-like); near 0 means natural imbalance.
     Prefixes with fewer than 2 usable pairs record p_embedding = 0.
 
-    Cumulative histograms: every new segment counted in one call of the
-    value counter (compiled, else one chunked ``bincount`` per segment),
-    summed down the prefixes.  The pair statistics then come from
-    whole-array passes over every prefix at once; they are elementwise, so
+    Cumulative histograms: one call of the value counter (compiled, else
+    one chunked ``bincount`` per segment, then summed) counts every prefix
+    as the running total over its segments.  The pair statistics then come
+    from whole-array passes over every prefix at once; they are elementwise, so
     each term keeps its bits.  Only each prefix's sum over its included
     pairs (the same compressed array a per-prefix scan sums) and its
     ``gamma_q`` call stay per prefix.
@@ -293,7 +294,7 @@ def chi_square_attack(image: RasterImage, step_percent: int) -> list[AttackPoint
         percents.append(100)
     bounds = np.array([0] + [(total * t) // 100 for t in percents], dtype=np.int64)
     value_counts, _ = _counters()
-    hists = np.cumsum(value_counts(flat, bounds), axis=0)
+    hists = value_counts(flat, bounds)
     even = hists[:, 0::2].astype(np.float64)
     pair_total = even + hists[:, 1::2]
     included = pair_total > _POV_MIN_PAIR_TOTAL

@@ -9,13 +9,14 @@ are never printed anywhere.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import os
 import stat
 import sys
 from pathlib import Path
 
-from . import analysis, chaos, codec, imagery, keymat
+from . import _native, analysis, chaos, codec, imagery, keymat
 from .errors import CapacityError, ChaostegoError, ExtractError, ParseError
 
 EXIT_OK = 0
@@ -77,23 +78,31 @@ def _write_files(*files: tuple[str | Path, bytes]) -> None:
 
     Two outputs naming the same file are refused before anything is written.
     A regular or missing target is written to a temp file beside it, which
-    takes the existing target's mode; the temp files replace their targets
-    only once every output is written.  A symlink, device or FIFO target
+    takes the existing target's mode.  Once every output is written, each
+    temp file takes its target's name: an existing target is swapped with it
+    (:func:`_native.exchange`) and its old content unlinked only after every
+    output is in place; a missing target, or one where names cannot be
+    swapped, is renamed onto.  A symlink, device or FIFO target
     (``/dev/stdout``, a pipe) cannot be replaced, so it is written through
-    directly, after the temp files and before any rename.  On failure or
-    interruption the temp files are removed and no regular target has
-    changed.  Nothing is fsynced: the replace holds against a failed
-    process, not a power loss.
+    directly, after the temp files and before any rename.
+
+    On failure or interruption the swapped targets are swapped back, the
+    targets created are unlinked and the temp files removed, so no regular
+    target has changed, except where names could not be swapped: there a
+    target renamed over before the failure keeps its new content.  Nothing
+    is fsynced: this holds against a failed process, not a power loss.
     """
-    seen = set()
-    for path, _ in files:
-        key = _file_key(path)
-        if key in seen:
-            raise ParseError(f"cannot write {path}: two outputs name this file")
-        seen.add(key)
-    staged: list[tuple[Path, str | Path]] = []
+    if len(files) > 1:  # a single output cannot name one file twice
+        seen = set()
+        for path, _ in files:
+            key = _file_key(path)
+            if key in seen:
+                raise ParseError(f"cannot write {path}: two outputs name this file")
+            seen.add(key)
+    staged: list[tuple[Path, str | Path, bool]] = []
     direct: list[tuple[str | Path, bytes]] = []
-    renamed = 0
+    temps: list[Path] = []  # to remove at the end: unrenamed, or holding old content
+    undo: list[tuple[Path, str | Path, bool]] = []  # (tmp, path, swapped) renames to reverse
     try:
         for i, (path, data) in enumerate(files):
             try:
@@ -107,7 +116,8 @@ def _write_files(*files: tuple[str | Path, bytes]) -> None:
                 continue
             target = _named(path)
             tmp = target.with_name(f".{target.name}.{os.getpid()}-{i}.tmp")
-            staged.append((tmp, path))
+            staged.append((tmp, path, st is not None))
+            temps.append(tmp)
             with open(tmp, "xb") as fh:
                 fh.write(data)
             if st is not None:
@@ -115,14 +125,42 @@ def _write_files(*files: tuple[str | Path, bytes]) -> None:
         for path, data in direct:
             with open(path, "wb") as fh:
                 fh.write(data)
-        for tmp, path in staged:
-            os.replace(tmp, path)
-            renamed += 1
-    except OSError as exc:
-        raise ParseError(f"cannot write {path}: {exc.strerror}") from exc
+        for tmp, path, existed in staged:
+            if existed and _native.exchange(tmp, path):
+                undo.append((tmp, path, True))
+                if stat.S_ISDIR(os.lstat(tmp).st_mode):  # made since the lstat above
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            else:
+                os.replace(tmp, path)
+                temps.remove(tmp)
+                if not existed:
+                    undo.append((tmp, path, False))
+    except BaseException as exc:
+        _put_back(undo, temps)
+        if isinstance(exc, OSError):
+            raise ParseError(f"cannot write {path}: {exc.strerror}") from exc
+        raise
     finally:
-        for tmp, _ in staged[renamed:]:
+        for tmp in temps:
             tmp.unlink(missing_ok=True)
+
+
+def _put_back(undo: list[tuple[Path, str | Path, bool]], temps: list[Path]) -> None:
+    """Reverse :func:`_write_files`'s renames, last first: swap each swapped
+    target back, so its temp file holds the new content, and unlink each
+    created one.  A temp file whose old content cannot be swapped back is
+    dropped from ``temps`` and kept."""
+    for tmp, path, swapped in reversed(undo):
+        if not swapped:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+            continue
+        try:
+            back = _native.exchange(tmp, path)
+        except OSError:
+            back = False
+        if not back:
+            temps.remove(tmp)
 
 
 def _write_output(path: str | None, text: str) -> None:

@@ -72,6 +72,36 @@ def count_paths(monkeypatch):
     return Paths()
 
 
+def exchange_supported(directory) -> bool:
+    """Whether ``_native.exchange`` swaps two files in ``directory``."""
+    a, b = directory / ".exchange-a", directory / ".exchange-b"
+    a.write_bytes(b"a")
+    b.write_bytes(b"b")
+    try:
+        return _native.exchange(a, b)
+    finally:
+        a.unlink()
+        b.unlink()
+
+
+@pytest.fixture
+def rename_paths(monkeypatch, tmp_path_factory):
+    """Loop over this to run a test body once per way ``cli._write_files``
+    replaces an existing output: swapping names with ``_native.exchange``
+    (where the system supports it), then ``os.replace`` alone, as where it
+    does not.
+
+    Like ``orbit_paths`` it keeps each test's id unchanged.
+    """
+    def paths():
+        if exchange_supported(tmp_path_factory.mktemp("exchange")):
+            yield "exchange"
+        monkeypatch.setattr(_native, "exchange", lambda a, b: False)
+        yield "replace"
+
+    return paths()
+
+
 def native_source_copy(tmp_path, *change):
     """A copy of ``_native.c`` in ``tmp_path``, with the one ``(old, new)``
     replacement ``change`` names, if any."""

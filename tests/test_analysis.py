@@ -238,7 +238,8 @@ needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler 
 
 
 def widened_value_counts(samples, bounds):
-    return np.array([np.bincount(samples[s:e].astype(np.int64), minlength=256) for s, e in zip(bounds, bounds[1:])])
+    """Running counts: row ``s`` counts ``samples[bounds[0]:bounds[s + 1]]``."""
+    return np.array([np.bincount(samples[bounds[0]:e].astype(np.int64), minlength=256) for e in bounds[1:]])
 
 
 def widened_difference_counts(samples, step):

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chaostego
-from chaostego import cli
+from chaostego import _native, cli
 from chaostego.cli import run
 from chaostego.codec import embed, encode_message
 from chaostego.imagery import load_pnm, save_pbm, save_pnm
@@ -31,7 +31,7 @@ from chaostego.keymat import (
     parse_public_key,
     parse_secret_keys,
 )
-from conftest import random_image
+from conftest import exchange_supported, random_image
 
 
 @pytest.fixture
@@ -497,7 +497,7 @@ class TestOutputWrites:
         "analyze", "attack", "exchange-sim", "bifurcation",
     ])
     @pytest.mark.parametrize("target", ["missing-dir", "is-dir"])
-    def test_unwritable_output_exits_2_and_writes_nothing(self, bundle, command, target, capsys):
+    def test_unwritable_output_exits_2_and_writes_nothing(self, bundle, command, target, rename_paths, capsys):
         if target == "missing-dir":
             bad = bundle / "missing" / "out"
         else:  # a directory in the way; embed meets it at its third file
@@ -505,14 +505,15 @@ class TestOutputWrites:
             for name in ("blocked", "blocked.zeros.pbm"):
                 (bundle / name).mkdir()
         before = snapshot(bundle)
-        capsys.readouterr()
-        assert run(self.failing_argv(bundle, command, str(bad))) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: cannot write ") and "Traceback" not in err
-        assert snapshot(bundle) == before
+        for _ in rename_paths:
+            capsys.readouterr()
+            assert run(self.failing_argv(bundle, command, str(bad))) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: cannot write ") and "Traceback" not in err
+            assert snapshot(bundle) == before
 
     @pytest.mark.parametrize("case", ["keygen", "keygen-symlink", "embed"])
-    def test_outputs_naming_one_file_exit_2_and_write_nothing(self, bundle, case, capsys):
+    def test_outputs_naming_one_file_exit_2_and_write_nothing(self, bundle, case, rename_paths, capsys):
         if case == "keygen":
             argv = ["keygen", "--out", str(bundle / "k"), "--pub", str(bundle / "k"), "--seed", "3"]
         elif case == "keygen-symlink":
@@ -524,13 +525,14 @@ class TestOutputWrites:
             argv = TestEmbedExtract().embed_argv(bundle, out="p")
             argv[argv.index("--pub") + 1] = str(bundle / "p.pgm")
         before = snapshot(bundle)
-        capsys.readouterr()
-        assert run(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: cannot write ") and "Traceback" not in err
-        assert snapshot(bundle) == before
+        for _ in rename_paths:
+            capsys.readouterr()
+            assert run(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: cannot write ") and "Traceback" not in err
+            assert snapshot(bundle) == before
 
-    def test_embed_whose_last_write_fails_keeps_pub(self, bundle, monkeypatch, capsys):
+    def test_embed_whose_last_write_fails_keeps_pub(self, bundle, rename_paths, monkeypatch, capsys):
         pub = bundle / "public.key"
         pub.write_text(pub.read_text().splitlines()[0] + "\n")  # no mode tag yet
         before = snapshot(bundle)
@@ -543,16 +545,99 @@ class TestOutputWrites:
             return open(path, mode)
 
         monkeypatch.setattr(cli, "open", open_fourth_fails, raising=False)
-        assert run(TestEmbedExtract().embed_argv(bundle, out="again")) == 2
-        assert capsys.readouterr().err == f"error: cannot write {pub}: No space left on device\n"
-        assert snapshot(bundle) == before
+        for _ in rename_paths:
+            opened.clear()
+            assert run(TestEmbedExtract().embed_argv(bundle, out="again")) == 2
+            assert capsys.readouterr().err == f"error: cannot write {pub}: No space left on device\n"
+            assert snapshot(bundle) == before
 
-    def test_success_leaves_no_temp_file(self, bundle):
-        names = sorted(p.name for p in bundle.iterdir())
-        assert not [n for n in names if n.endswith(".tmp")]
-        assert {"stego.pgm", "stego.ones.pbm", "stego.zeros.pbm"} <= set(names)
+    @pytest.mark.parametrize("fault", [OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), KeyboardInterrupt()])
+    def test_embed_whose_third_rename_fails_writes_nothing(self, bundle, fault, rename_paths, monkeypatch, capsys):
+        # The first two outputs are already in place when the third fails.
+        before = snapshot(bundle)
+        renamed = []
+        replace = os.replace
 
-    def test_interrupted_write_leaves_no_temp_file(self, bundle, monkeypatch):
+        def third_fails(src, dst):
+            renamed.append(dst)
+            if len(renamed) == 3:
+                raise fault
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", third_fails)
+        for _ in rename_paths:
+            renamed.clear()
+            argv = TestEmbedExtract().embed_argv(bundle, out="again")
+            if isinstance(fault, KeyboardInterrupt):
+                with pytest.raises(KeyboardInterrupt):
+                    run(argv)
+            else:
+                assert run(argv) == 2
+                assert capsys.readouterr().err == f"error: cannot write {renamed[2]}: No space left on device\n"
+            assert len(renamed) == 3
+            assert snapshot(bundle) == before
+
+    @pytest.mark.parametrize("fault", [OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), KeyboardInterrupt()])
+    def test_keygen_whose_second_swap_fails_swaps_the_first_back(self, tmp_path, fault, monkeypatch):
+        if not exchange_supported(tmp_path):
+            pytest.skip("names cannot be swapped here")
+        keygen(tmp_path, seed=11)
+        before = snapshot(tmp_path)
+        swaps = []
+        exchange = _native.exchange
+
+        def second_fails(a, b):
+            swaps.append(b)
+            if len(swaps) == 2:
+                raise fault
+            return exchange(a, b)
+
+        monkeypatch.setattr(_native, "exchange", second_fails)
+        argv = ["keygen", "--out", str(tmp_path / "secret.key"), "--pub", str(tmp_path / "public.key"),
+                "--seed", "12"]
+        if isinstance(fault, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                run(argv)
+        else:
+            assert run(argv) == 2
+        assert len(swaps) == 3  # the second failed, then the first was swapped back
+        assert snapshot(tmp_path) == before
+
+    def test_directory_made_during_the_write_is_swapped_back(self, tmp_path, monkeypatch, capsys):
+        # A directory made after the target's lstat must fail the write, as
+        # os.replace onto it would, and stay where it was made.
+        if not exchange_supported(tmp_path):
+            pytest.skip("names cannot be swapped here")
+        keygen(tmp_path, seed=11)
+        secret, pub = tmp_path / "secret.key", tmp_path / "public.key"
+        old_pub = pub.read_bytes()
+        exchange = _native.exchange
+        swaps = []
+
+        def mkdir_first(a, b):
+            swaps.append(b)
+            if len(swaps) == 1:
+                secret.unlink()
+                secret.mkdir()
+            return exchange(a, b)
+
+        monkeypatch.setattr(_native, "exchange", mkdir_first)
+        capsys.readouterr()
+        assert run(["keygen", "--out", str(secret), "--pub", str(pub), "--seed", "12"]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {secret}: Is a directory\n"
+        assert swaps == [str(secret)] * 2  # swapped in, then back
+        assert secret.is_dir() and pub.read_bytes() == old_pub
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["public.key", "secret.key"]
+
+    def test_success_leaves_no_temp_file(self, bundle, rename_paths):
+        for _ in rename_paths:
+            keygen(bundle, seed=12)  # over the bundle's outputs
+            assert TestEmbedExtract().embed(bundle) == 0
+            names = sorted(p.name for p in bundle.iterdir())
+            assert not [n for n in names if n.endswith(".tmp")]
+            assert {"stego.pgm", "stego.ones.pbm", "stego.zeros.pbm"} <= set(names)
+
+    def test_interrupted_write_leaves_no_temp_file(self, bundle, rename_paths, monkeypatch):
         before = snapshot(bundle)
         opened = []
 
@@ -563,47 +648,116 @@ class TestOutputWrites:
             return open(path, mode)
 
         monkeypatch.setattr(cli, "open", open_second_interrupts, raising=False)
-        with pytest.raises(KeyboardInterrupt):
-            run(TestEmbedExtract().embed_argv(bundle, out="again"))
-        assert snapshot(bundle) == before
+        for _ in rename_paths:
+            opened.clear()
+            with pytest.raises(KeyboardInterrupt):
+                run(TestEmbedExtract().embed_argv(bundle, out="again"))
+            assert snapshot(bundle) == before
 
-    def test_existing_output_keeps_its_mode(self, tmp_path):
+    def test_existing_output_keeps_its_mode(self, tmp_path, rename_paths):
+        for _ in rename_paths:
+            keygen(tmp_path, seed=11)
+            secret = tmp_path / "secret.key"
+            secret.chmod(0o600)
+            old = secret.read_bytes()
+            keygen(tmp_path, seed=12)
+            assert secret.read_bytes() != old
+            assert stat.S_IMODE(secret.stat().st_mode) == 0o600
+
+    def test_hard_link_to_a_replaced_output_keeps_the_old_bytes(self, tmp_path, rename_paths):
+        secret, alias = tmp_path / "secret.key", tmp_path / "alias.key"
+        for _ in rename_paths:
+            keygen(tmp_path, seed=11)
+            old = secret.read_bytes()
+            alias.unlink(missing_ok=True)
+            os.link(secret, alias)
+            keygen(tmp_path, seed=12)
+            assert alias.read_bytes() == old and secret.read_bytes() != old
+            assert os.stat(alias).st_nlink == 1 and os.stat(secret).st_nlink == 1
+
+    def test_existing_outputs_are_swapped_not_renamed_over(self, tmp_path, monkeypatch):
+        if not exchange_supported(tmp_path):
+            pytest.skip("names cannot be swapped here")
+        (tmp_path / "new").mkdir()
+        keygen(tmp_path / "new", seed=12)
+        expected = snapshot(tmp_path / "new")
         keygen(tmp_path, seed=11)
-        secret = tmp_path / "secret.key"
-        secret.chmod(0o600)
-        old = secret.read_bytes()
-        keygen(tmp_path, seed=12)
-        assert secret.read_bytes() != old
-        assert stat.S_IMODE(secret.stat().st_mode) == 0o600
+        replace = os.replace
 
-    def test_symlinked_output_is_written_through(self, tmp_path):
+        def fresh_names_only(src, dst):
+            if os.path.lexists(dst):
+                raise OSError(errno.EEXIST, "renamed over an existing file")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", fresh_names_only)
+        keygen(tmp_path, seed=12)
+        assert {p.name: data for p, data in snapshot(tmp_path).items() if p.parent == tmp_path} == {
+            p.name: data for p, data in expected.items()}
+
+    def test_symlinked_output_is_written_through(self, tmp_path, rename_paths):
         real = tmp_path / "keys" / "public.key"
         real.parent.mkdir()
-        real.write_text("old\n")
         link = tmp_path / "public.link"
         link.symlink_to(real)
-        assert run(["keygen", "--out", str(tmp_path / "secret.key"),
-                    "--pub", str(link), "--seed", "3"]) == 0
-        assert link.is_symlink()
-        parse_public_key(real.read_text())
-        assert sorted(p.name for p in real.parent.iterdir()) == ["public.key"]
+        for _ in rename_paths:
+            real.write_text("old\n")
+            assert run(["keygen", "--out", str(tmp_path / "secret.key"),
+                        "--pub", str(link), "--seed", "3"]) == 0
+            assert link.is_symlink()
+            parse_public_key(real.read_text())
+            assert sorted(p.name for p in real.parent.iterdir()) == ["public.key"]
 
-    def test_fifo_output_is_written_through(self, bundle):
+    def test_fifo_output_is_written_through(self, bundle, rename_paths):
         fifo = bundle / "recovered.fifo"
         os.mkfifo(fifo)
-        received = []
-        reader = threading.Thread(
-            target=lambda: received.append(fifo.read_bytes()), daemon=True)
-        reader.start()
-        try:
-            assert run(TestEmbedExtract().extract_argv(bundle, out=fifo.name)) == 0
-            reader.join(timeout=10)
-            assert received == [(bundle / "msg.txt").read_bytes()]
-            assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
-            assert not [p for p in bundle.iterdir() if p.name.endswith(".tmp")]
-        finally:
-            if reader.is_alive():  # unblock a reader whose writer never came
-                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        for _ in rename_paths:
+            received = []
+            reader = threading.Thread(
+                target=lambda: received.append(fifo.read_bytes()), daemon=True)
+            reader.start()
+            try:
+                assert run(TestEmbedExtract().extract_argv(bundle, out=fifo.name)) == 0
+                reader.join(timeout=10)
+                assert received == [(bundle / "msg.txt").read_bytes()]
+                assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+                assert not [p for p in bundle.iterdir() if p.name.endswith(".tmp")]
+            finally:
+                if reader.is_alive():  # unblock a reader whose writer never came
+                    os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+
+
+class TestExchange:
+    """``_native.exchange`` swaps two names, or says it cannot."""
+
+    def test_swaps_two_files(self, tmp_path):
+        if not exchange_supported(tmp_path):
+            pytest.skip("names cannot be swapped here")
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.write_bytes(b"old")
+        b.write_bytes(b"new")
+        assert _native.exchange(a, b) is True
+        assert (a.read_bytes(), b.read_bytes()) == (b"new", b"old")
+        with pytest.raises(FileNotFoundError):
+            _native.exchange(a, tmp_path / "missing")
+
+    @pytest.mark.parametrize("code", [errno.ENOSYS, errno.EINVAL, errno.EOPNOTSUPP, errno.EACCES, errno.ENOENT])
+    def test_false_only_where_the_system_cannot_swap(self, tmp_path, code, monkeypatch):
+        def fails(*args):
+            _native.ctypes.set_errno(code)
+            return -1
+
+        monkeypatch.setattr(_native, "_renameat2", lambda: fails)
+        if code in (errno.ENOSYS, errno.EINVAL, errno.EOPNOTSUPP):
+            assert _native.exchange(tmp_path / "a", tmp_path / "b") is False
+        else:
+            with pytest.raises(OSError) as raised:
+                _native.exchange(tmp_path / "a", tmp_path / "b")
+            assert raised.value.errno == code
+
+    def test_false_without_renameat2(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(_native, "_renameat2", _native._renameat2.__wrapped__)
+        monkeypatch.setattr(_native.ctypes, "CDLL", lambda name, use_errno: argparse.Namespace())
+        assert _native.exchange(tmp_path / "a", tmp_path / "b") is False
 
 
 class TestAnalysisCommands:
