@@ -10,10 +10,14 @@
  * so consecutive samples go to interleaved sub-histograms (lanes) that are
  * summed into each output row.  The lanes are int64 like the output: no array
  * holds 2**63 samples, so no count can wrap, whatever the image size
- * (load_pnm's largest image is 3 * (2**31 - 1) samples). */
+ * (load_pnm's largest image is 3 * (2**31 - 1) samples).
+ *
+ * pov_scan scores the pair-of-values chi-square of chaostego.analysis over
+ * the same running totals, with numpy's arithmetic and summation order. */
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <sys/mman.h>
 
 #define EPSILON 0x1p-40
 
@@ -33,11 +37,14 @@ static double map_step(double u, double asq)
     return num / ((4.0 * u) * (1.0 - u) + num);
 }
 
+/* Seen-maps from this size up are mapped afresh, so only the pages the orbit
+ * touches are ever zeroed or resident: calloc may serve them from the heap,
+ * and zero them whole, once glibc has raised its mmap threshold. */
+#define MAP_MIN_BYTES ((size_t)1 << 20)
+
 /* Writes up to count unique flat indices to out and returns how many it
  * found, or -1 if the seen-map cannot be allocated.  The seen-map is one
- * bit per cell, calloc'd here: while glibc serves it by mmap only the pages
- * the orbit touches become resident, but after a large map is freed in this
- * process a later one may come from the heap and be zeroed whole.  Dedup
+ * bit per cell, calloc'd below MAP_MIN_BYTES and mmap'd from there.  Dedup
  * has no branch on the seen bit, a coin flip near half fill: every step
  * stores its cell at out[found] and counts it only if it is new (the store
  * stays in bounds because the loop ends as soon as found == count).  Stops
@@ -49,8 +56,15 @@ int64_t orbit(double x, double y, double alpha1, double alpha2, double r, int64_
 {
     if (count < 1) return 0;
     double a1sq = alpha1 * alpha1, a2sq = alpha2 * alpha2; /* chaos.map_step's alpha * alpha */
-    uint64_t *seen = calloc(((uint64_t)rows * (uint64_t)cols + 63) / 64, sizeof *seen);
-    if (!seen) return -1;
+    size_t bytes = ((uint64_t)rows * (uint64_t)cols + 63) / 64 * sizeof(uint64_t);
+    uint64_t *seen;
+    if (bytes < MAP_MIN_BYTES) {
+        seen = calloc(bytes, 1);
+        if (!seen) return -1;
+    } else {
+        seen = mmap(NULL, bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (seen == MAP_FAILED) return -1;
+    }
     int64_t found = 0, limit = 1;
     double tx = x, ty = y;
     for (int64_t steps = 1;; steps++) {
@@ -74,8 +88,25 @@ int64_t orbit(double x, double y, double alpha1, double alpha2, double r, int64_
         x = sanitize(x_next);
         y = sanitize(y_next);
     }
-    free(seen);
+    if (bytes < MAP_MIN_BYTES)
+        free(seen);
+    else
+        munmap(seen, bytes);
     return found;
+}
+
+/* Adds the n samples at p to the lanes, then writes the lanes' sums to out. */
+static void count_segment(int64_t lane[4][256], const uint8_t *p, int64_t n, int64_t *out)
+{
+    int64_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        lane[0][p[i]]++;
+        lane[1][p[i + 1]]++;
+        lane[2][p[i + 2]]++;
+        lane[3][p[i + 3]]++;
+    }
+    for (; i < n; i++) lane[0][p[i]]++;
+    for (int v = 0; v < 256; v++) out[v] = lane[0][v] + lane[1][v] + lane[2][v] + lane[3][v];
 }
 
 /* out[s * 256 + v] = how many samples[i] == v for bounds[0] <= i < bounds[s + 1],
@@ -86,17 +117,51 @@ void count_values(const uint8_t *samples, const int64_t *bounds, int64_t nseg, i
 {
     int64_t lane[4][256];
     memset(lane, 0, sizeof lane);
-    for (int64_t s = 0; s < nseg; s++, out += 256) {
-        const uint8_t *p = samples + bounds[s];
-        int64_t n = bounds[s + 1] - bounds[s], i = 0;
-        for (; i + 4 <= n; i += 4) {
-            lane[0][p[i]]++;
-            lane[1][p[i + 1]]++;
-            lane[2][p[i + 2]]++;
-            lane[3][p[i + 3]]++;
+    for (int64_t s = 0; s < nseg; s++, out += 256)
+        count_segment(lane, samples + bounds[s], bounds[s + 1] - bounds[s], out);
+}
+
+/* numpy's add.reduce of the n <= 128 doubles at t: its identity 0.0 plus
+ * pairwise_sum, which adds plainly below 8 terms and otherwise keeps 8
+ * interleaved partial sums, combines them as a tree and adds the rest in
+ * order.  pairwise_sum's plain loop starts from -0.0; with every term
+ * >= +0.0, adding its result to 0.0 is the same as starting from 0.0. */
+static double numpy_sum(const double *t, int64_t n)
+{
+    double sum = 0.0;
+    int64_t i = 0;
+    if (n >= 8) {
+        double r[8];
+        for (int j = 0; j < 8; j++) r[j] = t[j];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++) r[j] += t[i + j];
+        sum += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    }
+    for (; i < n; i++) sum += t[i];
+    return sum;
+}
+
+/* For each segment s of count_values, the pair-of-values chi-square of the
+ * running counts h up to its end: chi[s] sums (h[2k] - e)**2 / e, with
+ * e = (h[2k] + h[2k + 1]) / 2, over the pairs[s] pairs k whose total is
+ * above 4, in k order. */
+void pov_scan(const uint8_t *samples, const int64_t *bounds, int64_t nseg, double *chi, int64_t *pairs)
+{
+    int64_t lane[4][256], h[256];
+    double terms[128];
+    memset(lane, 0, sizeof lane);
+    for (int64_t s = 0; s < nseg; s++) {
+        count_segment(lane, samples + bounds[s], bounds[s + 1] - bounds[s], h);
+        int64_t n = 0;
+        for (int k = 0; k < 128; k++) {
+            double even = (double)h[2 * k], total = even + (double)h[2 * k + 1];
+            if (total > 4.0) {
+                double expected = total / 2.0, d = even - expected;
+                terms[n++] = d * d / expected;
+            }
         }
-        for (; i < n; i++) lane[0][p[i]]++;
-        for (int v = 0; v < 256; v++) out[v] = lane[0][v] + lane[1][v] + lane[2][v] + lane[3][v];
+        chi[s] = numpy_sum(terms, n);
+        pairs[s] = n;
     }
 }
 

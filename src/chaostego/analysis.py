@@ -6,8 +6,9 @@ by comparing pair-of-values frequencies over growing sample prefixes.
 The attack's p-value comes from an in-house regularized upper incomplete
 gamma (series / continued fraction), kept independent of any library
 implementation so the statistic is self-contained.
-The histograms come from the compiled counters of ``_native.c`` where they
-build; numpy's ``bincount`` gives the same counts where they do not.
+The histograms, and the attack's statistic over every prefix, come from the
+compiled counters and scan of ``_native.c`` where they build and reproduce
+numpy's results bit for bit; numpy computes the same values where they do not.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .imagery import RasterImage, abs_difference
 
 PEAK_VALUE = 255  # 8-bit unsigned samples
 _COUNT_CHUNK = 1 << 15  # samples per bincount call; its intp copy stays at 256 KB
+_POV_MIN_PAIR_TOTAL = 4  # attack pairs must have more than this many samples
 
 
 @dataclass(frozen=True)
@@ -101,26 +103,52 @@ def _numpy_difference_counts(samples: np.ndarray, step: int) -> np.ndarray:
     return _bincount(deltas, 2 * PEAK_VALUE + 1)
 
 
+def _numpy_pov_scan(flat: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each running count's pair-of-values chi-square and its number of
+    included pairs, as float64 and int64 arrays with one entry per segment.
+
+    The pair terms come from whole-array passes over every prefix at once;
+    they are elementwise, so each keeps its bits.  Each prefix sums its
+    included terms as the compressed array a per-prefix scan sums.
+    """
+    hists = _numpy_value_counts(flat, bounds)
+    even = hists[:, 0::2].astype(np.float64)
+    pair_total = even + hists[:, 1::2]
+    included = pair_total > _POV_MIN_PAIR_TOTAL
+    expected = pair_total / 2.0
+    terms = np.divide((even - expected) ** 2, expected, out=np.zeros_like(even), where=included)
+    chis = np.array([row[mask].sum() for row, mask in zip(terms, included)], dtype=np.float64)
+    return chis, included.sum(axis=1)
+
+
 def _counts_check_input() -> tuple[np.ndarray, np.ndarray]:
-    """Samples and segment bounds the compiled counters must count as numpy
-    does: values scattered over the whole range, runs of 0 and of 255, 0 next
-    to 255, and an empty segment; 7 rows of 60, so 20 pixels of 3 channels."""
-    samples = (np.arange(420) * 131 % 256).astype(np.uint8)
+    """Samples and segment bounds the compiled counters and scan must treat as
+    numpy does: values scattered over the whole range, runs of 0 and of 255, 0
+    next to 255, and an empty segment; running counts with 0, 2, 55 and 128
+    pairs above 4, the edges of numpy's summation, and a tail of uneven counts
+    whose 128 terms sum to other bits in another order; 22 rows of 60, so 20
+    pixels of 3 channels."""
+    samples = (np.arange(1320) * 131 % 256).astype(np.uint8)
+    tail = np.arange(620)
+    samples[700:] = (tail * 11 + tail * tail // 11) % 256
     samples[40:90] = 0
     samples[90:130] = 255
     samples[200:260:2] = 0
     samples[201:260:2] = 255
-    return samples, np.array([0, 17, 17, 300, 420], dtype=np.int64)
+    return samples, np.array([0, 17, 17, 300, 700, 1320], dtype=np.int64)
 
 
 @functools.cache
 def _native_counts():
-    """The compiled counters with the signatures of :func:`_numpy_value_counts`
-    and :func:`_numpy_difference_counts`, as a pair, or None.
+    """The compiled counters and scan with the signatures of
+    :func:`_numpy_value_counts`, :func:`_numpy_difference_counts` and
+    :func:`_numpy_pov_scan`, as a triple, or None.
 
     Takes them from :func:`_native.library` on the first count and keeps
-    them only if their counts of :func:`_counts_check_input` equal numpy's,
-    by value and by neighbor difference at steps 1 and 3.
+    them only if their results on :func:`_counts_check_input` equal numpy's:
+    the counts by value and by neighbor difference at steps 1 and 3, and the
+    scan's chi-squares bit for bit, so a numpy that sums in another order
+    gets its own values back.
     """
     lib = _native.library()
     if lib is None:
@@ -139,19 +167,30 @@ def _native_counts():
         lib.count_differences(samples.ctypes.data, samples.shape[0], samples.shape[1], step, out.ctypes.data)
         return out
 
+    def pov_scan(flat, bounds):
+        flat = np.ascontiguousarray(flat, dtype=np.uint8)
+        bounds = np.ascontiguousarray(bounds, dtype=np.int64)
+        chis = np.empty(bounds.size - 1, dtype=np.float64)
+        pairs = np.empty(bounds.size - 1, dtype=np.int64)
+        lib.pov_scan(flat.ctypes.data, bounds.ctypes.data, chis.size, chis.ctypes.data, pairs.ctypes.data)
+        return chis, pairs
+
     samples, bounds = _counts_check_input()
-    grid = samples.reshape(7, 60)
+    grid = samples.reshape(22, 60)
     if not np.array_equal(value_counts(samples, bounds), _numpy_value_counts(samples, bounds)):
         return None
     for step in (1, 3):
         if not np.array_equal(difference_counts(grid, step), _numpy_difference_counts(grid, step)):
             return None
-    return value_counts, difference_counts
+    (chis, pairs), (want_chis, want_pairs) = pov_scan(samples, bounds), _numpy_pov_scan(samples, bounds)
+    if chis.tobytes() != want_chis.tobytes() or not np.array_equal(pairs, want_pairs):
+        return None
+    return value_counts, difference_counts, pov_scan
 
 
 def _counters():
-    """``(value_counts, difference_counts)``: compiled where they load, else numpy."""
-    return _native_counts() or (_numpy_value_counts, _numpy_difference_counts)
+    """``(value_counts, difference_counts, pov_scan)``: compiled where they load, else numpy."""
+    return _native_counts() or (_numpy_value_counts, _numpy_difference_counts, _numpy_pov_scan)
 
 
 def _entropy_bits(counts: np.ndarray) -> float:
@@ -166,7 +205,7 @@ def histogram_entropy(image: RasterImage) -> float:
     fallback counts them a bounded chunk at a time.  Either way the
     working memory is fixed: 2 KB of counts, plus 256 KB on the fallback.
     """
-    value_counts, _ = _counters()
+    value_counts, _, _ = _counters()
     flat = image.samples.ravel()
     return _entropy_bits(value_counts(flat, np.array([0, flat.size]))[0])
 
@@ -182,7 +221,7 @@ def neighbor_diff_entropy(image: RasterImage) -> float:
     """
     if image.cols < 2:
         raise DomainError("neighbor differences need at least 2 columns")
-    _, difference_counts = _counters()
+    _, difference_counts, _ = _counters()
     return _entropy_bits(difference_counts(image.samples, image.channels))
 
 
@@ -264,9 +303,6 @@ def gamma_q(a: float, x: float) -> float:
 # Chi-square pair-of-values attack
 # ---------------------------------------------------------------------------
 
-_POV_MIN_PAIR_TOTAL = 4  # pairs must have more than this many samples
-
-
 def chi_square_attack(image: RasterImage, step_percent: int) -> list[AttackPoint]:
     """Pair-of-values chi-square scan over growing sample prefixes.
 
@@ -277,13 +313,10 @@ def chi_square_attack(image: RasterImage, step_percent: int) -> list[AttackPoint
     frequencies are equalized (stego-like); near 0 means natural imbalance.
     Prefixes with fewer than 2 usable pairs record p_embedding = 0.
 
-    Cumulative histograms: one call of the value counter (compiled, else
-    one chunked ``bincount`` per segment, then summed) counts every prefix
-    as the running total over its segments.  The pair statistics then come
-    from whole-array passes over every prefix at once; they are elementwise, so
-    each term keeps its bits.  Only each prefix's sum over its included
-    pairs (the same compressed array a per-prefix scan sums) and its
-    ``gamma_q`` call stay per prefix.
+    One call scores every prefix (:func:`_numpy_pov_scan`): compiled, it
+    counts the running histograms segment by segment and sums each prefix's
+    included pair terms in numpy's order, so either path gives the same
+    bits.  Only each prefix's ``gamma_q`` call stays in Python.
     """
     if not (1 <= step_percent <= 100):
         raise DomainError("step_percent must lie in [1, 100]")
@@ -293,17 +326,10 @@ def chi_square_attack(image: RasterImage, step_percent: int) -> list[AttackPoint
     if percents[-1] != 100:
         percents.append(100)
     bounds = np.array([0] + [(total * t) // 100 for t in percents], dtype=np.int64)
-    value_counts, _ = _counters()
-    hists = value_counts(flat, bounds)
-    even = hists[:, 0::2].astype(np.float64)
-    pair_total = even + hists[:, 1::2]
-    included = pair_total > _POV_MIN_PAIR_TOTAL
-    expected = pair_total / 2.0
-    terms = np.divide((even - expected) ** 2, expected, out=np.zeros_like(even), where=included)
-    dofs = included.sum(axis=1) - 1
+    _, _, pov_scan = _counters()
+    chis, pairs = pov_scan(flat, bounds)
     points: list[AttackPoint] = []
-    for t, row, mask, dof in zip(percents, terms, included, dofs.tolist()):
-        chi = float(row[mask].sum())
+    for t, chi, dof in zip(percents, chis.tolist(), (pairs - 1).tolist()):
         p = gamma_q(dof / 2.0, chi / 2.0) if dof >= 1 else 0.0
         points.append(AttackPoint(t / 100.0, chi, max(dof, 0), p))
     return points

@@ -203,10 +203,9 @@ def format_entropy_report(histogram_bits: float, diff_bits: float | None, prefix
 
 
 def format_attack_csv(points: list[analysis.AttackPoint]) -> str:
-    lines = ["fraction,chi_square,dof,p_embedding"]
-    for pt in points:
-        lines.append(f"{pt.fraction!r},{pt.chi_square!r},{pt.dof},{pt.p_embedding!r}")
-    return "\n".join(lines) + "\n"
+    return "fraction,chi_square,dof,p_embedding\n" + "".join(
+        f"{fraction!r},{chi!r},{dof},{p!r}\n" for fraction, chi, dof, p in points
+    )
 
 
 # ---------------------------------------------------------------------------

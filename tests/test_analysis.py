@@ -277,7 +277,7 @@ class TestNativeCounts:
         samples = pixels.reshape(rows, cols * channels)
         flat = samples.ravel()
         bounds = np.array(sorted([0, flat.size] + [min(cut, flat.size) for cut in cuts]), dtype=np.int64)
-        value_counts, difference_counts = analysis._native_counts()
+        value_counts, difference_counts, _ = analysis._native_counts()
         assert np.array_equal(value_counts(flat, bounds), widened_value_counts(flat, bounds))
         assert np.array_equal(difference_counts(samples, channels), widened_difference_counts(samples, channels))
 
@@ -286,6 +286,12 @@ class TestNativeCounts:
         assert np.any(samples[1:] == samples[:-1]) and {0, 255} <= set(samples.tolist())
         assert np.any(np.abs(np.diff(samples.astype(np.int64))) == 255)
         assert np.any(np.diff(bounds) == 0) and bounds[-1] == samples.size
+        # Rows that reach every branch of numpy's summation: no term, 8
+        # partial sums with a remainder, and all 128 pairs.
+        hists = widened_value_counts(samples, bounds)
+        pairs = ((hists[:, 0::2] + hists[:, 1::2]) > _POV_MIN_PAIR_TOTAL).sum(axis=1).tolist()
+        assert 0 in pairs and 128 in pairs
+        assert any(9 <= n <= 127 and n % 8 for n in pairs)
 
     @needs_cc
     def test_library_is_named_after_its_source(self, tmp_path):
@@ -315,6 +321,7 @@ class TestNativeCounts:
     @pytest.mark.parametrize("old, new", [
         ("lane[3][p[i + 3]]++;", "lane[3][p[i + 3] ^ 1]++;"),  # wrong value counts
         ("lane[1][255 + b[j + 1] - a[j + 1]]++;", "lane[1][255 + b[j + 1] - a[j]]++;"),  # wrong differences
+        ("double sum = 0.0;", "double sum = -0.0;"),  # a scan whose empty sums print -0.0
     ])
     def test_falls_back_when_the_check_counts_differ(self, tmp_path, monkeypatch, uncached_library, old, new):
         monkeypatch.setattr(_native, "_SOURCE", native_source_copy(tmp_path, old, new))
@@ -470,6 +477,19 @@ def even_valued_cover(rows, cols, seed):
     return RasterImage(rows, cols, 1, samples)
 
 
+def prefix_chi_square(prefix):
+    """The chi-square of one prefix's histogram, counted from scratch, and
+    its number of included pairs, as :func:`per_prefix_attack` scores them."""
+    hist = np.bincount(prefix, minlength=256)
+    even = hist[0::2].astype(np.float64)
+    odd = hist[1::2].astype(np.float64)
+    pair_total = even + odd
+    included = pair_total > _POV_MIN_PAIR_TOTAL
+    expected = pair_total[included] / 2.0
+    chi = float(np.sum((even[included] - expected) ** 2 / expected)) if included.any() else 0.0
+    return chi, int(included.sum())
+
+
 def per_prefix_attack(image, step_percent):
     """The scan as first written, kept as the oracle: every prefix's
     histogram counted from scratch."""
@@ -491,6 +511,33 @@ def per_prefix_attack(image, step_percent):
         p = gamma_q(dof / 2.0, chi / 2.0) if dof >= 1 else 0.0
         points.append((t / 100.0, chi, max(dof, 0), p))
     return points
+
+
+def pair_rows(rng, targets):
+    """Samples and bounds whose running counts have exactly ``targets[s]``
+    pairs above the threshold at the end of segment ``s`` (``targets``
+    nondecreasing, at most 128).  Each segment raises the next pairs of a
+    random order by 5-300 samples, adds 0-39 to each pair raised before, and
+    tops up one pair still below to a total of at most 4; each pair's new
+    samples split at random between its two values."""
+    order = rng.permutation(128)
+    totals = np.zeros(128, dtype=np.int64)
+    segments, done = [], 0
+    for target in targets:
+        added = np.zeros(128, dtype=np.int64)
+        raised = order[done:target]
+        added[raised] = rng.integers(5, 301, raised.size)
+        if target < 128:
+            low = order[rng.integers(target, 128)]
+            added[low] = min(rng.integers(0, 5), _POV_MIN_PAIR_TOTAL - totals[low])
+        added[order[:done]] = rng.integers(0, 40, done)
+        totals += added
+        evens = rng.binomial(added, rng.random(128))
+        values = np.concatenate([np.repeat(2 * np.arange(128), evens), np.repeat(2 * np.arange(128) + 1, added - evens)])
+        segments.append(rng.permutation(values).astype(np.uint8))
+        done = target
+    bounds = np.cumsum([0] + [segment.size for segment in segments])
+    return np.concatenate(segments), bounds
 
 
 def reprs(points):
@@ -536,6 +583,25 @@ class TestChiSquareAttack:
             series = sum(p.chi_square / 2.0 < p.dof / 2.0 + 1.0 for p in points)
             assert (len(points), series) == (100, 51)
             assert sum(0.0 < p.p_embedding < 1.0 for p in points) == 59
+
+    @settings(max_examples=100, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        targets=st.lists(st.sampled_from([0, 1, 7, 8, 9, 15, 16, 17, 127, 128]), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(targets=[0, 1, 7, 8, 9, 15, 16, 17, 127, 128], seed=0)
+    def test_scan_sums_as_numpy_at_the_summation_edges(self, targets, seed, count_paths):
+        # 0-128 included pairs: numpy adds below 8 terms plainly and from 8
+        # on keeps 8 partial sums, so these counts are its edges.
+        targets = sorted(targets)
+        samples, bounds = pair_rows(np.random.default_rng(seed), targets)
+        expected = [prefix_chi_square(samples[:end]) for end in bounds[1:]]
+        assert [pairs for _, pairs in expected] == targets
+        for counter in count_paths:
+            chis, pairs = analysis._counters()[2](samples, bounds)
+            assert [(repr(chi), n) for chi, n in zip(chis.tolist(), pairs.tolist())] == \
+                [(repr(chi), n) for chi, n in expected], counter
 
     def test_equal_pairs_scan_is_all_ones(self):
         img = paired_cover(100, 100)  # every 10% prefix has even length

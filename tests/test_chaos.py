@@ -1,5 +1,6 @@
 """Map iteration, sanitization, and position stream behavior."""
 
+import ctypes.util
 import hashlib
 import itertools
 import math
@@ -343,6 +344,16 @@ class TestSelectPositions:
 
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+needs_vmhwm = pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="no /proc/self/status")
+
+#: Child-script source of ``peak_kib()``, the process's peak RSS in KiB.  A
+#: child's ``ru_maxrss`` starts at its parent's peak, which hides growth below
+#: pytest's own; Linux's VmHWM counts from the child's exec.
+PEAK_KIB = (
+    "def peak_kib():\n"
+    "    with open('/proc/self/status') as status:\n"
+    "        return int(next(line for line in status if line.startswith('VmHWM:')).split()[1])\n"
+)
 
 
 def orbit_args(case):
@@ -476,21 +487,22 @@ class TestNativeKernel:
         with pytest.raises(MemoryError, match="seen-map"):
             orbit(0.3, 0.7, 2.0, 3.0, 0.9, 2**40, 2**22, 1, 10)
 
+    @needs_vmhwm
     def test_seen_map_memory_follows_the_work(self, tmp_path):
         # 500 positions on an 8000x8000 grid: a byte per cell would be 64 MB,
         # a bitset 8 MB of address space of which only touched pages count.
         if chaos._native_orbit() is None:
             pytest.skip("compiled kernel unavailable")
-        script = (
-            "import resource, sys\n"
+        script = PEAK_KIB + (
+            "import sys\n"
             "from chaostego import chaos, cli\n"
             "sec, pub, out = sys.argv[1:]\n"
             "assert cli.run(['keygen', '--out', sec, '--pub', pub, '--seed', '3']) == 0\n"
             "assert chaos._native_orbit() is not None\n"
-            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "before = peak_kib()\n"
             "assert cli.run(['exchange-sim', '--alice', sec, '--pub', pub, '--rows', '8000',\n"
             "                '--cols', '8000', '--prefix', '500', '--out', out]) == 0\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+            "print(peak_kib() - before)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(chaos.__file__).parents[1]))
         child = subprocess.run(
@@ -499,8 +511,63 @@ class TestNativeKernel:
         )
         assert child.returncode == 0, child.stderr
         assert (tmp_path / "t.txt").read_text().endswith("agreement=true\n")
-        growth_kib = int(child.stdout)  # ru_maxrss is in KiB on Linux
-        assert growth_kib < 16 * 1024
+        assert int(child.stdout) < 16 * 1024
+
+    @needs_vmhwm
+    def test_repeated_large_seen_maps_stay_lazily_zeroed(self):
+        # An 8000x8000 seen-map is 8 MB, of which 500 cells touch at most
+        # 2 MB of pages.  Once one was freed, calloc could serve the next
+        # from the heap and zero it whole; mmap'd afresh, each call keeps
+        # only the pages it touches.
+        if chaos._native_orbit() is None:
+            pytest.skip("compiled kernel unavailable")
+        script = PEAK_KIB + (
+            "from chaostego import chaos\n"
+            "from chaostego.keymat import generate_keys\n"
+            "keys, coupling = generate_keys(3)\n"
+            "assert chaos._native_orbit() is not None\n"
+            "for _ in range(4):\n"
+            "    before = peak_kib()\n"
+            "    assert chaos.select_positions(keys, coupling, chaos.ImageDims(8000, 8000), 500).size == 500\n"
+            "    print(peak_kib() - before)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(chaos.__file__).parents[1]))
+        child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        growth_kib = [int(line) for line in child.stdout.split()]
+        assert len(growth_kib) == 4 and max(growth_kib) < 3 * 1024, growth_kib
+
+    @pytest.mark.skipif(shutil.which("cc") is None or ctypes.util.find_library("ubsan") is None,
+                        reason="no C compiler or no libubsan")
+    @pytest.mark.parametrize("change, clean", [
+        ((), True),
+        (("for (int k = 0; k < 128; k++)", "for (int k = 0; k <= 128; k++)"), False),  # reads past h[255]
+    ])
+    def test_kernels_run_clean_under_ubsan(self, tmp_path, change, clean):
+        # Built with undefined-behaviour checks that abort on the first
+        # finding: the orbit's self-check cases, the counters' and scan's
+        # load-time check, then the scan on rows of 0-128 included pairs.
+        script = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "import numpy as np\n"
+            "from chaostego import _native, analysis, chaos\n"
+            "_native._SOURCE = Path(sys.argv[1])\n"
+            "_native._CFLAGS = (*_native._CFLAGS, '-fsanitize=undefined', '-fno-sanitize-recover=undefined')\n"
+            "assert chaos._native_orbit() is not None\n"
+            "counters = analysis._native_counts()\n"
+            "assert counters is not None\n"
+            "edges = [0, 1, 7, 8, 9, 15, 16, 17, 127, 128]\n"
+            "samples = np.repeat(np.arange(0, 256, 2, dtype=np.uint8), 5)\n"
+            "chis, pairs = counters[2](samples, np.array([0] + [5 * n for n in edges]))\n"
+            "assert pairs.tolist() == edges\n"
+        )
+        source = native_source_copy(tmp_path, *change)
+        env = dict(os.environ, PYTHONPATH=str(Path(chaos.__file__).parents[1]))
+        child = subprocess.run([sys.executable, "-c", script, str(source)], env=env, capture_output=True,
+                               text=True, timeout=120)
+        assert (child.returncode == 0) == clean, child.stderr
+        assert ("runtime error" not in child.stderr) == clean, child.stderr
 
 
 class TestBifurcationScan:
