@@ -8,12 +8,11 @@
  * min/max scan.  Each writes int64 counts into an array the caller owns.  Runs
  * of equal values would chain every increment on one counter through memory,
  * so consecutive samples go to interleaved sub-histograms (lanes) that are
- * summed into each output row.  The lanes are int64 like the output: no array
+ * summed into each histogram.  The lanes are int64 like the output: no array
  * holds 2**63 samples, so no count can wrap, whatever the image size
- * (load_pnm's largest image is 3 * (2**31 - 1) samples).
- *
- * pov_scan scores the pair-of-values chi-square of chaostego.analysis over
- * the same running totals, with numpy's arithmetic and summation order. */
+ * (load_pnm's largest image is 3 * (2**31 - 1) samples).  count_values serves
+ * both the value histogram and the attack: it also scores the pair-of-values
+ * chi-square of each running count, with numpy's arithmetic and summation order. */
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -95,32 +94,6 @@ int64_t orbit(double x, double y, double alpha1, double alpha2, double r, int64_
     return found;
 }
 
-/* Adds the n samples at p to the lanes, then writes the lanes' sums to out. */
-static void count_segment(int64_t lane[4][256], const uint8_t *p, int64_t n, int64_t *out)
-{
-    int64_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        lane[0][p[i]]++;
-        lane[1][p[i + 1]]++;
-        lane[2][p[i + 2]]++;
-        lane[3][p[i + 3]]++;
-    }
-    for (; i < n; i++) lane[0][p[i]]++;
-    for (int v = 0; v < 256; v++) out[v] = lane[0][v] + lane[1][v] + lane[2][v] + lane[3][v];
-}
-
-/* out[s * 256 + v] = how many samples[i] == v for bounds[0] <= i < bounds[s + 1],
- * for each of the nseg segments: the lanes are never cleared, so each row is
- * the running total up to its segment's end.  bounds holds nseg + 1
- * nondecreasing offsets. */
-void count_values(const uint8_t *samples, const int64_t *bounds, int64_t nseg, int64_t *out)
-{
-    int64_t lane[4][256];
-    memset(lane, 0, sizeof lane);
-    for (int64_t s = 0; s < nseg; s++, out += 256)
-        count_segment(lane, samples + bounds[s], bounds[s + 1] - bounds[s], out);
-}
-
 /* numpy's add.reduce of the n <= 128 doubles at t: its identity 0.0 plus
  * pairwise_sum, which adds plainly below 8 terms and otherwise keeps 8
  * interleaved partial sums, combines them as a tree and adds the rest in
@@ -141,28 +114,40 @@ static double numpy_sum(const double *t, int64_t n)
     return sum;
 }
 
-/* For each segment s of count_values, the pair-of-values chi-square of the
- * running counts h up to its end: chi[s] sums (h[2k] - e)**2 / e, with
- * e = (h[2k] + h[2k + 1]) / 2, over the pairs[s] pairs k whose total is
- * above 4, in k order. */
-void pov_scan(const uint8_t *samples, const int64_t *bounds, int64_t nseg, double *chi, int64_t *pairs)
+/* For each of the nseg segments s, the counts h of the samples up to its end,
+ * samples[bounds[0]:bounds[s + 1]], and their pair-of-values chi-square:
+ * chi[s] sums (h[2k] - e)**2 / e, with e = (h[2k] + h[2k + 1]) / 2, over the
+ * pairs[s] pairs k whose total is above 4, in k order.  The lanes are never
+ * cleared, so each h is a running total; the last goes to hist.  bounds holds
+ * nseg + 1 nondecreasing offsets. */
+void count_values(const uint8_t *samples, const int64_t *bounds, int64_t nseg, int64_t *hist, double *chi,
+                  int64_t *pairs)
 {
-    int64_t lane[4][256], h[256];
+    int64_t lane[4][256] = {{0}}, h[256] = {0};
     double terms[128];
-    memset(lane, 0, sizeof lane);
     for (int64_t s = 0; s < nseg; s++) {
-        count_segment(lane, samples + bounds[s], bounds[s + 1] - bounds[s], h);
-        int64_t n = 0;
+        const uint8_t *p = samples + bounds[s];
+        int64_t n = bounds[s + 1] - bounds[s], i = 0;
+        for (; i + 4 <= n; i += 4) {
+            lane[0][p[i]]++;
+            lane[1][p[i + 1]]++;
+            lane[2][p[i + 2]]++;
+            lane[3][p[i + 3]]++;
+        }
+        for (; i < n; i++) lane[0][p[i]]++;
+        for (int v = 0; v < 256; v++) h[v] = lane[0][v] + lane[1][v] + lane[2][v] + lane[3][v];
+        int64_t included = 0;
         for (int k = 0; k < 128; k++) {
             double even = (double)h[2 * k], total = even + (double)h[2 * k + 1];
             if (total > 4.0) {
                 double expected = total / 2.0, d = even - expected;
-                terms[n++] = d * d / expected;
+                terms[included++] = d * d / expected;
             }
         }
-        chi[s] = numpy_sum(terms, n);
-        pairs[s] = n;
+        chi[s] = numpy_sum(terms, included);
+        pairs[s] = included;
     }
+    memcpy(hist, h, sizeof h);
 }
 
 /* out[d + 255] = how many a[r][j + step] - a[r][j] == d, over the rows x width

@@ -7,8 +7,9 @@ The attack's p-value comes from an in-house regularized upper incomplete
 gamma (series / continued fraction), kept independent of any library
 implementation so the statistic is self-contained.
 The histograms, and the attack's statistic over every prefix, come from the
-compiled counters and scan of ``_native.c`` where they build and reproduce
-numpy's results bit for bit; numpy computes the same values where they do not.
+two compiled counters of ``_native.c`` where they build and reproduce numpy's
+results bit for bit; numpy computes the same values where they do not.  One
+value counter serves both the value histogram and the attack.
 """
 
 from __future__ import annotations
@@ -88,11 +89,26 @@ def _bincount(values: np.ndarray, bins: int) -> np.ndarray:
     return counts
 
 
-def _numpy_value_counts(flat: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """256-bin running counts of the uint8 samples, one int64 row per segment:
-    row ``s`` counts ``flat[bounds[0]:bounds[s + 1]]``."""
+def _numpy_value_counts(flat: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(hist, chis, pairs)`` for the uint8 samples cut at ``bounds``: the
+    256-bin int64 counts of ``flat[bounds[0]:bounds[-1]]``, and per segment
+    ``s`` the pair-of-values chi-square of the running counts of
+    ``flat[bounds[0]:bounds[s + 1]]`` (float64) with its number of included
+    pairs (int64).
+
+    The pair terms come from whole-array passes over every prefix at once;
+    they are elementwise, so each keeps its bits.  Each prefix sums its
+    included terms as the compressed array a per-prefix scan sums.
+    """
     segments = [_bincount(flat[start:end], 256) for start, end in zip(bounds, bounds[1:])]
-    return np.cumsum(segments, axis=0)
+    hists = np.cumsum(segments, axis=0)
+    even = hists[:, 0::2].astype(np.float64)
+    pair_total = even + hists[:, 1::2]
+    included = pair_total > _POV_MIN_PAIR_TOTAL
+    expected = pair_total / 2.0
+    terms = np.divide((even - expected) ** 2, expected, out=np.zeros_like(even), where=included)
+    chis = np.array([row[mask].sum() for row, mask in zip(terms, included)], dtype=np.float64)
+    return hists[-1], chis, included.sum(axis=1)
 
 
 def _numpy_difference_counts(samples: np.ndarray, step: int) -> np.ndarray:
@@ -103,27 +119,9 @@ def _numpy_difference_counts(samples: np.ndarray, step: int) -> np.ndarray:
     return _bincount(deltas, 2 * PEAK_VALUE + 1)
 
 
-def _numpy_pov_scan(flat: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each running count's pair-of-values chi-square and its number of
-    included pairs, as float64 and int64 arrays with one entry per segment.
-
-    The pair terms come from whole-array passes over every prefix at once;
-    they are elementwise, so each keeps its bits.  Each prefix sums its
-    included terms as the compressed array a per-prefix scan sums.
-    """
-    hists = _numpy_value_counts(flat, bounds)
-    even = hists[:, 0::2].astype(np.float64)
-    pair_total = even + hists[:, 1::2]
-    included = pair_total > _POV_MIN_PAIR_TOTAL
-    expected = pair_total / 2.0
-    terms = np.divide((even - expected) ** 2, expected, out=np.zeros_like(even), where=included)
-    chis = np.array([row[mask].sum() for row, mask in zip(terms, included)], dtype=np.float64)
-    return chis, included.sum(axis=1)
-
-
 def _counts_check_input() -> tuple[np.ndarray, np.ndarray]:
-    """Samples and segment bounds the compiled counters and scan must treat as
-    numpy does: values scattered over the whole range, runs of 0 and of 255, 0
+    """Samples and segment bounds the compiled counters must treat as numpy
+    does: values scattered over the whole range, runs of 0 and of 255, 0
     next to 255, and an empty segment; running counts with 0, 2, 55 and 128
     pairs above 4, the edges of numpy's summation, and a tail of uneven counts
     whose 128 terms sum to other bits in another order; 22 rows of 60, so 20
@@ -140,15 +138,14 @@ def _counts_check_input() -> tuple[np.ndarray, np.ndarray]:
 
 @functools.cache
 def _native_counts():
-    """The compiled counters and scan with the signatures of
-    :func:`_numpy_value_counts`, :func:`_numpy_difference_counts` and
-    :func:`_numpy_pov_scan`, as a triple, or None.
+    """The compiled counters with the signatures of :func:`_numpy_value_counts`
+    and :func:`_numpy_difference_counts`, as a pair, or None.
 
     Takes them from :func:`_native.library` on the first count and keeps
     them only if their results on :func:`_counts_check_input` equal numpy's:
-    the counts by value and by neighbor difference at steps 1 and 3, and the
-    scan's chi-squares bit for bit, so a numpy that sums in another order
-    gets its own values back.
+    the last running count by value, the chi-squares bit for bit, so a numpy
+    that sums in another order gets its own values back, the pair counts by
+    value, and the neighbor differences at steps 1 and 3.
     """
     lib = _native.library()
     if lib is None:
@@ -157,9 +154,12 @@ def _native_counts():
     def value_counts(flat, bounds):
         flat = np.ascontiguousarray(flat, dtype=np.uint8)
         bounds = np.ascontiguousarray(bounds, dtype=np.int64)
-        out = np.empty((bounds.size - 1, 256), dtype=np.int64)
-        lib.count_values(flat.ctypes.data, bounds.ctypes.data, out.shape[0], out.ctypes.data)
-        return out
+        hist = np.empty(256, dtype=np.int64)
+        chis = np.empty(bounds.size - 1, dtype=np.float64)
+        pairs = np.empty(bounds.size - 1, dtype=np.int64)
+        lib.count_values(flat.ctypes.data, bounds.ctypes.data, chis.size, hist.ctypes.data, chis.ctypes.data,
+                         pairs.ctypes.data)
+        return hist, chis, pairs
 
     def difference_counts(samples, step):
         samples = np.ascontiguousarray(samples, dtype=np.uint8)
@@ -167,30 +167,20 @@ def _native_counts():
         lib.count_differences(samples.ctypes.data, samples.shape[0], samples.shape[1], step, out.ctypes.data)
         return out
 
-    def pov_scan(flat, bounds):
-        flat = np.ascontiguousarray(flat, dtype=np.uint8)
-        bounds = np.ascontiguousarray(bounds, dtype=np.int64)
-        chis = np.empty(bounds.size - 1, dtype=np.float64)
-        pairs = np.empty(bounds.size - 1, dtype=np.int64)
-        lib.pov_scan(flat.ctypes.data, bounds.ctypes.data, chis.size, chis.ctypes.data, pairs.ctypes.data)
-        return chis, pairs
-
     samples, bounds = _counts_check_input()
-    grid = samples.reshape(22, 60)
-    if not np.array_equal(value_counts(samples, bounds), _numpy_value_counts(samples, bounds)):
+    got, want = value_counts(samples, bounds), _numpy_value_counts(samples, bounds)
+    if not all(map(np.array_equal, got, want)) or got[1].tobytes() != want[1].tobytes():
         return None
+    grid = samples.reshape(22, 60)
     for step in (1, 3):
         if not np.array_equal(difference_counts(grid, step), _numpy_difference_counts(grid, step)):
             return None
-    (chis, pairs), (want_chis, want_pairs) = pov_scan(samples, bounds), _numpy_pov_scan(samples, bounds)
-    if chis.tobytes() != want_chis.tobytes() or not np.array_equal(pairs, want_pairs):
-        return None
-    return value_counts, difference_counts, pov_scan
+    return value_counts, difference_counts
 
 
 def _counters():
-    """``(value_counts, difference_counts, pov_scan)``: compiled where they load, else numpy."""
-    return _native_counts() or (_numpy_value_counts, _numpy_difference_counts, _numpy_pov_scan)
+    """``(value_counts, difference_counts)``: compiled where they load, else numpy."""
+    return _native_counts() or (_numpy_value_counts, _numpy_difference_counts)
 
 
 def _entropy_bits(counts: np.ndarray) -> float:
@@ -205,9 +195,10 @@ def histogram_entropy(image: RasterImage) -> float:
     fallback counts them a bounded chunk at a time.  Either way the
     working memory is fixed: 2 KB of counts, plus 256 KB on the fallback.
     """
-    value_counts, _, _ = _counters()
+    value_counts, _ = _counters()
     flat = image.samples.ravel()
-    return _entropy_bits(value_counts(flat, np.array([0, flat.size]))[0])
+    hist, _, _ = value_counts(flat, np.array([0, flat.size]))
+    return _entropy_bits(hist)
 
 
 def neighbor_diff_entropy(image: RasterImage) -> float:
@@ -221,7 +212,7 @@ def neighbor_diff_entropy(image: RasterImage) -> float:
     """
     if image.cols < 2:
         raise DomainError("neighbor differences need at least 2 columns")
-    _, difference_counts, _ = _counters()
+    _, difference_counts = _counters()
     return _entropy_bits(difference_counts(image.samples, image.channels))
 
 
@@ -313,10 +304,11 @@ def chi_square_attack(image: RasterImage, step_percent: int) -> list[AttackPoint
     frequencies are equalized (stego-like); near 0 means natural imbalance.
     Prefixes with fewer than 2 usable pairs record p_embedding = 0.
 
-    One call scores every prefix (:func:`_numpy_pov_scan`): compiled, it
-    counts the running histograms segment by segment and sums each prefix's
-    included pair terms in numpy's order, so either path gives the same
-    bits.  Only each prefix's ``gamma_q`` call stays in Python.
+    One call to the value counter scores every prefix
+    (:func:`_numpy_value_counts`): compiled, it counts the running
+    histograms segment by segment and sums each prefix's included pair
+    terms in numpy's order, so either path gives the same bits.  Only each
+    prefix's ``gamma_q`` call stays in Python.
     """
     if not (1 <= step_percent <= 100):
         raise DomainError("step_percent must lie in [1, 100]")
@@ -326,8 +318,8 @@ def chi_square_attack(image: RasterImage, step_percent: int) -> list[AttackPoint
     if percents[-1] != 100:
         percents.append(100)
     bounds = np.array([0] + [(total * t) // 100 for t in percents], dtype=np.int64)
-    _, _, pov_scan = _counters()
-    chis, pairs = pov_scan(flat, bounds)
+    value_counts, _ = _counters()
+    _, chis, pairs = value_counts(flat, bounds)
     points: list[AttackPoint] = []
     for t, chi, dof in zip(percents, chis.tolist(), (pairs - 1).tolist()):
         p = gamma_q(dof / 2.0, chi / 2.0) if dof >= 1 else 0.0

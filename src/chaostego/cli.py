@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import itertools
 import os
 import stat
 import sys
@@ -78,11 +79,12 @@ def _write_files(*files: tuple[str | Path, bytes]) -> None:
 
     Two outputs naming the same file are refused before anything is written.
     A regular or missing target is written to a temp file beside it, which
-    takes the existing target's mode.  Once every output is written, each
-    temp file takes its target's name: an existing target is swapped with it
-    (:func:`_native.exchange`) and its old content unlinked only after every
-    output is in place; a missing target, or one where names cannot be
-    swapped, is renamed onto.  A symlink, device or FIFO target
+    takes the existing target's mode; its name is the first free one, so a
+    stale temp file is neither replaced nor removed.  Once every output is
+    written, each temp file takes its target's name: an existing target is
+    swapped with it (:func:`_native.exchange`) and its old content unlinked
+    only after every output is in place; a missing target, or one where names
+    cannot be swapped, is renamed onto.  A symlink, device or FIFO target
     (``/dev/stdout``, a pipe) cannot be replaced, so it is written through
     directly, after the temp files and before any rename.
 
@@ -115,10 +117,14 @@ def _write_files(*files: tuple[str | Path, bytes]) -> None:
                 direct.append((path, data))
                 continue
             target = _named(path)
-            tmp = target.with_name(f".{target.name}.{os.getpid()}-{i}.tmp")
+            for n in itertools.count(i):
+                tmp = target.with_name(f".{target.name}.{os.getpid()}-{n}.tmp")
+                with contextlib.suppress(FileExistsError):
+                    fh = open(tmp, "xb")
+                    break
             staged.append((tmp, path, st is not None))
             temps.append(tmp)
-            with open(tmp, "xb") as fh:
+            with fh:
                 fh.write(data)
             if st is not None:
                 os.chmod(tmp, stat.S_IMODE(st.st_mode))

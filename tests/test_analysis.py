@@ -277,8 +277,11 @@ class TestNativeCounts:
         samples = pixels.reshape(rows, cols * channels)
         flat = samples.ravel()
         bounds = np.array(sorted([0, flat.size] + [min(cut, flat.size) for cut in cuts]), dtype=np.int64)
-        value_counts, difference_counts, _ = analysis._native_counts()
-        assert np.array_equal(value_counts(flat, bounds), widened_value_counts(flat, bounds))
+        value_counts, difference_counts = analysis._native_counts()
+        hist, chis, pairs = value_counts(flat, bounds)
+        assert np.array_equal(hist, widened_value_counts(flat, bounds)[-1])
+        assert [(repr(chi), n) for chi, n in zip(chis.tolist(), pairs.tolist())] == \
+            [(repr(chi), n) for chi, n in map(prefix_chi_square, (flat[:end] for end in bounds[1:]))]
         assert np.array_equal(difference_counts(samples, channels), widened_difference_counts(samples, channels))
 
     def test_check_input_has_runs_extremes_and_an_empty_segment(self):
@@ -599,7 +602,7 @@ class TestChiSquareAttack:
         expected = [prefix_chi_square(samples[:end]) for end in bounds[1:]]
         assert [pairs for _, pairs in expected] == targets
         for counter in count_paths:
-            chis, pairs = analysis._counters()[2](samples, bounds)
+            _, chis, pairs = analysis._counters()[0](samples, bounds)
             assert [(repr(chi), n) for chi, n in zip(chis.tolist(), pairs.tolist())] == \
                 [(repr(chi), n) for chi, n in expected], counter
 

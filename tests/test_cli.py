@@ -637,6 +637,21 @@ class TestOutputWrites:
             assert not [n for n in names if n.endswith(".tmp")]
             assert {"stego.pgm", "stego.ones.pbm", "stego.zeros.pbm"} <= set(names)
 
+    def test_stale_temp_file_is_neither_used_nor_removed(self, tmp_path, rename_paths):
+        # A temp file by the name this write tries first, as a swap that
+        # could not be undone, or a killed process whose pid came back, leaves.
+        expected = tmp_path / "expected"
+        expected.mkdir()
+        keygen(expected, seed=12)
+        stale = tmp_path / f".secret.key.{os.getpid()}-0.tmp"
+        for _ in rename_paths:
+            stale.write_bytes(b"stale")
+            keygen(tmp_path, seed=12)
+            for name in ("secret.key", "public.key"):
+                assert (tmp_path / name).read_bytes() == (expected / name).read_bytes()
+            assert stale.read_bytes() == b"stale"
+            assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")] == [stale.name]
+
     def test_interrupted_write_leaves_no_temp_file(self, bundle, rename_paths, monkeypatch):
         before = snapshot(bundle)
         opened = []

@@ -1,8 +1,9 @@
 """The package root exports exactly the names README's "Library use" shows,
 every name it lists under a module exists there, its shell examples are
 valid invocations, each module uses what it imports, only ``_native``
-builds or loads C, every C source ships with the package, and the
-benchmark evidence at the repository root comes in complete, paired files."""
+builds or loads C and declares every C function it exports, every C
+source ships with the package, and the benchmark evidence at the
+repository root comes in complete, paired files."""
 
 import ast
 import importlib
@@ -112,6 +113,23 @@ def test_every_c_source_is_package_data():
     listed = tomllib.loads((ROOT / "pyproject.toml").read_text())["tool"]["setuptools"]["package-data"]["chaostego"]
     sources = {path.name for path in (ROOT / "src" / "chaostego").glob("*.c")}
     assert sources and sources <= set(listed), f"package-data lacks {sorted(sources - set(listed))}"
+
+
+def test_native_declares_exactly_the_exported_c_functions():
+    # A kernel that _native.library() does not declare is called with
+    # ctypes' default int arguments; a declaration left for a kernel that
+    # is gone makes library() raise AttributeError on every load.
+    native = Path(chaostego.__file__).parent
+    source = (native / "_native.c").read_text()
+    exported = set(re.findall(r"^(?!static\b)[a-z]\w*(?: \**\w+)*? \**(\w+)\(", source, re.M))
+    library = next(node for node in ast.walk(ast.parse((native / "_native.py").read_text()))
+                   if isinstance(node, ast.FunctionDef) and node.name == "library")
+    declared = {"argtypes": set(), "restype": set()}
+    for node in ast.walk(library):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute):
+            declared.get(node.attr, set()).add(node.value.attr)
+    assert exported >= {"orbit", "count_values", "count_differences"}
+    assert declared["argtypes"] == declared["restype"] == exported
 
 
 def test_bench_files_are_named_correct_and_paired():
