@@ -28,16 +28,16 @@ _NO_EXCHANGE = {errno.ENOSYS, errno.EINVAL, errno.EOPNOTSUPP}
 def library():
     """:data:`_SOURCE` built and loaded with ctypes, the argument and result
     types of its three functions, ``orbit``, ``count_values`` and
-    ``count_differences``, declared, or None if it cannot be built or loaded."""
+    ``count_differences``, declared; None if it cannot be built or loaded or lacks one."""
     try:
         lib = ctypes.CDLL(str(_build(_SOURCE)))
-    except (OSError, subprocess.SubprocessError):
+        lib.orbit.argtypes = [ctypes.c_double] * 5 + [ctypes.c_int64] * 4 + [ctypes.c_void_p]
+        lib.orbit.restype = ctypes.c_int64
+        lib.count_values.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 3
+        lib.count_differences.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 3 + [ctypes.c_void_p]
+        lib.count_values.restype = lib.count_differences.restype = None
+    except (OSError, AttributeError, subprocess.SubprocessError):
         return None
-    lib.orbit.argtypes = [ctypes.c_double] * 5 + [ctypes.c_int64] * 4 + [ctypes.c_void_p]
-    lib.orbit.restype = ctypes.c_int64
-    lib.count_values.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 3
-    lib.count_differences.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 3 + [ctypes.c_void_p]
-    lib.count_values.restype = lib.count_differences.restype = None
     return lib
 
 

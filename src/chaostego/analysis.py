@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _native
-from .errors import CapacityError, DimensionMismatch, DomainError
+from .errors import CapacityError, DomainError
 from .imagery import RasterImage, abs_difference
 
 PEAK_VALUE = 255  # 8-bit unsigned samples
@@ -54,15 +54,15 @@ def psnr(cover: RasterImage, stego: RasterImage, payload_bits: int | None = None
 
     Identical images report infinite PSNR.  ``payload_bits``, when known,
     fills in the hiding capacity in bits per pixel; it must lie between 0
-    and the sample count.
+    and the sample count.  Images that differ in dimensions raise
+    ``DimensionMismatch`` (``imagery.abs_difference``) first.
 
     The differences stay uint8 (``imagery.abs_difference``) and their
     squares uint16, which holds 255**2 exactly, so the int64 sum is the
     same integer a widened copy gives.  Working memory: about 3 bytes per
     sample.
     """
-    if (cover.rows, cover.cols, cover.channels) != (stego.rows, stego.cols, stego.channels):
-        raise DimensionMismatch(f"{cover!r} vs {stego!r}: dimensions must match")
+    delta = abs_difference(cover, stego)
     hc = None
     if payload_bits is not None:
         if payload_bits < 0:
@@ -70,7 +70,6 @@ def psnr(cover: RasterImage, stego: RasterImage, payload_bits: int | None = None
         if payload_bits > cover.samples.size:
             raise CapacityError(f"{payload_bits} payload bits exceed the {cover.samples.size}-sample grid")
         hc = payload_bits / (cover.rows * cover.cols)
-    delta = abs_difference(cover, stego)
     mse = float(np.sum(np.square(delta, dtype=np.uint16), dtype=np.int64) / delta.size)
     if mse == 0.0:
         psnr_db = math.inf

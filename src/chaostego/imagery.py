@@ -169,8 +169,11 @@ def save_pbm(marks: np.ndarray) -> bytes:
 # ---------------------------------------------------------------------------
 
 def abs_difference(cover: RasterImage, stego: RasterImage) -> np.ndarray:
-    """|cover - stego| per sample as uint8: the larger minus the smaller,
-    so no sample is widened.  The images must share dimensions."""
+    """|cover - stego| per sample as uint8: the larger minus the smaller, so
+    no sample is widened.  Images that differ in rows, columns or channels
+    raise :class:`DimensionMismatch`."""
+    if (cover.rows, cover.cols, cover.channels) != (stego.rows, stego.cols, stego.channels):
+        raise DimensionMismatch(f"{cover!r} vs {stego!r}: dimensions must match")
     delta = np.maximum(cover.samples, stego.samples)
     delta -= np.minimum(cover.samples, stego.samples)
     return delta
@@ -180,13 +183,10 @@ def flip_count(cover: RasterImage, stego: RasterImage) -> int:
     """Number of samples where the two images differ.
 
     Every difference must have magnitude exactly 1, i.e. be an LSB flip;
-    violations are reported with their positions.  ``analysis.psnr``
-    counts the changed samples of a generic image pair.
+    violations are reported with their positions, and a mismatched pair
+    as in :func:`abs_difference`.  ``analysis.psnr`` counts the changed
+    samples of a generic image pair.
     """
-    if (cover.rows, cover.cols, cover.channels) != (stego.rows, stego.cols, stego.channels):
-        raise DimensionMismatch(
-            f"{cover!r} vs {stego!r}: images must share dimensions and channels"
-        )
     delta = abs_difference(cover, stego)
     bad = np.argwhere(delta > 1)
     if len(bad):

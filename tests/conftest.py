@@ -33,43 +33,42 @@ def uncached_library(monkeypatch):
     monkeypatch.setattr(_native, "library", _native.library.__wrapped__)
 
 
-@pytest.fixture
-def orbit_paths(monkeypatch):
-    """Loop over this to run a test body once per orbit implementation:
-    the compiled kernel (where it loaded), then ``chaos._orbit_python``,
-    the step functions composed.
+class Paths:
+    """Loop over this, as often as needed, to run a test body once per
+    implementation of ``module.name``: the one in place at set-up, where
+    ``available()`` finds it works, then ``fallback``.  Each loop yields
+    the two labels in that order and leaves ``fallback`` in place, so one
+    loop can nest inside another and serve every example of a Hypothesis
+    test.
 
     A loop rather than a parametrization keeps each test's id unchanged.
     """
-    def paths():
-        if chaos._native_orbit() is not None:
-            yield "native"
-        monkeypatch.setattr(chaos, "_native_orbit", lambda: None)
-        yield "python"
 
-    return paths()
+    def __init__(self, monkeypatch, module, name, available, fallback, labels):
+        self.switch = lambda implementation: monkeypatch.setattr(module, name, implementation)
+        self.paths = ((labels[0], getattr(module, name), available), (labels[1], fallback, lambda: True))
+
+    def __iter__(self):
+        for label, implementation, available in self.paths:
+            self.switch(implementation)
+            if available():
+                yield label
+
+
+@pytest.fixture
+def orbit_paths(monkeypatch):
+    """The compiled orbit (where it loaded), then ``chaos._orbit_python``,
+    the step functions composed: see :class:`Paths`."""
+    return Paths(monkeypatch, chaos, "_native_orbit", lambda: chaos._native_orbit() is not None,
+                 lambda: None, ("native", "python"))
 
 
 @pytest.fixture
 def count_paths(monkeypatch):
-    """Loop over this to run a test body once per histogram counter: the
-    compiled counters of ``_native.c`` (where they loaded), then numpy's ``bincount``.
-
-    Like ``orbit_paths`` it keeps each test's id, but it can be looped over
-    again, so it nests inside ``orbit_paths`` and serves every example of a
-    Hypothesis test.
-    """
-    native = analysis._native_counts
-
-    class Paths:
-        def __iter__(self):
-            if native() is not None:
-                monkeypatch.setattr(analysis, "_native_counts", native)
-                yield "native"
-            monkeypatch.setattr(analysis, "_native_counts", lambda: None)
-            yield "numpy"
-
-    return Paths()
+    """The compiled counters of ``_native.c`` (where they loaded), then
+    numpy's ``bincount``: see :class:`Paths`."""
+    return Paths(monkeypatch, analysis, "_native_counts", lambda: analysis._native_counts() is not None,
+                 lambda: None, ("native", "numpy"))
 
 
 def exchange_supported(directory) -> bool:
@@ -86,20 +85,11 @@ def exchange_supported(directory) -> bool:
 
 @pytest.fixture
 def rename_paths(monkeypatch, tmp_path_factory):
-    """Loop over this to run a test body once per way ``cli._write_files``
-    replaces an existing output: swapping names with ``_native.exchange``
-    (where the system supports it), then ``os.replace`` alone, as where it
-    does not.
-
-    Like ``orbit_paths`` it keeps each test's id unchanged.
-    """
-    def paths():
-        if exchange_supported(tmp_path_factory.mktemp("exchange")):
-            yield "exchange"
-        monkeypatch.setattr(_native, "exchange", lambda a, b: False)
-        yield "replace"
-
-    return paths()
+    """The ways ``cli._write_files`` replaces an existing output: swapping
+    names with ``_native.exchange`` (where the system supports it), then
+    ``os.replace`` alone, as where it does not: see :class:`Paths`."""
+    return Paths(monkeypatch, _native, "exchange", lambda: exchange_supported(tmp_path_factory.mktemp("exchange")),
+                 lambda a, b: False, ("exchange", "replace"))
 
 
 def native_source_copy(tmp_path, *change):

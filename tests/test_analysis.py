@@ -131,6 +131,10 @@ class TestPsnr:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             psnr(gray(1, 2, [0, 0]), gray(2, 1, [0, 0]))
+        # Either bad payload_bits alone raises another error; the pair is checked first.
+        for payload_bits in (-1, 5):
+            with pytest.raises(DimensionMismatch):
+                psnr(gray(1, 4, [0] * 4), gray(1, 2, [0, 0]), payload_bits=payload_bits)
 
     def test_non_lsb_difference_counts_as_one_flip(self):
         report = psnr(gray(1, 2, [100, 10]), gray(1, 2, [103, 10]))

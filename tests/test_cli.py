@@ -818,6 +818,16 @@ class TestAnalysisCommands:
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
         assert sorted(p.name for p in workdir.iterdir()) == before
 
+    def test_analyze_mismatched_pair_names_both_images(self, tmp_path, capsys):
+        (tmp_path / "wide.pgm").write_bytes(b"P5\n4 1\n255\n" + bytes(4))
+        (tmp_path / "tall.pgm").write_bytes(b"P5\n4 3\n255\n" + bytes(12))
+        assert run(["analyze", "--cover", str(tmp_path / "wide.pgm"), "--stego", str(tmp_path / "tall.pgm")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: RasterImage(1x4 grayscale) vs RasterImage(3x4 grayscale): dimensions must match\n"
+        )
+
     def test_attack_csv(self, workdir, tmp_path, capsys):
         out = tmp_path / "curve.csv"
         rc = run(["attack", "--image", str(workdir / "cover.pgm"),

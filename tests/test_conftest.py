@@ -1,5 +1,6 @@
 """The suite's configuration reports a failing Hypothesis example as a
-test failure, not as an INTERNALERROR that ends the session."""
+test failure, not as an INTERNALERROR that ends the session, and its path
+fixtures switch implementations the same way on every loop."""
 
 import os
 import subprocess
@@ -7,6 +8,7 @@ import sys
 from pathlib import Path
 
 import chaostego
+from chaostego import _native, analysis, chaos
 
 TESTS = Path(__file__).resolve().parent
 
@@ -37,3 +39,15 @@ def test_failing_hypothesis_example_is_reported(tmp_path):
     assert child.returncode == 1, child.stdout + child.stderr
     assert "1 failed, 1 passed" in child.stdout
     assert "INTERNALERROR" not in child.stdout + child.stderr
+
+
+def test_path_fixtures_switch_the_same_way_on_every_loop(orbit_paths, count_paths, rename_paths):
+    # The first implementation, where it works, is the one in place at
+    # set-up; the last is the fallback, left in place after the loop.
+    for paths, module, name, labels in ((orbit_paths, chaos, "_native_orbit", ["native", "python"]),
+                                        (count_paths, analysis, "_native_counts", ["native", "numpy"]),
+                                        (rename_paths, _native, "exchange", ["exchange", "replace"])):
+        original = getattr(module, name)
+        loops = [[(label, getattr(module, name) is original) for label in paths] for _ in range(2)]
+        assert loops[0] == loops[1] and getattr(module, name) is not original
+        assert loops[0] in ([(labels[0], True), (labels[1], False)], [(labels[1], False)])

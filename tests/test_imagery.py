@@ -257,3 +257,11 @@ class TestAbsDifference:
         b = gray(1, 4, [255, 0, 0, 255])
         assert abs_difference(a, b).tolist() == [[255, 255, 0, 0]]
         assert a.samples.tolist() == [[0, 255, 0, 255]] and b.samples.tolist() == [[255, 0, 0, 255]]
+
+    def test_dimension_mismatch(self):
+        # Rows differ, and so do channels where the sample grids agree (2x6).
+        rgb = RasterImage(2, 2, 3, np.zeros(12, dtype=np.uint8))
+        for a, b in ((gray(1, 4, [0] * 4), gray(3, 4, [0] * 12)), (rgb, gray(2, 6, [0] * 12))):
+            for pair in ((a, b), (b, a)):
+                with pytest.raises(DimensionMismatch, match=r"\): dimensions must match$"):
+                    abs_difference(*pair)

@@ -1,9 +1,9 @@
 """The package root exports exactly the names README's "Library use" shows,
 every name it lists under a module exists there, its shell examples are
 valid invocations, each module uses what it imports, only ``_native``
-builds or loads C and declares every C function it exports, every C
-source ships with the package, and the benchmark evidence at the
-repository root comes in complete, paired files."""
+builds or loads C, declares every C function it exports and falls back
+without any one of them, every C source ships with the package, and the
+benchmark evidence at the repository root comes in complete, paired files."""
 
 import ast
 import importlib
@@ -14,8 +14,11 @@ import tomllib
 import types
 from pathlib import Path
 
+import pytest
+
 import chaostego
-from chaostego import cli
+from chaostego import _native, analysis, chaos, cli
+from conftest import native_source_copy
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -115,14 +118,19 @@ def test_every_c_source_is_package_data():
     assert sources and sources <= set(listed), f"package-data lacks {sorted(sources - set(listed))}"
 
 
+def exported_c_functions() -> dict[str, str]:
+    """Each function ``_native.c`` exports, by name, with its definition's
+    first line up to the opening parenthesis."""
+    source = _native._SOURCE.read_text()
+    return {m[1]: m[0] for m in re.finditer(r"^(?!static\b)[a-z]\w*(?: \**\w+)*? \**(\w+)\(", source, re.M)}
+
+
 def test_native_declares_exactly_the_exported_c_functions():
     # A kernel that _native.library() does not declare is called with
     # ctypes' default int arguments; a declaration left for a kernel that
-    # is gone makes library() raise AttributeError on every load.
-    native = Path(chaostego.__file__).parent
-    source = (native / "_native.c").read_text()
-    exported = set(re.findall(r"^(?!static\b)[a-z]\w*(?: \**\w+)*? \**(\w+)\(", source, re.M))
-    library = next(node for node in ast.walk(ast.parse((native / "_native.py").read_text()))
+    # is gone makes every load fall back.
+    exported = set(exported_c_functions())
+    library = next(node for node in ast.walk(ast.parse(Path(_native.__file__).read_text()))
                    if isinstance(node, ast.FunctionDef) and node.name == "library")
     declared = {"argtypes": set(), "restype": set()}
     for node in ast.walk(library):
@@ -130,6 +138,17 @@ def test_native_declares_exactly_the_exported_c_functions():
             declared.get(node.attr, set()).add(node.value.attr)
     assert exported >= {"orbit", "count_values", "count_differences"}
     assert declared["argtypes"] == declared["restype"] == exported
+
+
+@pytest.mark.parametrize("name", sorted(exported_c_functions()))
+def test_library_lacking_a_kernel_falls_back(name, tmp_path, monkeypatch, uncached_library):
+    # A stale _native.py beside a newer _native.c: every command must fall
+    # back to Python or numpy, not crash on the missing symbol.
+    head = exported_c_functions()[name]
+    monkeypatch.setattr(_native, "_SOURCE", native_source_copy(tmp_path, "\n" + head, "\nstatic " + head))
+    assert _native.library() is None
+    assert chaos._native_orbit.__wrapped__() is None
+    assert analysis._native_counts.__wrapped__() is None
 
 
 def test_bench_files_are_named_correct_and_paired():
