@@ -1,7 +1,8 @@
 /* The kernels of chaostego._native.  orbit is the compiled form of
  * chaos._orbit_python, one chaos.coupled_step per step: the same binary64
  * operations in the same order.  Build with -ffp-contract=off -fno-fast-math
- * so no FMA or reassociation can change a bit of the orbit.
+ * so no FMA or reassociation can change a bit of the orbit, or of the
+ * expansions below.
  *
  * count_values and count_differences count the histograms of chaostego.analysis:
  * the counts np.bincount gives, without its widened copy of the input or its
@@ -12,7 +13,13 @@
  * holds 2**63 samples, so no count can wrap, whatever the image size
  * (load_pnm's largest image is 3 * (2**31 - 1) samples).  count_values serves
  * both the value histogram and the attack: it also scores the pair-of-values
- * chi-square of each running count, with numpy's arithmetic and summation order. */
+ * chi-square of each running count, with numpy's arithmetic and summation order.
+ * pair_sums gives PSNR its integer sums.
+ *
+ * gamma_expansions is the compiled form of analysis._lower_series and
+ * analysis._upper_continued_fraction, the expansions of the attack's
+ * incomplete gamma: the same binary64 operations in the same order. */
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -167,4 +174,75 @@ void count_differences(const uint8_t *samples, int64_t rows, int64_t width, int6
         if (j < n) lane[0][255 + b[j] - a[j]]++;
     }
     for (int d = 0; d < 511; d++) out[d] = lane[0][d] + lane[1][d];
+}
+
+/* Samples per block of pair_sums: 256 * 255**2 < 2**32. */
+#define PAIR_BLOCK 256
+
+/* out[0] = the sum of (a[i] - b[i])**2 and out[1] = the count of a[i] != b[i]
+ * over the n samples: integers, so exact in any order.  Each full block sums
+ * in 32 bits over a fixed trip count, which -O2 vectorizes. */
+void pair_sums(const uint8_t *a, const uint8_t *b, int64_t n, int64_t *out)
+{
+    int64_t squares = 0, flips = 0, i = 0;
+    for (; i + PAIR_BLOCK <= n; i += PAIR_BLOCK) {
+        uint32_t block_squares = 0, block_flips = 0;
+        for (int j = 0; j < PAIR_BLOCK; j++) {
+            int32_t d = (int32_t)a[i + j] - (int32_t)b[i + j];
+            block_squares += (uint32_t)(d * d);
+            block_flips += d != 0;
+        }
+        squares += block_squares;
+        flips += block_flips;
+    }
+    for (; i < n; i++) {
+        int64_t d = (int64_t)a[i] - (int64_t)b[i];
+        squares += d * d;
+        flips += d != 0;
+    }
+    out[0] = squares;
+    out[1] = flips;
+}
+
+/* For each k < n, the series of analysis._lower_series where x[k] < a[k] + 1,
+ * else the continued fraction of analysis._upper_continued_fraction, at
+ * (a[k], x[k]), with their cap on terms and their eps.  out[k] is its value
+ * and iters[k] the term at which it converged, or -1 where it did not
+ * converge within cap terms.  Returns how many did not. */
+int64_t gamma_expansions(const double *a, const double *x, int64_t n, int64_t cap, double eps, double *out,
+                         int64_t *iters)
+{
+    const double tiny = 1e-300;
+    int64_t failed = 0;
+    for (int64_t k = 0; k < n; k++) {
+        double s = a[k], t = x[k];
+        int64_t i = 1;
+        if (t < s + 1.0) {
+            double term = 1.0 / s, total = term;
+            for (; i < cap; i++) {
+                term *= t / (s + (double)i);
+                total += term;
+                if (fabs(term) < fabs(total) * eps) break;
+            }
+            out[k] = total;
+        } else {
+            double b = t + 1.0 - s, c = 1.0 / tiny, d = 1.0 / b, h = d;
+            for (; i < cap; i++) {
+                double an = -(double)i * ((double)i - s);
+                b += 2.0;
+                d = an * d + b;
+                if (fabs(d) < tiny) d = tiny;
+                c = b + an / c;
+                if (fabs(c) < tiny) c = tiny;
+                d = 1.0 / d;
+                double delta = d * c;
+                h *= delta;
+                if (fabs(delta - 1.0) < eps) break;
+            }
+            out[k] = h;
+        }
+        iters[k] = i < cap ? i : -1;
+        failed += i >= cap;
+    }
+    return failed;
 }

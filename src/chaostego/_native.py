@@ -1,5 +1,6 @@
 """Builds and loads ``_native.c``, the package's one C source: the orbit of
-:mod:`chaos` and the counters of :mod:`analysis`, which check what they take.
+:mod:`chaos` and the counters and gamma expansions of :mod:`analysis`, which
+check what they take.
 Also takes ``renameat2`` from the C library, for :func:`exchange`."""
 
 import ctypes
@@ -27,15 +28,20 @@ _NO_EXCHANGE = {errno.ENOSYS, errno.EINVAL, errno.EOPNOTSUPP}
 @functools.cache
 def library():
     """:data:`_SOURCE` built and loaded with ctypes, the argument and result
-    types of its three functions, ``orbit``, ``count_values`` and
-    ``count_differences``, declared; None if it cannot be built or loaded or lacks one."""
+    types of its five functions, ``orbit``, ``count_values``,
+    ``count_differences``, ``pair_sums`` and ``gamma_expansions``, declared;
+    None if it cannot be built or loaded or lacks one."""
     try:
         lib = ctypes.CDLL(str(_build(_SOURCE)))
         lib.orbit.argtypes = [ctypes.c_double] * 5 + [ctypes.c_int64] * 4 + [ctypes.c_void_p]
         lib.orbit.restype = ctypes.c_int64
         lib.count_values.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 3
         lib.count_differences.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 3 + [ctypes.c_void_p]
-        lib.count_values.restype = lib.count_differences.restype = None
+        lib.pair_sums.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+        lib.gamma_expansions.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 2 + [ctypes.c_double] + \
+            [ctypes.c_void_p] * 2
+        lib.count_values.restype = lib.count_differences.restype = lib.pair_sums.restype = None
+        lib.gamma_expansions.restype = ctypes.c_int64
     except (OSError, AttributeError, subprocess.SubprocessError):
         return None
     return lib

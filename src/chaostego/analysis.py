@@ -6,10 +6,13 @@ by comparing pair-of-values frequencies over growing sample prefixes.
 The attack's p-value comes from an in-house regularized upper incomplete
 gamma (series / continued fraction), kept independent of any library
 implementation so the statistic is self-contained.
-The histograms, and the attack's statistic over every prefix, come from the
-two compiled counters of ``_native.c`` where they build and reproduce numpy's
-results bit for bit; numpy computes the same values where they do not.  One
-value counter serves both the value histogram and the attack.
+The histograms, the attack's statistic over every prefix and PSNR's sums
+come from the three compiled counters of ``_native.c`` where they build and
+reproduce numpy's results bit for bit; numpy computes the same values where
+they do not.  One value counter serves both the value histogram and the
+attack.  The attack's gamma expansions run in one compiled call per scan
+where that kernel builds and reproduces the Python expansions bit for bit,
+and in Python where it does not.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from . import _native
 from .errors import CapacityError, DomainError
-from .imagery import RasterImage, abs_difference
+from .imagery import RasterImage, abs_difference, check_pair
 
 PEAK_VALUE = 255  # 8-bit unsigned samples
 _COUNT_CHUNK = 1 << 15  # samples per bincount call; its intp copy stays at 256 KB
@@ -55,14 +58,14 @@ def psnr(cover: RasterImage, stego: RasterImage, payload_bits: int | None = None
     Identical images report infinite PSNR.  ``payload_bits``, when known,
     fills in the hiding capacity in bits per pixel; it must lie between 0
     and the sample count.  Images that differ in dimensions raise
-    ``DimensionMismatch`` (``imagery.abs_difference``) first.
+    ``DimensionMismatch`` (``imagery.check_pair``) first.
 
-    The differences stay uint8 (``imagery.abs_difference``) and their
-    squares uint16, which holds 255**2 exactly, so the int64 sum is the
-    same integer a widened copy gives.  Working memory: about 3 bytes per
-    sample.
+    The sum of squared differences and the count of changed samples are
+    integers, so either count path gives the same ones: the compiled
+    counter reads the samples in place, and the numpy fallback
+    (:func:`_numpy_pair_sums`) holds about 3 bytes per sample.
     """
-    delta = abs_difference(cover, stego)
+    check_pair(cover, stego)
     hc = None
     if payload_bits is not None:
         if payload_bits < 0:
@@ -70,12 +73,13 @@ def psnr(cover: RasterImage, stego: RasterImage, payload_bits: int | None = None
         if payload_bits > cover.samples.size:
             raise CapacityError(f"{payload_bits} payload bits exceed the {cover.samples.size}-sample grid")
         hc = payload_bits / (cover.rows * cover.cols)
-    mse = float(np.sum(np.square(delta, dtype=np.uint16), dtype=np.int64) / delta.size)
+    _, _, pair_sums = _counters()
+    squares, flips = pair_sums(cover, stego)
+    mse = float(np.int64(squares) / cover.samples.size)
     if mse == 0.0:
         psnr_db = math.inf
     else:
         psnr_db = 10.0 * math.log10(PEAK_VALUE * PEAK_VALUE / mse)
-    flips = int(np.count_nonzero(delta))
     return QualityReport(psnr_db=psnr_db, mse=mse, flips=flips, hiding_capacity_bpp=hc)
 
 
@@ -118,6 +122,15 @@ def _numpy_difference_counts(samples: np.ndarray, step: int) -> np.ndarray:
     return _bincount(deltas, 2 * PEAK_VALUE + 1)
 
 
+def _numpy_pair_sums(cover: RasterImage, stego: RasterImage) -> tuple[int, int]:
+    """The sum of squared sample differences and the count of changed samples
+    of a matching pair.  The differences stay uint8
+    (``imagery.abs_difference``) and their squares uint16, which holds 255**2
+    exactly, so the int64 sum is the same integer a widened copy gives."""
+    delta = abs_difference(cover, stego)
+    return int(np.sum(np.square(delta, dtype=np.uint16), dtype=np.int64)), int(np.count_nonzero(delta))
+
+
 def _counts_check_input() -> tuple[np.ndarray, np.ndarray]:
     """Samples and segment bounds the compiled counters must treat as numpy
     does: values scattered over the whole range, runs of 0 and of 255, 0
@@ -137,14 +150,16 @@ def _counts_check_input() -> tuple[np.ndarray, np.ndarray]:
 
 @functools.cache
 def _native_counts():
-    """The compiled counters with the signatures of :func:`_numpy_value_counts`
-    and :func:`_numpy_difference_counts`, as a pair, or None.
+    """The compiled counters with the signatures of :func:`_numpy_value_counts`,
+    :func:`_numpy_difference_counts` and :func:`_numpy_pair_sums`, as a
+    triple, or None.
 
     Takes them from :func:`_native.library` on the first count and keeps
     them only if their results on :func:`_counts_check_input` equal numpy's:
     the last running count by value, the chi-squares bit for bit, so a numpy
     that sums in another order gets its own values back, the pair counts by
-    value, and the neighbor differences at steps 1 and 3.
+    value, the neighbor differences at steps 1 and 3, and the pair sums of
+    the samples against themselves shifted by 40, which sets 0 against 255.
     """
     lib = _native.library()
     if lib is None:
@@ -166,6 +181,12 @@ def _native_counts():
         lib.count_differences(samples.ctypes.data, samples.shape[0], samples.shape[1], step, out.ctypes.data)
         return out
 
+    def pair_sums(cover, stego):
+        check_pair(cover, stego)  # the kernel reads as many samples from each
+        out = np.empty(2, dtype=np.int64)
+        lib.pair_sums(cover.samples.ctypes.data, stego.samples.ctypes.data, cover.samples.size, out.ctypes.data)
+        return int(out[0]), int(out[1])
+
     samples, bounds = _counts_check_input()
     got, want = value_counts(samples, bounds), _numpy_value_counts(samples, bounds)
     if not all(map(np.array_equal, got, want)) or got[1].tobytes() != want[1].tobytes():
@@ -174,12 +195,16 @@ def _native_counts():
     for step in (1, 3):
         if not np.array_equal(difference_counts(grid, step), _numpy_difference_counts(grid, step)):
             return None
-    return value_counts, difference_counts
+    pair = RasterImage(22, 20, 3, samples), RasterImage(22, 20, 3, np.roll(samples, 40))
+    if pair_sums(*pair) != _numpy_pair_sums(*pair):
+        return None
+    return value_counts, difference_counts, pair_sums
 
 
 def _counters():
-    """``(value_counts, difference_counts)``: compiled where they load, else numpy."""
-    return _native_counts() or (_numpy_value_counts, _numpy_difference_counts)
+    """``(value_counts, difference_counts, pair_sums)``: compiled where they
+    load, else numpy."""
+    return _native_counts() or (_numpy_value_counts, _numpy_difference_counts, _numpy_pair_sums)
 
 
 def _entropy_bits(counts: np.ndarray) -> float:
@@ -194,7 +219,7 @@ def histogram_entropy(image: RasterImage) -> float:
     fallback counts them a bounded chunk at a time.  Either way the
     working memory is fixed: 2 KB of counts, plus 256 KB on the fallback.
     """
-    value_counts, _ = _counters()
+    value_counts, _, _ = _counters()
     flat = image.samples.ravel()
     hist, _, _ = value_counts(flat, np.array([0, flat.size]))
     return _entropy_bits(hist)
@@ -211,7 +236,7 @@ def neighbor_diff_entropy(image: RasterImage) -> float:
     """
     if image.cols < 2:
         raise DomainError("neighbor differences need at least 2 columns")
-    _, difference_counts = _counters()
+    _, difference_counts, _ = _counters()
     return _entropy_bits(difference_counts(image.samples, image.channels))
 
 
@@ -275,18 +300,84 @@ def gamma_q(a: float, x: float) -> float:
         raise DomainError("shape parameter must satisfy 0 < a < 2**53")
     if not (x >= 0.0) or not math.isfinite(x):
         raise DomainError("integration limit must be finite and non-negative")
+    return _scaled_q(a, x, None)
+
+
+def _expansion(a: float, x: float) -> float:
+    """The expansion in use at ``(a, x)``: the series below x = a + 1, else
+    the continued fraction."""
+    return _lower_series(a, x) if x < a + 1.0 else _upper_continued_fraction(a, x)
+
+
+def _scaled_q(a: float, x: float, expansion: float | None) -> float:
+    """:func:`gamma_q` past its domain checks.  ``expansion`` is the value of
+    :func:`_expansion` at ``(a, x)``, computed beforehand, or None to compute
+    it here, which raises its :class:`DomainError` where it does not
+    converge.  Either way it counts only where the prefix does not
+    underflow."""
     if x == 0.0:
         return 1.0
     # Both expansions scale by prefix = x**a e**-x / Gamma(a).
     log_prefix = -x + a * math.log(x) - math.lgamma(a)
+    lower = x < a + 1.0
     if log_prefix < -745.0:  # exp underflows: the prefix is 0 and fixes the result
-        return 1.0 if x < a + 1.0 else 0.0
+        return 1.0 if lower else 0.0
     prefix = math.exp(log_prefix)
-    if x < a + 1.0:
-        q = 1.0 - _lower_series(a, x) * prefix
-    else:
-        q = _upper_continued_fraction(a, x) * prefix
+    if expansion is None:
+        expansion = _expansion(a, x)
+    q = 1.0 - expansion * prefix if lower else expansion * prefix
     return min(max(q, 0.0), 1.0)
+
+
+def _gamma_check_input() -> tuple[np.ndarray, np.ndarray]:
+    """``(a, x)`` on which the compiled expansions must give the Python ones'
+    bits.  Ten of the attack's shapes a = dof / 2, from 0.5 to 63.5, each at
+    four x: inside the series branch, just below x = a + 1 (where the series
+    takes its most terms, 78 at a = 63.5), on it (where the continued
+    fraction starts) and in the continued fraction's tail.  Then x = 0, the
+    continued fraction's most terms found (100, at a = 0.5), and one shape
+    on each branch that does not converge."""
+    a = np.array([1, 2, 3, 8, 17, 32, 63, 100, 126, 127]) / 2.0
+    x = np.concatenate([a / 3.0, a + 1.0, np.nextafter(a + 1.0, 0.0), 3.0 * a + 7.0])
+    a = np.concatenate([a, a, a, a, [0.5, 0.5, 1e5, 1e7]])
+    return a, np.concatenate([x, [0.0, 1.51974025, 99999.0, 1e7 + 1.0]])
+
+
+@functools.cache
+def _native_gamma():
+    """The compiled expansions, or None: a function of arrays ``a`` and ``x``
+    that gives, for each point, the value of :func:`_expansion`, or None
+    where it does not converge.
+
+    Takes ``gamma_expansions`` from :func:`_native.library` on the first
+    attack and keeps it only if it gives the Python expansions' values bit
+    for bit, and None exactly where they raise, on :func:`_gamma_check_input`.
+    """
+    lib = _native.library()
+    if lib is None:
+        return None
+
+    def expansions(a, x):
+        a = np.ascontiguousarray(a, dtype=np.float64)
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        out = np.empty(a.size, dtype=np.float64)
+        iters = np.empty(a.size, dtype=np.int64)
+        failed = lib.gamma_expansions(a.ctypes.data, x.ctypes.data, a.size, _GAMMA_MAX_ITER, _GAMMA_EPS,
+                                      out.ctypes.data, iters.ctypes.data)
+        values = out.tolist()
+        if failed:
+            values = [value if n >= 0 else None for value, n in zip(values, iters.tolist())]
+        return values
+
+    a, x = _gamma_check_input()
+    for a_k, x_k, got in zip(a.tolist(), x.tolist(), expansions(a, x)):
+        try:
+            want = _expansion(a_k, x_k)
+        except DomainError:
+            want = None
+        if repr(got) != repr(want):
+            return None
+    return expansions
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +397,10 @@ def chi_square_attack(image: RasterImage, step_percent: int) -> list[AttackPoint
     One call to the value counter scores every prefix
     (:func:`_numpy_value_counts`): compiled, it counts the running
     histograms segment by segment and sums each prefix's included pair
-    terms in numpy's order, so either path gives the same bits.  Only each
-    prefix's ``gamma_q`` call stays in Python.
+    terms in numpy's order, so either path gives the same bits.  One call
+    to the compiled expansions (:func:`_native_gamma`) then gives each
+    prefix's series or continued fraction, where it loads; Python keeps the
+    rest of :func:`gamma_q`, so the p-values keep its bits and its errors.
     """
     if not (1 <= step_percent <= 100):
         raise DomainError("step_percent must lie in [1, 100]")
@@ -317,10 +410,18 @@ def chi_square_attack(image: RasterImage, step_percent: int) -> list[AttackPoint
     if percents[-1] != 100:
         percents.append(100)
     bounds = np.array([0] + [(total * t) // 100 for t in percents], dtype=np.int64)
-    value_counts, _ = _counters()
+    value_counts, _, _ = _counters()
     _, chis, pairs = value_counts(flat, bounds)
+    dofs = pairs - 1
+    # Both halvings are exact: a = dof / 2.0 and x = chi / 2.0.
+    a, x = dofs / 2.0, chis / 2.0
+    # Only prefixes with a degree of freedom need an expansion (at a = 0 the
+    # series would run to its cap); the values come back in prefix order.
+    scored = dofs >= 1
+    expansions = _native_gamma()
+    found = iter(expansions(a[scored], x[scored]) if expansions else ())
     points: list[AttackPoint] = []
-    for t, chi, dof in zip(percents, chis.tolist(), (pairs - 1).tolist()):
-        p = gamma_q(dof / 2.0, chi / 2.0) if dof >= 1 else 0.0
+    for t, chi, dof, a_k, x_k in zip(percents, chis.tolist(), dofs.tolist(), a.tolist(), x.tolist()):
+        p = _scaled_q(a_k, x_k, next(found, None)) if dof >= 1 else 0.0
         points.append(AttackPoint(t / 100.0, chi, max(dof, 0), p))
     return points

@@ -168,12 +168,17 @@ def save_pbm(marks: np.ndarray) -> bytes:
 # Change accounting
 # ---------------------------------------------------------------------------
 
-def abs_difference(cover: RasterImage, stego: RasterImage) -> np.ndarray:
-    """|cover - stego| per sample as uint8: the larger minus the smaller, so
-    no sample is widened.  Images that differ in rows, columns or channels
-    raise :class:`DimensionMismatch`."""
+def check_pair(cover: RasterImage, stego: RasterImage) -> None:
+    """Raise :class:`DimensionMismatch` unless the two images share rows,
+    columns and channels: the rule of every image pair compared here."""
     if (cover.rows, cover.cols, cover.channels) != (stego.rows, stego.cols, stego.channels):
         raise DimensionMismatch(f"{cover!r} vs {stego!r}: dimensions must match")
+
+
+def abs_difference(cover: RasterImage, stego: RasterImage) -> np.ndarray:
+    """|cover - stego| per sample as uint8: the larger minus the smaller, so
+    no sample is widened.  A mismatched pair raises as in :func:`check_pair`."""
+    check_pair(cover, stego)
     delta = np.maximum(cover.samples, stego.samples)
     delta -= np.minimum(cover.samples, stego.samples)
     return delta

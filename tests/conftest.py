@@ -71,6 +71,14 @@ def count_paths(monkeypatch):
                  lambda: None, ("native", "numpy"))
 
 
+@pytest.fixture
+def gamma_paths(monkeypatch):
+    """The compiled gamma expansions of ``_native.c`` (where they loaded),
+    then the Python series and continued fraction: see :class:`Paths`."""
+    return Paths(monkeypatch, analysis, "_native_gamma", lambda: analysis._native_gamma() is not None,
+                 lambda: None, ("native", "python"))
+
+
 def exchange_supported(directory) -> bool:
     """Whether ``_native.exchange`` swaps two files in ``directory``."""
     a, b = directory / ".exchange-a", directory / ".exchange-b"

@@ -128,20 +128,41 @@ class TestPsnr:
         assert psnr(img, img, payload_bits=2).hiding_capacity_bpp == 0.5
         assert psnr(img, img).hiding_capacity_bpp is None
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            psnr(gray(1, 2, [0, 0]), gray(2, 1, [0, 0]))
-        # Either bad payload_bits alone raises another error; the pair is checked first.
-        for payload_bits in (-1, 5):
+    def test_dimension_mismatch(self, count_paths):
+        for counter in count_paths:
             with pytest.raises(DimensionMismatch):
-                psnr(gray(1, 4, [0] * 4), gray(1, 2, [0, 0]), payload_bits=payload_bits)
+                psnr(gray(1, 2, [0, 0]), gray(2, 1, [0, 0]))
+            # Either bad payload_bits alone raises another error; the pair is checked first.
+            for payload_bits in (-1, 5):
+                with pytest.raises(DimensionMismatch):
+                    psnr(gray(1, 4, [0] * 4), gray(1, 2, [0, 0]), payload_bits=payload_bits)
+            # The pair sums check the pair themselves: the kernel reads as many samples from each.
+            with pytest.raises(DimensionMismatch):
+                analysis._counters()[2](gray(1, 4, [0] * 4), gray(1, 2, [0, 0]))
+
+    @pytest.mark.parametrize("cover, stego, sums", [
+        (gray(4, 4, [0] * 16), gray(4, 4, [255] * 16), (16 * 255 ** 2, 16)),
+        (gray(4, 4, [255] * 16), gray(4, 4, [0] * 16), (16 * 255 ** 2, 16)),
+        (gray(1, 1, [7]), gray(1, 1, [3]), (16, 1)),
+        (gray(1, 1, [7]), gray(1, 1, [7]), (0, 0)),
+        (RasterImage(1, 2, 3, [0, 1, 2, 255, 4, 5]), RasterImage(1, 2, 3, [0, 2, 0, 0, 4, 5]), (1 + 4 + 255 ** 2, 3)),
+    ])
+    def test_pair_sums_on_both_count_paths(self, cover, stego, sums, count_paths):
+        # All-0 against all-255 (the largest square), a 1x1 image, RGB, and
+        # equal images.
+        for counter in count_paths:
+            assert analysis._counters()[2](cover, stego) == sums, counter
+            report = psnr(cover, stego)
+            assert (repr(report.mse), repr(report.psnr_db), report.flips) == psnr_oracle(cover, stego), counter
+            assert (report.psnr_db == math.inf) == (sums[1] == 0), counter
 
     def test_non_lsb_difference_counts_as_one_flip(self):
         report = psnr(gray(1, 2, [100, 10]), gray(1, 2, [103, 10]))
         assert report.flips == 1
         assert report.mse == 4.5
 
-    @settings(max_examples=200, derandomize=True, deadline=None)
+    @settings(max_examples=200, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         rows=st.integers(1, 40),
         cols=st.integers(1, 40),
@@ -149,7 +170,8 @@ class TestPsnr:
         kind=st.sampled_from(["independent", "identical", "lsb", "full-range"]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_int64_oracle(self, rows, cols, channels, kind, seed):
+    def test_matches_int64_oracle(self, rows, cols, channels, kind, seed, count_paths):
+        # Up to 4,800 samples: the compiled sums' 256-sample blocks and tails.
         rng = np.random.default_rng(seed)
         size = rows * cols * channels
         if kind == "full-range":
@@ -163,8 +185,9 @@ class TestPsnr:
                 "lsb": lambda: a ^ rng.integers(0, 2, size, dtype=np.uint8),
             }[kind]()
         cover, stego = RasterImage(rows, cols, channels, a), RasterImage(rows, cols, channels, b)
-        report = psnr(cover, stego)
-        assert (repr(report.mse), repr(report.psnr_db), report.flips) == psnr_oracle(cover, stego)
+        for counter in count_paths:
+            report = psnr(cover, stego)
+            assert (repr(report.mse), repr(report.psnr_db), report.flips) == psnr_oracle(cover, stego), counter
 
 
 class TestHistogramEntropy:
@@ -281,7 +304,7 @@ class TestNativeCounts:
         samples = pixels.reshape(rows, cols * channels)
         flat = samples.ravel()
         bounds = np.array(sorted([0, flat.size] + [min(cut, flat.size) for cut in cuts]), dtype=np.int64)
-        value_counts, difference_counts = analysis._native_counts()
+        value_counts, difference_counts, _ = analysis._native_counts()
         hist, chis, pairs = value_counts(flat, bounds)
         assert np.array_equal(hist, widened_value_counts(flat, bounds)[-1])
         assert [(repr(chi), n) for chi, n in zip(chis.tolist(), pairs.tolist())] == \
@@ -292,6 +315,9 @@ class TestNativeCounts:
         samples, bounds = analysis._counts_check_input()
         assert np.any(samples[1:] == samples[:-1]) and {0, 255} <= set(samples.tolist())
         assert np.any(np.abs(np.diff(samples.astype(np.int64))) == 255)
+        # The pair sums' check sets equal samples and 0 against 255.
+        pair_deltas = np.abs(samples.astype(np.int64) - np.roll(samples, 40))
+        assert 0 in pair_deltas and 255 in pair_deltas and samples.size % 256
         assert np.any(np.diff(bounds) == 0) and bounds[-1] == samples.size
         # Rows that reach every branch of numpy's summation: no term, 8
         # partial sums with a remainder, and all 128 pairs.
@@ -309,6 +335,7 @@ class TestNativeCounts:
         monkeypatch.setattr(_native.shutil, "which", lambda name: None)
         assert _native.library() is None
         assert analysis._native_counts.__wrapped__() is None
+        assert analysis._native_gamma.__wrapped__() is None
 
     def test_falls_back_when_the_build_fails(self, monkeypatch, uncached_library):
         def fail(source):
@@ -317,18 +344,21 @@ class TestNativeCounts:
         monkeypatch.setattr(_native, "_build", fail)
         assert _native.library() is None
         assert analysis._native_counts.__wrapped__() is None
+        assert analysis._native_gamma.__wrapped__() is None
 
     @needs_cc
     def test_loads_an_unchanged_copy(self, tmp_path, monkeypatch, uncached_library):
-        # The control for the two mutants below: a copy of the source loads.
+        # The control for the mutants below and in TestGammaExpansions: a copy of the source loads.
         monkeypatch.setattr(_native, "_SOURCE", native_source_copy(tmp_path))
         assert analysis._native_counts.__wrapped__() is not None
+        assert analysis._native_gamma.__wrapped__() is not None
 
     @needs_cc
     @pytest.mark.parametrize("old, new", [
         ("lane[3][p[i + 3]]++;", "lane[3][p[i + 3] ^ 1]++;"),  # wrong value counts
         ("lane[1][255 + b[j + 1] - a[j + 1]]++;", "lane[1][255 + b[j + 1] - a[j]]++;"),  # wrong differences
         ("double sum = 0.0;", "double sum = -0.0;"),  # a scan whose empty sums print -0.0
+        ("block_flips += d != 0;", "block_flips += d > 0;"),  # PSNR's flips counted one way only
     ])
     def test_falls_back_when_the_check_counts_differ(self, tmp_path, monkeypatch, uncached_library, old, new):
         monkeypatch.setattr(_native, "_SOURCE", native_source_copy(tmp_path, old, new))
@@ -341,6 +371,7 @@ class TestNativeCounts:
             "from chaostego import analysis, cli\n"
             "assert cli.run(['keygen', '--out', sys.argv[1], '--pub', sys.argv[2], '--seed', '3']) == 0\n"
             "assert analysis._native_counts.cache_info().currsize == 0\n"
+            "assert analysis._native_gamma.cache_info().currsize == 0\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(analysis.__file__).parents[1]))
         argv = [sys.executable, "-c", script, str(tmp_path / "s.key"), str(tmp_path / "p.key")]
@@ -463,6 +494,115 @@ class TestGammaQ:
             gamma_q(1.0, -0.1)
         with pytest.raises(DomainError):
             gamma_q(math.inf, 1.0)
+
+
+def python_expansion(a, x):
+    """The Python series (x < a + 1) or continued fraction at ``(a, x)``, or
+    None where it does not converge."""
+    try:
+        return analysis._expansion(a, x)
+    except DomainError:
+        return None
+
+
+def kernel_terms(a, x):
+    """The terms ``gamma_expansions`` takes at each ``(a, x)``, -1 where it
+    does not converge."""
+    a, x = np.asarray(a, dtype=np.float64), np.asarray(x, dtype=np.float64)
+    out, terms = np.empty(a.size), np.empty(a.size, dtype=np.int64)
+    _native.library().gamma_expansions(a.ctypes.data, x.ctypes.data, a.size, analysis._GAMMA_MAX_ITER,
+                                       analysis._GAMMA_EPS, out.ctypes.data, terms.ctypes.data)
+    return terms
+
+
+def crafted_scan(monkeypatch, chis, pairs):
+    """Makes the value counter report ``chis`` and ``pairs`` for any scan, so
+    the attack meets shapes far beyond a histogram's 128 pairs."""
+    def value_counts(flat, bounds):
+        return None, np.array(chis, dtype=np.float64), np.array(pairs, dtype=np.int64)
+
+    monkeypatch.setattr(analysis, "_counters", lambda: (value_counts, None, None))
+
+
+class TestGammaExpansions:
+    """The compiled expansions give the bits of the Python series and
+    continued fraction, and the attack the same p-values and errors on both
+    gamma paths."""
+
+    @needs_cc
+    def test_loads_where_a_compiler_exists(self):
+        assert analysis._native_gamma() is not None
+
+    @needs_cc
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(dof=st.integers(1, 127), x=st.floats(0.0, 300.0), edge=st.sampled_from(["", "boundary", "below"]))
+    @example(dof=1, x=1.51974025, edge="")  # the continued fraction's 100 terms
+    @example(dof=127, x=0.0, edge="below")  # the series' 78 terms
+    @example(dof=1, x=0.0, edge="")
+    @example(dof=2, x=0.0, edge="boundary")  # a = 1: its first term an is 0, so the fraction stops there
+    def test_compiled_equals_python(self, dof, x, edge):
+        a = dof / 2.0
+        x = {"": x, "boundary": a + 1.0, "below": math.nextafter(a + 1.0, 0.0)}[edge]
+        got = analysis._native_gamma()(np.array([a]), np.array([x]))[0]
+        assert repr(got) == repr(python_expansion(a, x))
+        assert repr(analysis._scaled_q(a, x, got)) == repr(gamma_q(a, x))
+
+    @needs_cc
+    def test_check_input_covers_both_branches_and_the_most_terms(self):
+        a, x = analysis._gamma_check_input()
+        terms, series = kernel_terms(a, x), x < a + 1.0
+        assert 0.5 in a.tolist() and np.any(x == a + 1.0) and np.any(x == 0.0)
+        assert terms[series].max() == 78 and terms[~series].max() == 100
+        assert np.any(series & (terms < 0)) and np.any(~series & (terms < 0))
+
+    @needs_cc
+    @pytest.mark.parametrize("old, new", [
+        ("term *= t / (s + (double)i);", "term = term * t / (s + (double)i);"),  # the series in another order
+        ("d = an * d + b;", "d = fma(an, d, b);"),  # the continued fraction contracted, as -ffp-contract would
+        ("failed += i >= cap;", "failed += 0;"),  # a diverging expansion reported as a value
+    ])
+    def test_falls_back_when_the_check_expansions_differ(self, tmp_path, monkeypatch, uncached_library, old, new):
+        monkeypatch.setattr(_native, "_SOURCE", native_source_copy(tmp_path, old, new))
+        assert analysis._native_gamma.__wrapped__() is None
+
+    @pytest.mark.parametrize("chi, pairs, expansion", [
+        (199998.0, 200001, "series"),  # a = 1e5, x = 99999
+        (2e7 + 2.0, 20000001, "continued fraction"),  # a = 1e7, x = 1e7 + 1
+    ])
+    def test_divergence_raises_the_same_error_on_both_paths(self, chi, pairs, expansion, monkeypatch, gamma_paths):
+        with pytest.raises(DomainError, match=f"incomplete gamma {expansion} did not converge") as want:
+            gamma_q((pairs - 1) / 2.0, chi / 2.0)
+        crafted_scan(monkeypatch, [0.0, chi], [0, pairs])
+        for gamma in gamma_paths:
+            with pytest.raises(DomainError) as got:
+                chi_square_attack(gray(10, 10, [0] * 100), 50)
+            assert str(got.value) == str(want.value), gamma
+
+    def test_only_prefixes_with_a_degree_of_freedom_are_expanded(self, monkeypatch):
+        # The rest report p = 0; at a = 0 the compiled series would run to its cap.
+        shapes = []
+
+        def expansions(a, x):
+            shapes.extend(a.tolist())
+            return [analysis._expansion(a_k, x_k) for a_k, x_k in zip(a.tolist(), x.tolist())]
+
+        monkeypatch.setattr(analysis, "_native_gamma", lambda: expansions)
+        points = chi_square_attack(gray(7, 9, np.repeat(np.arange(100, 107), 9)), 1)
+        assert {p.dof for p in points} >= {0, 1} and min(shapes) == 0.5
+        assert len(shapes) == sum(p.dof >= 1 for p in points)
+
+    def test_underflowed_prefix_hides_a_diverging_expansion(self, monkeypatch, gamma_paths):
+        # At a = 1e7, x = 9873509 the prefix is about e**-800, so Q is 1,
+        # though the series would need far more than 1000 terms.
+        a, x = 1e7, 9873509.0
+        assert -x + a * math.log(x) - math.lgamma(a) < -745.0
+        assert python_expansion(a, x) is None
+        if shutil.which("cc") is not None:
+            assert kernel_terms([a], [x]).tolist() == [-1]
+        crafted_scan(monkeypatch, [2.0 * x, 2.0 * x], [2 * int(a) + 1] * 2)
+        for gamma in gamma_paths:
+            points = chi_square_attack(gray(10, 10, [0] * 100), 50)
+            assert [(p.dof, p.p_embedding) for p in points] == [(2 * int(a), 1.0)] * 2, gamma
 
 
 def paired_cover(rows, cols):

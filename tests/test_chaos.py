@@ -548,7 +548,9 @@ class TestNativeKernel:
     def test_kernels_run_clean_under_ubsan(self, tmp_path, change, clean):
         # Built with undefined-behaviour checks that abort on the first
         # finding: the orbit's self-check cases, the counters' load-time
-        # check, then the value counter on rows of 0-128 included pairs.
+        # check (the pair sums' with it), then the value counter on rows of
+        # 0-128 included pairs, and the expansions' load-time check on their
+        # check set.
         script = (
             "import sys\n"
             "from pathlib import Path\n"
@@ -563,6 +565,7 @@ class TestNativeKernel:
             "samples = np.repeat(np.arange(0, 256, 2, dtype=np.uint8), 5)\n"
             "_, chis, pairs = counters[0](samples, np.array([0] + [5 * n for n in edges]))\n"
             "assert pairs.tolist() == edges\n"
+            "assert analysis._native_gamma() is not None\n"
         )
         source = native_source_copy(tmp_path, *change)
         env = dict(os.environ, PYTHONPATH=str(Path(chaos.__file__).parents[1]))

@@ -136,7 +136,7 @@ def test_native_declares_exactly_the_exported_c_functions():
     for node in ast.walk(library):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute):
             declared.get(node.attr, set()).add(node.value.attr)
-    assert exported >= {"orbit", "count_values", "count_differences"}
+    assert exported >= {"orbit", "count_values", "count_differences", "pair_sums", "gamma_expansions"}
     assert declared["argtypes"] == declared["restype"] == exported
 
 
@@ -149,6 +149,7 @@ def test_library_lacking_a_kernel_falls_back(name, tmp_path, monkeypatch, uncach
     assert _native.library() is None
     assert chaos._native_orbit.__wrapped__() is None
     assert analysis._native_counts.__wrapped__() is None
+    assert analysis._native_gamma.__wrapped__() is None
 
 
 def test_bench_files_are_named_correct_and_paired():
