@@ -1,6 +1,6 @@
 """Builds and loads ``_native.c``, the package's one C source: the orbit of
-:mod:`chaos` and the counters and gamma expansions of :mod:`analysis`, which
-check what they take.
+:mod:`chaos` and the four kernels of :mod:`analysis`, each module checking
+what it takes as one set that runs or falls back whole.
 Also takes ``renameat2`` from the C library, for :func:`exchange`."""
 
 import ctypes

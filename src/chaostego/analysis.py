@@ -6,13 +6,12 @@ by comparing pair-of-values frequencies over growing sample prefixes.
 The attack's p-value comes from an in-house regularized upper incomplete
 gamma (series / continued fraction), kept independent of any library
 implementation so the statistic is self-contained.
-The histograms, the attack's statistic over every prefix and PSNR's sums
-come from the three compiled counters of ``_native.c`` where they build and
-reproduce numpy's results bit for bit; numpy computes the same values where
-they do not.  One value counter serves both the value histogram and the
-attack.  The attack's gamma expansions run in one compiled call per scan
-where that kernel builds and reproduces the Python expansions bit for bit,
-and in Python where it does not.
+The histograms, the attack's statistic over every prefix, PSNR's sums and
+the attack's gamma expansions come from four compiled kernels of
+``_native.c``, checked together on the first grade.  Where they build and
+each reproduces numpy's or the Python expansions' results bit for bit, all
+four run; where any does not, numpy and Python compute the same values.
+One value counter serves both the value histogram and the attack.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -73,8 +72,7 @@ def psnr(cover: RasterImage, stego: RasterImage, payload_bits: int | None = None
         if payload_bits > cover.samples.size:
             raise CapacityError(f"{payload_bits} payload bits exceed the {cover.samples.size}-sample grid")
         hc = payload_bits / (cover.rows * cover.cols)
-    _, _, pair_sums = _counters()
-    squares, flips = pair_sums(cover, stego)
+    squares, flips = _kernels().pair_sums(cover, stego)
     mse = float(np.int64(squares) / cover.samples.size)
     if mse == 0.0:
         psnr_db = math.inf
@@ -148,65 +146,6 @@ def _counts_check_input() -> tuple[np.ndarray, np.ndarray]:
     return samples, np.array([0, 17, 17, 300, 700, 1320], dtype=np.int64)
 
 
-@functools.cache
-def _native_counts():
-    """The compiled counters with the signatures of :func:`_numpy_value_counts`,
-    :func:`_numpy_difference_counts` and :func:`_numpy_pair_sums`, as a
-    triple, or None.
-
-    Takes them from :func:`_native.library` on the first count and keeps
-    them only if their results on :func:`_counts_check_input` equal numpy's:
-    the last running count by value, the chi-squares bit for bit, so a numpy
-    that sums in another order gets its own values back, the pair counts by
-    value, the neighbor differences at steps 1 and 3, and the pair sums of
-    the samples against themselves shifted by 40, which sets 0 against 255.
-    """
-    lib = _native.library()
-    if lib is None:
-        return None
-
-    def value_counts(flat, bounds):
-        flat = np.ascontiguousarray(flat, dtype=np.uint8)
-        bounds = np.ascontiguousarray(bounds, dtype=np.int64)
-        hist = np.empty(256, dtype=np.int64)
-        chis = np.empty(bounds.size - 1, dtype=np.float64)
-        pairs = np.empty(bounds.size - 1, dtype=np.int64)
-        lib.count_values(flat.ctypes.data, bounds.ctypes.data, chis.size, hist.ctypes.data, chis.ctypes.data,
-                         pairs.ctypes.data)
-        return hist, chis, pairs
-
-    def difference_counts(samples, step):
-        samples = np.ascontiguousarray(samples, dtype=np.uint8)
-        out = np.empty(2 * PEAK_VALUE + 1, dtype=np.int64)
-        lib.count_differences(samples.ctypes.data, samples.shape[0], samples.shape[1], step, out.ctypes.data)
-        return out
-
-    def pair_sums(cover, stego):
-        check_pair(cover, stego)  # the kernel reads as many samples from each
-        out = np.empty(2, dtype=np.int64)
-        lib.pair_sums(cover.samples.ctypes.data, stego.samples.ctypes.data, cover.samples.size, out.ctypes.data)
-        return int(out[0]), int(out[1])
-
-    samples, bounds = _counts_check_input()
-    got, want = value_counts(samples, bounds), _numpy_value_counts(samples, bounds)
-    if not all(map(np.array_equal, got, want)) or got[1].tobytes() != want[1].tobytes():
-        return None
-    grid = samples.reshape(22, 60)
-    for step in (1, 3):
-        if not np.array_equal(difference_counts(grid, step), _numpy_difference_counts(grid, step)):
-            return None
-    pair = RasterImage(22, 20, 3, samples), RasterImage(22, 20, 3, np.roll(samples, 40))
-    if pair_sums(*pair) != _numpy_pair_sums(*pair):
-        return None
-    return value_counts, difference_counts, pair_sums
-
-
-def _counters():
-    """``(value_counts, difference_counts, pair_sums)``: compiled where they
-    load, else numpy."""
-    return _native_counts() or (_numpy_value_counts, _numpy_difference_counts, _numpy_pair_sums)
-
-
 def _entropy_bits(counts: np.ndarray) -> float:
     p = counts[counts > 0] / counts.sum()
     return 0.0 - float(np.sum(p * np.log2(p)))  # +0.0, not -0.0, for one value
@@ -219,9 +158,8 @@ def histogram_entropy(image: RasterImage) -> float:
     fallback counts them a bounded chunk at a time.  Either way the
     working memory is fixed: 2 KB of counts, plus 256 KB on the fallback.
     """
-    value_counts, _, _ = _counters()
     flat = image.samples.ravel()
-    hist, _, _ = value_counts(flat, np.array([0, flat.size]))
+    hist, _, _ = _kernels().value_counts(flat, np.array([0, flat.size]))
     return _entropy_bits(hist)
 
 
@@ -236,8 +174,7 @@ def neighbor_diff_entropy(image: RasterImage) -> float:
     """
     if image.cols < 2:
         raise DomainError("neighbor differences need at least 2 columns")
-    _, difference_counts, _ = _counters()
-    return _entropy_bits(difference_counts(image.samples, image.channels))
+    return _entropy_bits(_kernels().difference_counts(image.samples, image.channels))
 
 
 # ---------------------------------------------------------------------------
@@ -343,19 +280,65 @@ def _gamma_check_input() -> tuple[np.ndarray, np.ndarray]:
     return a, np.concatenate([x, [0.0, 1.51974025, 99999.0, 1e7 + 1.0]])
 
 
-@functools.cache
-def _native_gamma():
-    """The compiled expansions, or None: a function of arrays ``a`` and ``x``
-    that gives, for each point, the value of :func:`_expansion`, or None
-    where it does not converge.
+# ---------------------------------------------------------------------------
+# The computations, compiled or not
+# ---------------------------------------------------------------------------
 
-    Takes ``gamma_expansions`` from :func:`_native.library` on the first
-    attack and keeps it only if it gives the Python expansions' values bit
-    for bit, and None exactly where they raise, on :func:`_gamma_check_input`.
+class _Kernels(NamedTuple):
+    """Grading's four computations: :func:`_native_kernels` or :data:`_FALLBACK`."""
+
+    value_counts: Callable
+    difference_counts: Callable
+    pair_sums: Callable
+    expansions: Callable
+
+
+#: numpy's counters, and no expansion beforehand: :func:`_scaled_q` runs Python's.
+_FALLBACK = _Kernels(_numpy_value_counts, _numpy_difference_counts, _numpy_pair_sums,
+                     lambda a, x: [None] * a.size)
+
+
+@functools.cache
+def _native_kernels() -> _Kernels | None:
+    """The compiled kernels as a :class:`_Kernels`, or None.  Their
+    ``expansions`` gives, for arrays ``a`` and ``x``, the value of
+    :func:`_expansion` at each point, or None where it does not converge.
+
+    Takes them from :func:`_native.library` on the first grade and keeps
+    them only if all pass their checks; any failure drops all four.  On
+    :func:`_counts_check_input` the counters must give numpy's results: the
+    last running count by value, the chi-squares bit for bit, so a numpy
+    that sums in another order gets its own values back, the pair counts by
+    value, the neighbor differences at steps 1 and 3, and the pair sums of
+    the samples against themselves shifted by 40, which sets 0 against 255.
+    On :func:`_gamma_check_input` the expansions must give the Python ones'
+    values bit for bit, and None exactly where they raise.
     """
     lib = _native.library()
     if lib is None:
         return None
+
+    def value_counts(flat, bounds):
+        flat = np.ascontiguousarray(flat, dtype=np.uint8)
+        bounds = np.ascontiguousarray(bounds, dtype=np.int64)
+        hist = np.empty(256, dtype=np.int64)
+        chis = np.empty(bounds.size - 1, dtype=np.float64)
+        pairs = np.empty(bounds.size - 1, dtype=np.int64)
+        lib.count_values(flat.ctypes.data, bounds.ctypes.data, chis.size, hist.ctypes.data, chis.ctypes.data,
+                         pairs.ctypes.data)
+        return hist, chis, pairs
+
+    def difference_counts(samples, step):
+        samples = np.ascontiguousarray(samples, dtype=np.uint8)
+        out = np.empty(2 * PEAK_VALUE + 1, dtype=np.int64)
+        lib.count_differences(samples.ctypes.data, samples.shape[0], samples.shape[1], step, out.ctypes.data)
+        return out
+
+    def pair_sums(cover, stego):
+        check_pair(cover, stego)  # the kernel reads as many samples from each
+        out = np.empty(2, dtype=np.int64)
+        lib.pair_sums(cover.samples.ctypes.data, stego.samples.ctypes.data, cover.samples.size, out.ctypes.data)
+        return int(out[0]), int(out[1])
 
     def expansions(a, x):
         a = np.ascontiguousarray(a, dtype=np.float64)
@@ -369,6 +352,17 @@ def _native_gamma():
             values = [value if n >= 0 else None for value, n in zip(values, iters.tolist())]
         return values
 
+    samples, bounds = _counts_check_input()
+    got, want = value_counts(samples, bounds), _numpy_value_counts(samples, bounds)
+    if not all(map(np.array_equal, got, want)) or got[1].tobytes() != want[1].tobytes():
+        return None
+    grid = samples.reshape(22, 60)
+    for step in (1, 3):
+        if not np.array_equal(difference_counts(grid, step), _numpy_difference_counts(grid, step)):
+            return None
+    pair = RasterImage(22, 20, 3, samples), RasterImage(22, 20, 3, np.roll(samples, 40))
+    if pair_sums(*pair) != _numpy_pair_sums(*pair):
+        return None
     a, x = _gamma_check_input()
     for a_k, x_k, got in zip(a.tolist(), x.tolist(), expansions(a, x)):
         try:
@@ -377,7 +371,12 @@ def _native_gamma():
             want = None
         if repr(got) != repr(want):
             return None
-    return expansions
+    return _Kernels(value_counts, difference_counts, pair_sums, expansions)
+
+
+def _kernels() -> _Kernels:
+    """The compiled kernels where they load and pass their checks, else :data:`_FALLBACK`."""
+    return _native_kernels() or _FALLBACK
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +397,9 @@ def chi_square_attack(image: RasterImage, step_percent: int) -> list[AttackPoint
     (:func:`_numpy_value_counts`): compiled, it counts the running
     histograms segment by segment and sums each prefix's included pair
     terms in numpy's order, so either path gives the same bits.  One call
-    to the compiled expansions (:func:`_native_gamma`) then gives each
-    prefix's series or continued fraction, where it loads; Python keeps the
-    rest of :func:`gamma_q`, so the p-values keep its bits and its errors.
+    to ``expansions`` (:func:`_native_kernels`) then gives each prefix's
+    series or continued fraction, or None for Python to run it; Python keeps
+    the rest of :func:`gamma_q`, so the p-values keep its bits and its errors.
     """
     if not (1 <= step_percent <= 100):
         raise DomainError("step_percent must lie in [1, 100]")
@@ -410,18 +409,17 @@ def chi_square_attack(image: RasterImage, step_percent: int) -> list[AttackPoint
     if percents[-1] != 100:
         percents.append(100)
     bounds = np.array([0] + [(total * t) // 100 for t in percents], dtype=np.int64)
-    value_counts, _, _ = _counters()
-    _, chis, pairs = value_counts(flat, bounds)
+    kernels = _kernels()
+    _, chis, pairs = kernels.value_counts(flat, bounds)
     dofs = pairs - 1
     # Both halvings are exact: a = dof / 2.0 and x = chi / 2.0.
     a, x = dofs / 2.0, chis / 2.0
     # Only prefixes with a degree of freedom need an expansion (at a = 0 the
     # series would run to its cap); the values come back in prefix order.
     scored = dofs >= 1
-    expansions = _native_gamma()
-    found = iter(expansions(a[scored], x[scored]) if expansions else ())
+    found = iter(kernels.expansions(a[scored], x[scored]))
     points: list[AttackPoint] = []
     for t, chi, dof, a_k, x_k in zip(percents, chis.tolist(), dofs.tolist(), a.tolist(), x.tolist()):
-        p = _scaled_q(a_k, x_k, next(found, None)) if dof >= 1 else 0.0
+        p = _scaled_q(a_k, x_k, next(found)) if dof >= 1 else 0.0
         points.append(AttackPoint(t / 100.0, chi, max(dof, 0), p))
     return points

@@ -64,19 +64,11 @@ def orbit_paths(monkeypatch):
 
 
 @pytest.fixture
-def count_paths(monkeypatch):
-    """The compiled counters of ``_native.c`` (where they loaded), then
-    numpy's ``bincount``: see :class:`Paths`."""
-    return Paths(monkeypatch, analysis, "_native_counts", lambda: analysis._native_counts() is not None,
+def analysis_paths(monkeypatch):
+    """The compiled kernels of ``analysis`` (where they loaded), then numpy's
+    counters and the Python gamma expansions: see :class:`Paths`."""
+    return Paths(monkeypatch, analysis, "_native_kernels", lambda: analysis._native_kernels() is not None,
                  lambda: None, ("native", "numpy"))
-
-
-@pytest.fixture
-def gamma_paths(monkeypatch):
-    """The compiled gamma expansions of ``_native.c`` (where they loaded),
-    then the Python series and continued fraction: see :class:`Paths`."""
-    return Paths(monkeypatch, analysis, "_native_gamma", lambda: analysis._native_gamma() is not None,
-                 lambda: None, ("native", "python"))
 
 
 def exchange_supported(directory) -> bool:

@@ -128,8 +128,8 @@ class TestPsnr:
         assert psnr(img, img, payload_bits=2).hiding_capacity_bpp == 0.5
         assert psnr(img, img).hiding_capacity_bpp is None
 
-    def test_dimension_mismatch(self, count_paths):
-        for counter in count_paths:
+    def test_dimension_mismatch(self, analysis_paths):
+        for kernels in analysis_paths:
             with pytest.raises(DimensionMismatch):
                 psnr(gray(1, 2, [0, 0]), gray(2, 1, [0, 0]))
             # Either bad payload_bits alone raises another error; the pair is checked first.
@@ -138,7 +138,7 @@ class TestPsnr:
                     psnr(gray(1, 4, [0] * 4), gray(1, 2, [0, 0]), payload_bits=payload_bits)
             # The pair sums check the pair themselves: the kernel reads as many samples from each.
             with pytest.raises(DimensionMismatch):
-                analysis._counters()[2](gray(1, 4, [0] * 4), gray(1, 2, [0, 0]))
+                analysis._kernels().pair_sums(gray(1, 4, [0] * 4), gray(1, 2, [0, 0]))
 
     @pytest.mark.parametrize("cover, stego, sums", [
         (gray(4, 4, [0] * 16), gray(4, 4, [255] * 16), (16 * 255 ** 2, 16)),
@@ -147,14 +147,14 @@ class TestPsnr:
         (gray(1, 1, [7]), gray(1, 1, [7]), (0, 0)),
         (RasterImage(1, 2, 3, [0, 1, 2, 255, 4, 5]), RasterImage(1, 2, 3, [0, 2, 0, 0, 4, 5]), (1 + 4 + 255 ** 2, 3)),
     ])
-    def test_pair_sums_on_both_count_paths(self, cover, stego, sums, count_paths):
+    def test_pair_sums_on_both_count_paths(self, cover, stego, sums, analysis_paths):
         # All-0 against all-255 (the largest square), a 1x1 image, RGB, and
         # equal images.
-        for counter in count_paths:
-            assert analysis._counters()[2](cover, stego) == sums, counter
+        for kernels in analysis_paths:
+            assert analysis._kernels().pair_sums(cover, stego) == sums, kernels
             report = psnr(cover, stego)
-            assert (repr(report.mse), repr(report.psnr_db), report.flips) == psnr_oracle(cover, stego), counter
-            assert (report.psnr_db == math.inf) == (sums[1] == 0), counter
+            assert (repr(report.mse), repr(report.psnr_db), report.flips) == psnr_oracle(cover, stego), kernels
+            assert (report.psnr_db == math.inf) == (sums[1] == 0), kernels
 
     def test_non_lsb_difference_counts_as_one_flip(self):
         report = psnr(gray(1, 2, [100, 10]), gray(1, 2, [103, 10]))
@@ -170,7 +170,7 @@ class TestPsnr:
         kind=st.sampled_from(["independent", "identical", "lsb", "full-range"]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_int64_oracle(self, rows, cols, channels, kind, seed, count_paths):
+    def test_matches_int64_oracle(self, rows, cols, channels, kind, seed, analysis_paths):
         # Up to 4,800 samples: the compiled sums' 256-sample blocks and tails.
         rng = np.random.default_rng(seed)
         size = rows * cols * channels
@@ -185,9 +185,9 @@ class TestPsnr:
                 "lsb": lambda: a ^ rng.integers(0, 2, size, dtype=np.uint8),
             }[kind]()
         cover, stego = RasterImage(rows, cols, channels, a), RasterImage(rows, cols, channels, b)
-        for counter in count_paths:
+        for kernels in analysis_paths:
             report = psnr(cover, stego)
-            assert (repr(report.mse), repr(report.psnr_db), report.flips) == psnr_oracle(cover, stego), counter
+            assert (repr(report.mse), repr(report.psnr_db), report.flips) == psnr_oracle(cover, stego), kernels
 
 
 class TestHistogramEntropy:
@@ -250,15 +250,15 @@ class TestChunkedCounts:
     equal one bincount over a widened copy."""
 
     @pytest.mark.parametrize("rows, cols, channels", [(512, 512, 1), (300, 301, 3), (1, 100003, 1), (70001, 2, 1)])
-    def test_equal_to_one_widened_bincount(self, rows, cols, channels, count_paths):
+    def test_equal_to_one_widened_bincount(self, rows, cols, channels, analysis_paths):
         rng = np.random.default_rng(rows * cols)
         img = random_image(rng, rows, cols, channels)
         hist = np.bincount(img.samples.ravel().astype(np.int64), minlength=256)
         planes = img.samples.reshape(rows, cols, channels).astype(np.int64)
         diffs = np.bincount((planes[:, 1:, :] - planes[:, :-1, :] + 255).ravel(), minlength=511)
-        for counter in count_paths:
-            assert repr(histogram_entropy(img)) == repr(_entropy_bits(hist)), counter
-            assert repr(neighbor_diff_entropy(img)) == repr(_entropy_bits(diffs)), counter
+        for kernels in analysis_paths:
+            assert repr(histogram_entropy(img)) == repr(_entropy_bits(hist)), kernels
+            assert repr(neighbor_diff_entropy(img)) == repr(_entropy_bits(diffs)), kernels
 
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
@@ -280,7 +280,7 @@ class TestNativeCounts:
 
     @needs_cc
     def test_loads_where_a_compiler_exists(self):
-        assert analysis._native_counts() is not None
+        assert analysis._native_kernels() is not None
 
     @needs_cc
     @settings(max_examples=200, derandomize=True, deadline=None)
@@ -304,12 +304,13 @@ class TestNativeCounts:
         samples = pixels.reshape(rows, cols * channels)
         flat = samples.ravel()
         bounds = np.array(sorted([0, flat.size] + [min(cut, flat.size) for cut in cuts]), dtype=np.int64)
-        value_counts, difference_counts, _ = analysis._native_counts()
-        hist, chis, pairs = value_counts(flat, bounds)
+        kernels = analysis._native_kernels()
+        hist, chis, pairs = kernels.value_counts(flat, bounds)
         assert np.array_equal(hist, widened_value_counts(flat, bounds)[-1])
         assert [(repr(chi), n) for chi, n in zip(chis.tolist(), pairs.tolist())] == \
             [(repr(chi), n) for chi, n in map(prefix_chi_square, (flat[:end] for end in bounds[1:]))]
-        assert np.array_equal(difference_counts(samples, channels), widened_difference_counts(samples, channels))
+        assert np.array_equal(kernels.difference_counts(samples, channels),
+                              widened_difference_counts(samples, channels))
 
     def test_check_input_has_runs_extremes_and_an_empty_segment(self):
         samples, bounds = analysis._counts_check_input()
@@ -334,8 +335,7 @@ class TestNativeCounts:
     def test_falls_back_without_a_compiler(self, monkeypatch, uncached_library):
         monkeypatch.setattr(_native.shutil, "which", lambda name: None)
         assert _native.library() is None
-        assert analysis._native_counts.__wrapped__() is None
-        assert analysis._native_gamma.__wrapped__() is None
+        assert analysis._native_kernels.__wrapped__() is None
 
     def test_falls_back_when_the_build_fails(self, monkeypatch, uncached_library):
         def fail(source):
@@ -343,15 +343,13 @@ class TestNativeCounts:
 
         monkeypatch.setattr(_native, "_build", fail)
         assert _native.library() is None
-        assert analysis._native_counts.__wrapped__() is None
-        assert analysis._native_gamma.__wrapped__() is None
+        assert analysis._native_kernels.__wrapped__() is None
 
     @needs_cc
     def test_loads_an_unchanged_copy(self, tmp_path, monkeypatch, uncached_library):
         # The control for the mutants below and in TestGammaExpansions: a copy of the source loads.
         monkeypatch.setattr(_native, "_SOURCE", native_source_copy(tmp_path))
-        assert analysis._native_counts.__wrapped__() is not None
-        assert analysis._native_gamma.__wrapped__() is not None
+        assert analysis._native_kernels.__wrapped__() is not None
 
     @needs_cc
     @pytest.mark.parametrize("old, new", [
@@ -362,7 +360,7 @@ class TestNativeCounts:
     ])
     def test_falls_back_when_the_check_counts_differ(self, tmp_path, monkeypatch, uncached_library, old, new):
         monkeypatch.setattr(_native, "_SOURCE", native_source_copy(tmp_path, old, new))
-        assert analysis._native_counts.__wrapped__() is None
+        assert analysis._native_kernels.__wrapped__() is None
 
     def test_loaded_on_first_count_not_at_import(self, tmp_path):
         # Commands that grade nothing must not pay for the build or the check.
@@ -370,8 +368,7 @@ class TestNativeCounts:
             "import sys\n"
             "from chaostego import analysis, cli\n"
             "assert cli.run(['keygen', '--out', sys.argv[1], '--pub', sys.argv[2], '--seed', '3']) == 0\n"
-            "assert analysis._native_counts.cache_info().currsize == 0\n"
-            "assert analysis._native_gamma.cache_info().currsize == 0\n"
+            "assert analysis._native_kernels.cache_info().currsize == 0\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(analysis.__file__).parents[1]))
         argv = [sys.executable, "-c", script, str(tmp_path / "s.key"), str(tmp_path / "p.key")]
@@ -403,7 +400,7 @@ class TestWorkingMemory:
 
     @pytest.mark.parametrize("rows, cols, channels", [(512, 512, 1), (256, 256, 3)])
     @pytest.mark.parametrize("statistic", ["psnr", "histogram_entropy", "neighbor_diff_entropy"])
-    def test_at_most_four_and_a_half_bytes_per_sample(self, statistic, rows, cols, channels, count_paths):
+    def test_at_most_four_and_a_half_bytes_per_sample(self, statistic, rows, cols, channels, analysis_paths):
         rng = np.random.default_rng(26)
         cover = random_image(rng, rows, cols, channels)
         stego = random_image(rng, rows, cols, channels)
@@ -412,8 +409,8 @@ class TestWorkingMemory:
             "histogram_entropy": lambda: histogram_entropy(stego),
             "neighbor_diff_entropy": lambda: neighbor_diff_entropy(stego),
         }[statistic]
-        for counter in count_paths:
-            assert allocated_per_sample(call, cover.samples.size) <= 4.5, counter
+        for kernels in analysis_paths:
+            assert allocated_per_sample(call, cover.samples.size) <= 4.5, kernels
 
 
 class TestGammaQ:
@@ -521,17 +518,14 @@ def crafted_scan(monkeypatch, chis, pairs):
     def value_counts(flat, bounds):
         return None, np.array(chis, dtype=np.float64), np.array(pairs, dtype=np.int64)
 
-    monkeypatch.setattr(analysis, "_counters", lambda: (value_counts, None, None))
+    real = analysis._kernels
+    monkeypatch.setattr(analysis, "_kernels", lambda: real()._replace(value_counts=value_counts))
 
 
 class TestGammaExpansions:
     """The compiled expansions give the bits of the Python series and
     continued fraction, and the attack the same p-values and errors on both
-    gamma paths."""
-
-    @needs_cc
-    def test_loads_where_a_compiler_exists(self):
-        assert analysis._native_gamma() is not None
+    analysis paths."""
 
     @needs_cc
     @settings(max_examples=200, derandomize=True, deadline=None)
@@ -543,7 +537,7 @@ class TestGammaExpansions:
     def test_compiled_equals_python(self, dof, x, edge):
         a = dof / 2.0
         x = {"": x, "boundary": a + 1.0, "below": math.nextafter(a + 1.0, 0.0)}[edge]
-        got = analysis._native_gamma()(np.array([a]), np.array([x]))[0]
+        got = analysis._native_kernels().expansions(np.array([a]), np.array([x]))[0]
         assert repr(got) == repr(python_expansion(a, x))
         assert repr(analysis._scaled_q(a, x, got)) == repr(gamma_q(a, x))
 
@@ -563,20 +557,24 @@ class TestGammaExpansions:
     ])
     def test_falls_back_when_the_check_expansions_differ(self, tmp_path, monkeypatch, uncached_library, old, new):
         monkeypatch.setattr(_native, "_SOURCE", native_source_copy(tmp_path, old, new))
-        assert analysis._native_gamma.__wrapped__() is None
+        assert analysis._native_kernels.__wrapped__() is None
+        # The counters, which pass their own check, fall back with the expansions.
+        monkeypatch.setattr(analysis, "_native_kernels", analysis._native_kernels.__wrapped__)
+        assert analysis._kernels() is analysis._FALLBACK
 
     @pytest.mark.parametrize("chi, pairs, expansion", [
         (199998.0, 200001, "series"),  # a = 1e5, x = 99999
         (2e7 + 2.0, 20000001, "continued fraction"),  # a = 1e7, x = 1e7 + 1
     ])
-    def test_divergence_raises_the_same_error_on_both_paths(self, chi, pairs, expansion, monkeypatch, gamma_paths):
+    def test_divergence_raises_the_same_error_on_both_paths(self, chi, pairs, expansion, monkeypatch,
+                                                           analysis_paths):
         with pytest.raises(DomainError, match=f"incomplete gamma {expansion} did not converge") as want:
             gamma_q((pairs - 1) / 2.0, chi / 2.0)
         crafted_scan(monkeypatch, [0.0, chi], [0, pairs])
-        for gamma in gamma_paths:
+        for kernels in analysis_paths:
             with pytest.raises(DomainError) as got:
                 chi_square_attack(gray(10, 10, [0] * 100), 50)
-            assert str(got.value) == str(want.value), gamma
+            assert str(got.value) == str(want.value), kernels
 
     def test_only_prefixes_with_a_degree_of_freedom_are_expanded(self, monkeypatch):
         # The rest report p = 0; at a = 0 the compiled series would run to its cap.
@@ -586,12 +584,13 @@ class TestGammaExpansions:
             shapes.extend(a.tolist())
             return [analysis._expansion(a_k, x_k) for a_k, x_k in zip(a.tolist(), x.tolist())]
 
-        monkeypatch.setattr(analysis, "_native_gamma", lambda: expansions)
+        kernels = analysis._kernels()._replace(expansions=expansions)
+        monkeypatch.setattr(analysis, "_kernels", lambda: kernels)
         points = chi_square_attack(gray(7, 9, np.repeat(np.arange(100, 107), 9)), 1)
         assert {p.dof for p in points} >= {0, 1} and min(shapes) == 0.5
         assert len(shapes) == sum(p.dof >= 1 for p in points)
 
-    def test_underflowed_prefix_hides_a_diverging_expansion(self, monkeypatch, gamma_paths):
+    def test_underflowed_prefix_hides_a_diverging_expansion(self, monkeypatch, analysis_paths):
         # At a = 1e7, x = 9873509 the prefix is about e**-800, so Q is 1,
         # though the series would need far more than 1000 terms.
         a, x = 1e7, 9873509.0
@@ -600,9 +599,9 @@ class TestGammaExpansions:
         if shutil.which("cc") is not None:
             assert kernel_terms([a], [x]).tolist() == [-1]
         crafted_scan(monkeypatch, [2.0 * x, 2.0 * x], [2 * int(a) + 1] * 2)
-        for gamma in gamma_paths:
+        for kernels in analysis_paths:
             points = chi_square_attack(gray(10, 10, [0] * 100), 50)
-            assert [(p.dof, p.p_embedding) for p in points] == [(2 * int(a), 1.0)] * 2, gamma
+            assert [(p.dof, p.p_embedding) for p in points] == [(2 * int(a), 1.0)] * 2, kernels
 
 
 def paired_cover(rows, cols):
@@ -706,7 +705,7 @@ class TestChiSquareAttack:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_one_pass_scan_equals_per_prefix_oracle(self, rows, cols, channels, step, low, width, seed,
-                                                     count_paths):
+                                                     analysis_paths):
         # A narrow value range fills few pairs, so small images still
         # reach the pair-count threshold and report a statistic.
         rng = np.random.default_rng(seed)
@@ -714,19 +713,19 @@ class TestChiSquareAttack:
         values = rng.integers(low, high, rows * cols * channels, dtype=np.uint8, endpoint=True)
         image = RasterImage(rows, cols, channels, values)
         expected = reprs(per_prefix_attack(image, step))
-        for counter in count_paths:
-            assert reprs(chi_square_attack(image, step)) == expected, counter
+        for kernels in analysis_paths:
+            assert reprs(chi_square_attack(image, step)) == expected, kernels
 
-    def test_workload_sized_scan_equals_per_prefix_oracle(self, count_paths):
+    def test_workload_sized_scan_equals_per_prefix_oracle(self, analysis_paths):
         # Random samples, then even-only ones: the p-values sweep from 1
         # towards 0, through both of gamma_q's expansions.
         rng = np.random.default_rng(34)
         samples = rng.integers(0, 256, 512 * 512, dtype=np.uint8)
         samples[samples.size // 2:] &= 0xFE
         expected = reprs(per_prefix_attack(RasterImage(512, 512, 1, samples), 1))
-        for counter in count_paths:
+        for kernels in analysis_paths:
             points = chi_square_attack(RasterImage(512, 512, 1, samples), 1)
-            assert reprs(points) == expected, counter
+            assert reprs(points) == expected, kernels
             series = sum(p.chi_square / 2.0 < p.dof / 2.0 + 1.0 for p in points)
             assert (len(points), series) == (100, 51)
             assert sum(0.0 < p.p_embedding < 1.0 for p in points) == 59
@@ -738,17 +737,17 @@ class TestChiSquareAttack:
         seed=st.integers(0, 2**32 - 1),
     )
     @example(targets=[0, 1, 7, 8, 9, 15, 16, 17, 127, 128], seed=0)
-    def test_scan_sums_as_numpy_at_the_summation_edges(self, targets, seed, count_paths):
+    def test_scan_sums_as_numpy_at_the_summation_edges(self, targets, seed, analysis_paths):
         # 0-128 included pairs: numpy adds below 8 terms plainly and from 8
         # on keeps 8 partial sums, so these counts are its edges.
         targets = sorted(targets)
         samples, bounds = pair_rows(np.random.default_rng(seed), targets)
         expected = [prefix_chi_square(samples[:end]) for end in bounds[1:]]
         assert [pairs for _, pairs in expected] == targets
-        for counter in count_paths:
-            _, chis, pairs = analysis._counters()[0](samples, bounds)
+        for kernels in analysis_paths:
+            _, chis, pairs = analysis._kernels().value_counts(samples, bounds)
             assert [(repr(chi), n) for chi, n in zip(chis.tolist(), pairs.tolist())] == \
-                [(repr(chi), n) for chi, n in expected], counter
+                [(repr(chi), n) for chi, n in expected], kernels
 
     def test_equal_pairs_scan_is_all_ones(self):
         img = paired_cover(100, 100)  # every 10% prefix has even length

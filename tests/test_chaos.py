@@ -547,10 +547,10 @@ class TestNativeKernel:
     ])
     def test_kernels_run_clean_under_ubsan(self, tmp_path, change, clean):
         # Built with undefined-behaviour checks that abort on the first
-        # finding: the orbit's self-check cases, the counters' load-time
-        # check (the pair sums' with it), then the value counter on rows of
-        # 0-128 included pairs, and the expansions' load-time check on their
-        # check set.
+        # finding: the orbit's self-check cases, the analysis kernels'
+        # load-time checks (the counters', the pair sums' and the
+        # expansions' check sets), then the value counter on rows of 0-128
+        # included pairs.
         script = (
             "import sys\n"
             "from pathlib import Path\n"
@@ -559,13 +559,12 @@ class TestNativeKernel:
             "_native._SOURCE = Path(sys.argv[1])\n"
             "_native._CFLAGS = (*_native._CFLAGS, '-fsanitize=undefined', '-fno-sanitize-recover=undefined')\n"
             "assert chaos._native_orbit() is not None\n"
-            "counters = analysis._native_counts()\n"
-            "assert counters is not None\n"
+            "kernels = analysis._native_kernels()\n"
+            "assert kernels is not None\n"
             "edges = [0, 1, 7, 8, 9, 15, 16, 17, 127, 128]\n"
             "samples = np.repeat(np.arange(0, 256, 2, dtype=np.uint8), 5)\n"
-            "_, chis, pairs = counters[0](samples, np.array([0] + [5 * n for n in edges]))\n"
+            "_, chis, pairs = kernels.value_counts(samples, np.array([0] + [5 * n for n in edges]))\n"
             "assert pairs.tolist() == edges\n"
-            "assert analysis._native_gamma() is not None\n"
         )
         source = native_source_copy(tmp_path, *change)
         env = dict(os.environ, PYTHONPATH=str(Path(chaos.__file__).parents[1]))

@@ -41,12 +41,11 @@ def test_failing_hypothesis_example_is_reported(tmp_path):
     assert "INTERNALERROR" not in child.stdout + child.stderr
 
 
-def test_path_fixtures_switch_the_same_way_on_every_loop(orbit_paths, count_paths, gamma_paths, rename_paths):
+def test_path_fixtures_switch_the_same_way_on_every_loop(orbit_paths, analysis_paths, rename_paths):
     # The first implementation, where it works, is the one in place at
     # set-up; the last is the fallback, left in place after the loop.
     for paths, module, name, labels in ((orbit_paths, chaos, "_native_orbit", ["native", "python"]),
-                                        (count_paths, analysis, "_native_counts", ["native", "numpy"]),
-                                        (gamma_paths, analysis, "_native_gamma", ["native", "python"]),
+                                        (analysis_paths, analysis, "_native_kernels", ["native", "numpy"]),
                                         (rename_paths, _native, "exchange", ["exchange", "replace"])):
         original = getattr(module, name)
         loops = [[(label, getattr(module, name) is original) for label in paths] for _ in range(2)]

@@ -212,32 +212,30 @@ def attack_csv(tmp_path, image, step) -> bytes:
 
 
 @pytest.mark.parametrize("step", sorted(ATTACK_CSV_SHA256))
-def test_attack_csv_bytes(step, tmp_path, orbit_paths, count_paths, gamma_paths):
+def test_attack_csv_bytes(step, tmp_path, orbit_paths, analysis_paths):
     for path in orbit_paths:
         write_grading_pair(tmp_path)
-        for counter in count_paths:
-            for gamma in gamma_paths:
-                got = sha256(attack_csv(tmp_path, tmp_path / "stego.pgm", step))
-                assert got == ATTACK_CSV_SHA256[step], (path, counter, gamma)
+        for kernels in analysis_paths:
+            got = sha256(attack_csv(tmp_path, tmp_path / "stego.pgm", step))
+            assert got == ATTACK_CSV_SHA256[step], (path, kernels)
 
 
-def test_analyze_output(tmp_path, orbit_paths, count_paths):
+def test_analyze_output(tmp_path, orbit_paths, analysis_paths):
     for path in orbit_paths:
         write_grading_pair(tmp_path)
-        for counter in count_paths:
+        for kernels in analysis_paths:
             out = tmp_path / "quality.txt"
             argv = ["analyze", "--cover", str(tmp_path / "cover.pgm"), "--stego", str(tmp_path / "stego.pgm"),
                     "--diff-entropy", "--payload-bits", str(GRADING_PAYLOAD_BITS), "--out", str(out)]
             assert run(argv) == 0
-            assert out.read_text() == ANALYZE_OUTPUT, (path, counter)
+            assert out.read_text() == ANALYZE_OUTPUT, (path, kernels)
 
 
-def test_attack_csv_bytes_below_100_samples(tmp_path, count_paths, gamma_paths):
+def test_attack_csv_bytes_below_100_samples(tmp_path, analysis_paths):
     # Values in 100..107 fill four pairs, so the later prefixes count
     # enough samples per pair to report a statistic.
     rng = np.random.default_rng(20121103)
     image = tmp_path / "tiny.pgm"
     image.write_bytes(save_pnm(RasterImage(7, 9, 1, rng.integers(100, 108, 63, dtype=np.uint8))))
-    for counter in count_paths:
-        for gamma in gamma_paths:
-            assert sha256(attack_csv(tmp_path, image, 1)) == TINY_ATTACK_CSV_SHA256, (counter, gamma)
+    for kernels in analysis_paths:
+        assert sha256(attack_csv(tmp_path, image, 1)) == TINY_ATTACK_CSV_SHA256, kernels

@@ -148,8 +148,7 @@ def test_library_lacking_a_kernel_falls_back(name, tmp_path, monkeypatch, uncach
     monkeypatch.setattr(_native, "_SOURCE", native_source_copy(tmp_path, "\n" + head, "\nstatic " + head))
     assert _native.library() is None
     assert chaos._native_orbit.__wrapped__() is None
-    assert analysis._native_counts.__wrapped__() is None
-    assert analysis._native_gamma.__wrapped__() is None
+    assert analysis._native_kernels.__wrapped__() is None
 
 
 def test_bench_files_are_named_correct_and_paired():
