@@ -8,15 +8,16 @@ gamma (series / continued fraction), kept independent of any library
 implementation so the statistic is self-contained.
 The histograms, the attack's statistic over every prefix, PSNR's sums and
 the attack's gamma expansions come from four compiled kernels of
-``_native.c``, checked together on the first grade.  Where they build and
-each reproduces numpy's or the Python expansions' results bit for bit, all
-four run; where any does not, numpy and Python compute the same values.
-One value counter serves both the value histogram and the attack.
+``_native.c``, checked together on the first grade against one digest
+frozen from numpy's counters and the Python expansions.  Where they build
+and reproduce it, all four run; where not, numpy and Python compute the
+same values.  One value counter serves both the value histogram and the attack.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -57,14 +58,14 @@ def psnr(cover: RasterImage, stego: RasterImage, payload_bits: int | None = None
     Identical images report infinite PSNR.  ``payload_bits``, when known,
     fills in the hiding capacity in bits per pixel; it must lie between 0
     and the sample count.  Images that differ in dimensions raise
-    ``DimensionMismatch`` (``imagery.check_pair``) first.
+    ``DimensionMismatch`` (``imagery.check_pair``, on either count path) first.
 
     The sum of squared differences and the count of changed samples are
     integers, so either count path gives the same ones: the compiled
     counter reads the samples in place, and the numpy fallback
     (:func:`_numpy_pair_sums`) holds about 3 bytes per sample.
     """
-    check_pair(cover, stego)
+    squares, flips = _kernels().pair_sums(cover, stego)
     hc = None
     if payload_bits is not None:
         if payload_bits < 0:
@@ -72,7 +73,6 @@ def psnr(cover: RasterImage, stego: RasterImage, payload_bits: int | None = None
         if payload_bits > cover.samples.size:
             raise CapacityError(f"{payload_bits} payload bits exceed the {cover.samples.size}-sample grid")
         hc = payload_bits / (cover.rows * cover.cols)
-    squares, flips = _kernels().pair_sums(cover, stego)
     mse = float(np.int64(squares) / cover.samples.size)
     if mse == 0.0:
         psnr_db = math.inf
@@ -298,6 +298,26 @@ _FALLBACK = _Kernels(_numpy_value_counts, _numpy_difference_counts, _numpy_pair_
                      lambda a, x: [None] * a.size)
 
 
+def _check_digest(kernels: _Kernels) -> str:
+    """SHA-256 of what ``kernels`` give on the check inputs, each part as
+    explicit little-endian bytes (so -0.0 is not 0.0, on any host): the value
+    counts, the differences at steps 1 and 3 and the pair sums of the samples
+    against themselves rolled by 40, then the expansions with None marked."""
+    samples, bounds = _counts_check_input()
+    grid = samples.reshape(22, 60)
+    pair = RasterImage(22, 20, 3, samples), RasterImage(22, 20, 3, np.roll(samples, 40))
+    found = kernels.expansions(*_gamma_check_input())
+    parts = [*zip(kernels.value_counts(samples, bounds), ("<i8", "<f8", "<i8")),
+             (kernels.difference_counts(grid, 1), "<i8"), (kernels.difference_counts(grid, 3), "<i8"),
+             (kernels.pair_sums(*pair), "<i8"), ([value is None for value in found], "u1"),
+             ([0.0 if value is None else value for value in found], "<f8")]
+    return hashlib.sha256(b"".join(np.asarray(part, dtype).tobytes() for part, dtype in parts)).hexdigest()
+
+
+#: :func:`_check_digest` of numpy's counters and the Python expansions, None where they raise.
+_SELF_CHECK = "fdf3fbebaf2cafe9d97283ccf465f47610db70baa5adbde24d5c07d2bcbbc2a4"
+
+
 @functools.cache
 def _native_kernels() -> _Kernels | None:
     """The compiled kernels as a :class:`_Kernels`, or None.  Their
@@ -305,14 +325,9 @@ def _native_kernels() -> _Kernels | None:
     :func:`_expansion` at each point, or None where it does not converge.
 
     Takes them from :func:`_native.library` on the first grade and keeps
-    them only if all pass their checks; any failure drops all four.  On
-    :func:`_counts_check_input` the counters must give numpy's results: the
-    last running count by value, the chi-squares bit for bit, so a numpy
-    that sums in another order gets its own values back, the pair counts by
-    value, the neighbor differences at steps 1 and 3, and the pair sums of
-    the samples against themselves shifted by 40, which sets 0 against 255.
-    On :func:`_gamma_check_input` the expansions must give the Python ones'
-    values bit for bit, and None exactly where they raise.
+    them only if their :func:`_check_digest` is the frozen :data:`_SELF_CHECK`,
+    which runs no numpy counter and no Python expansion; a wrong digest, or
+    a library lacking a kernel, drops all four.
     """
     lib = _native.library()
     if lib is None:
@@ -352,26 +367,8 @@ def _native_kernels() -> _Kernels | None:
             values = [value if n >= 0 else None for value, n in zip(values, iters.tolist())]
         return values
 
-    samples, bounds = _counts_check_input()
-    got, want = value_counts(samples, bounds), _numpy_value_counts(samples, bounds)
-    if not all(map(np.array_equal, got, want)) or got[1].tobytes() != want[1].tobytes():
-        return None
-    grid = samples.reshape(22, 60)
-    for step in (1, 3):
-        if not np.array_equal(difference_counts(grid, step), _numpy_difference_counts(grid, step)):
-            return None
-    pair = RasterImage(22, 20, 3, samples), RasterImage(22, 20, 3, np.roll(samples, 40))
-    if pair_sums(*pair) != _numpy_pair_sums(*pair):
-        return None
-    a, x = _gamma_check_input()
-    for a_k, x_k, got in zip(a.tolist(), x.tolist(), expansions(a, x)):
-        try:
-            want = _expansion(a_k, x_k)
-        except DomainError:
-            want = None
-        if repr(got) != repr(want):
-            return None
-    return _Kernels(value_counts, difference_counts, pair_sums, expansions)
+    kernels = _Kernels(value_counts, difference_counts, pair_sums, expansions)
+    return kernels if _check_digest(kernels) == _SELF_CHECK else None
 
 
 def _kernels() -> _Kernels:

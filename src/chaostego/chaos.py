@@ -298,7 +298,7 @@ def bifurcation_scan(
     transient: int,
     samples: int,
 ) -> list[tuple[float, list[float]]]:
-    """Attractor samples across a uniform parameter grid.
+    """Attractor samples across a uniform parameter grid, its rounding clamped to ``alpha_max``.
 
     For each alpha the map is iterated ``transient`` times from ``x0``
     (discarded), then ``samples`` further iterates are recorded.
@@ -317,7 +317,7 @@ def bifurcation_scan(
         raise DomainError("transient and samples must be non-negative")
 
     step = (alpha_max - alpha_min) / max(alpha_steps - 1, 1)
-    grid = [alpha_min + i * step for i in range(alpha_steps)]
+    grid = [min(alpha_min + i * step, alpha_max) for i in range(alpha_steps)]
 
     out: list[tuple[float, list[float]]] = []
     for alpha in grid:

@@ -362,6 +362,32 @@ class TestNativeCounts:
         monkeypatch.setattr(_native, "_SOURCE", native_source_copy(tmp_path, old, new))
         assert analysis._native_kernels.__wrapped__() is None
 
+    def test_self_check_digest_is_the_references(self):
+        # Ties the frozen pin to the references: the kernels are checked
+        # against this digest only.  After a deliberate change to the check
+        # inputs, freeze the digest printed here, never one the kernels give.
+        got = analysis._check_digest(reference_kernels())
+        assert got == analysis._SELF_CHECK, f"the references give {got}"
+
+    def test_falls_back_when_the_self_check_disagrees(self, monkeypatch):
+        if analysis._native_kernels() is None:
+            pytest.skip("compiled kernels unavailable")
+        monkeypatch.setattr(analysis, "_SELF_CHECK", f"{int(analysis._SELF_CHECK, 16) ^ 1:064x}")
+        assert analysis._native_kernels.__wrapped__() is None
+        monkeypatch.setattr(analysis, "_native_kernels", analysis._native_kernels.__wrapped__)
+        assert analysis._kernels() is analysis._FALLBACK
+
+    @needs_cc
+    def test_self_check_runs_no_numpy_counter_or_python_expansion(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the self-check ran a reference")
+
+        references = [name for name in vars(analysis) if name.startswith("_numpy_")] + ["_expansion"]
+        assert len(references) == 4
+        for name in references:
+            monkeypatch.setattr(analysis, name, fail)
+        assert analysis._native_kernels.__wrapped__() is not None
+
     def test_loaded_on_first_count_not_at_import(self, tmp_path):
         # Commands that grade nothing must not pay for the build or the check.
         script = (
@@ -500,6 +526,13 @@ def python_expansion(a, x):
         return analysis._expansion(a, x)
     except DomainError:
         return None
+
+
+def reference_kernels():
+    """numpy's counters and the Python expansions, None where they raise:
+    the references ``analysis._SELF_CHECK`` is frozen from."""
+    return analysis._FALLBACK._replace(
+        expansions=lambda a, x: [python_expansion(a_k, x_k) for a_k, x_k in zip(a.tolist(), x.tolist())])
 
 
 def kernel_terms(a, x):

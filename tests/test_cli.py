@@ -858,6 +858,17 @@ class TestAnalysisCommands:
                   "--alpha-steps", "3", "--x0", "0.3"])
         assert rc == 2
 
+    @pytest.mark.parametrize("low, high, steps", [
+        ("1e150", "6.703903964971299e+153", "14"),  # alpha_max is 2**511; 1e150 + 13 * step rounds above it
+        ("0.6", "1.7", "2"),  # 0.6 + 1.1 rounds to 1.7000000000000002
+    ])
+    def test_bifurcation_grid_ends_at_alpha_max(self, low, high, steps, capsys):
+        rc = run(["bifurcation", "--alpha-min", low, "--alpha-max", high, "--alpha-steps", steps,
+                  "--x0", "0.3", "--samples", "1", "--transient", "0"])
+        assert rc == 0
+        alphas = [float(line.split(",")[0]) for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(alphas) == int(steps) and alphas[-1] == max(alphas) == float(high)
+
 
 class TestExchangeSim:
     def test_agreement_with_shared_secret(self, workdir, capsys):
