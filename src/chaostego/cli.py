@@ -15,7 +15,6 @@ import itertools
 import os
 import stat
 import sys
-from pathlib import Path
 
 from . import _native, analysis, chaos, codec, imagery, keymat
 from .errors import CapacityError, ChaostegoError, ExtractError, ParseError
@@ -37,9 +36,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _parts(path: str) -> tuple[str, list[str]]:
+    """``path``'s root and names as pathlib splits them: empty and ``.`` names
+    are dropped, ``..`` is kept, and a root of exactly two slashes stays two,
+    so ``"a//b/./"`` gives ``("", ["a", "b"])``."""
+    slashes = len(path) - len(path.lstrip("/"))
+    root = "//" if slashes == 2 else "/" if slashes else ""
+    return root, [name for name in path.split("/") if name not in ("", ".")]
+
+
 def _read_bytes(path: str) -> bytes:
+    """The bytes of the file ``path`` names once split by :func:`_parts`: an
+    empty path reads ``.``, and ``key/`` reads the file ``key``."""
+    root, names = _parts(path)
     try:
-        return Path(path).read_bytes()
+        with open(root + "/".join(names) or ".", "rb") as fh:
+            return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
 
@@ -52,7 +64,7 @@ def _read_text(path: str) -> str:
         raise ParseError(f"{path} is not valid UTF-8") from exc
 
 
-def _file_key(path: str | Path) -> tuple | str:
+def _file_key(path: str) -> tuple | str:
     """Equal for two paths that name one file: the resolved directory's
     identity plus the name.  Two syscalls, where ``os.path.realpath``
     takes one per path component."""
@@ -65,16 +77,16 @@ def _file_key(path: str | Path) -> tuple | str:
     return parent.st_dev, parent.st_ino, os.path.basename(path)
 
 
-def _named(path: str | Path) -> Path:
-    """``path`` as a Path, refused when it has no file name ("", ".", "/",
-    "..") to stage a temp file beside or to put a suffix on."""
-    target = Path(path)
-    if target.name in ("", ".."):
-        raise ParseError(f"cannot write {str(path)!r}: no file name")
-    return target
+def _named(path: str) -> tuple[str, str]:
+    """``path``'s directory and file name, refused when it has no file name
+    ("", ".", "/", "..") to stage a temp file beside or to put a suffix on."""
+    root, names = _parts(path)
+    if not names or names[-1] == "..":
+        raise ParseError(f"cannot write {path!r}: no file name")
+    return root + "/".join(names[:-1]), names[-1]
 
 
-def _write_files(*files: tuple[str | Path, bytes]) -> None:
+def _write_files(*files: tuple[str, bytes]) -> None:
     """Write all of a command's ``(path, data)`` outputs, or none of them.
 
     Two outputs naming the same file are refused before anything is written.
@@ -101,10 +113,10 @@ def _write_files(*files: tuple[str | Path, bytes]) -> None:
             if key in seen:
                 raise ParseError(f"cannot write {path}: two outputs name this file")
             seen.add(key)
-    staged: list[tuple[Path, str | Path, bool]] = []
-    direct: list[tuple[str | Path, bytes]] = []
-    temps: list[Path] = []  # to remove at the end: unrenamed, or holding old content
-    undo: list[tuple[Path, str | Path, bool]] = []  # (tmp, path, swapped) renames to reverse
+    staged: list[tuple[str, str, bool]] = []
+    direct: list[tuple[str, bytes]] = []
+    temps: list[str] = []  # to remove at the end: unrenamed, or holding old content
+    undo: list[tuple[str, str, bool]] = []  # (tmp, path, swapped) renames to reverse
     try:
         for i, (path, data) in enumerate(files):
             try:
@@ -116,9 +128,9 @@ def _write_files(*files: tuple[str | Path, bytes]) -> None:
             if st is not None and not stat.S_ISREG(st.st_mode):
                 direct.append((path, data))
                 continue
-            target = _named(path)
+            parent, name = _named(path)
             for n in itertools.count(i):
-                tmp = target.with_name(f".{target.name}.{os.getpid()}-{n}.tmp")
+                tmp = os.path.join(parent, f".{name}.{os.getpid()}-{n}.tmp")
                 with contextlib.suppress(FileExistsError):
                     fh = open(tmp, "xb")
                     break
@@ -148,10 +160,11 @@ def _write_files(*files: tuple[str | Path, bytes]) -> None:
         raise
     finally:
         for tmp in temps:
-            tmp.unlink(missing_ok=True)
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
 
 
-def _put_back(undo: list[tuple[Path, str | Path, bool]], temps: list[Path]) -> None:
+def _put_back(undo: list[tuple[str, str, bool]], temps: list[str]) -> None:
     """Reverse :func:`_write_files`'s renames, last first: swap each swapped
     target back, so its temp file holds the new content, and unlink each
     created one.  A temp file whose old content cannot be swapped back is
@@ -176,14 +189,10 @@ def _write_output(path: str | None, text: str) -> None:
         _write_files((path, text.encode("utf-8")))
 
 
-def _stego_paths(out_base: str, channels: int) -> tuple[Path, Path, Path]:
+def _stego_paths(out_base: str, channels: int) -> tuple[str, str, str]:
     ext = ".pgm" if channels == 1 else ".ppm"
-    base = _named(out_base)
-    return (
-        base.with_name(base.name + ext),
-        base.with_name(base.name + ".ones.pbm"),
-        base.with_name(base.name + ".zeros.pbm"),
-    )
+    base = os.path.join(*_named(out_base))
+    return base + ext, base + ".ones.pbm", base + ".zeros.pbm"
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import threading
 import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import numpy as np
 import pytest
@@ -22,6 +22,7 @@ import chaostego
 from chaostego import _native, cli
 from chaostego.cli import run
 from chaostego.codec import embed, encode_message
+from chaostego.errors import ParseError
 from chaostego.imagery import load_pnm, save_pbm, save_pnm
 from chaostego.keymat import (
     MODES,
@@ -539,6 +540,8 @@ class TestOutputWrites:
         opened = []
 
         def open_fourth_fails(path, mode):
+            if "r" in mode:  # only the writes are counted
+                return open(path, mode)
             opened.append(path)
             if len(opened) == 4:
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
@@ -657,6 +660,8 @@ class TestOutputWrites:
         opened = []
 
         def open_second_interrupts(path, mode):
+            if "r" in mode:  # only the writes are counted
+                return open(path, mode)
             opened.append(path)
             if len(opened) == 2:
                 raise KeyboardInterrupt
@@ -739,6 +744,60 @@ class TestOutputWrites:
             finally:
                 if reader.is_alive():  # unblock a reader whose writer never came
                     os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+
+
+class TestOddPaths:
+    """Path arguments are split as pathlib splits them: empty and ``.``
+    components are dropped and ``..`` is kept."""
+
+    @pytest.mark.parametrize("command, out, result", [
+        ("embed", "st/", "st"),
+        ("embed", "st/.", "st"),
+        ("embed", "./st", "st"),
+        ("embed", "x/./st", "x/st"),
+        ("embed", "x/../st", "x/../st"),
+        ("embed", "a//st", "error: cannot write a/st.pgm: No such file or directory\n"),
+        ("keygen-out", "r/", "error: cannot write r/: Not a directory\n"),
+    ])
+    def test_out_base(self, workdir, command, out, result, monkeypatch, capsys):
+        # ``result`` is the base embed writes its three files to, or the error.
+        keygen(workdir)
+        assert TestEmbedExtract().embed(workdir) == 0
+        (workdir / "x").mkdir()
+        monkeypatch.chdir(workdir)
+        before = snapshot(workdir)
+        capsys.readouterr()
+        code = run(TestOutputWrites().failing_argv(workdir, command, out))
+        if result.startswith("error: "):
+            assert (code, capsys.readouterr().err) == (2, result)
+            assert snapshot(workdir) == before
+        else:
+            assert code == 0
+            assert {p for p in snapshot(workdir) if p not in before} == {
+                Path(os.path.normpath(workdir / f"{result}{suffix}"))
+                for suffix in (".pgm", ".ones.pbm", ".zeros.pbm")}
+
+    @pytest.mark.parametrize("path", ["secret.key/", "secret.key/.", ".//secret.key", "x/../secret.key"])
+    def test_input_path(self, workdir, path, monkeypatch, capsys):
+        keygen(workdir)
+        (workdir / "x").mkdir()
+        monkeypatch.chdir(workdir)
+        assert run(["validate", "--secret", path]) == 0
+        assert capsys.readouterr().err == ""
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(st.lists(st.sampled_from(["a", "b.", ".", "..", "/"]), max_size=10).map("".join))
+    def test_split_is_pathlib_split(self, path):
+        pure = PurePosixPath(path)
+        root, names = cli._parts(path)
+        assert (root + "/".join(names) or ".") == str(pure)
+        if pure.name in ("", ".."):
+            with pytest.raises(ParseError, match="no file name"):
+                cli._named(path)
+        else:
+            parent, name = cli._named(path)
+            assert name == pure.name
+            assert os.path.join(parent, ".t") == str(pure.with_name(".t"))
 
 
 class TestExchange:

@@ -1,9 +1,10 @@
 """The package root exports exactly the names README's "Library use" shows,
 every name it lists under a module exists there, its shell examples are
-valid invocations, each module uses what it imports, only ``_native``
-builds or loads C, declares every C function it exports and falls back
-without any one of them, every C source ships with the package, and the
-benchmark evidence at the repository root comes in complete, paired files."""
+valid invocations, each module uses what it imports, the CLI keeps paths
+as strings, only ``_native`` builds or loads C, declares every C function
+it exports and falls back without any one of them, every C source ships
+with the package, and the benchmark evidence at the repository root comes
+in complete, paired files."""
 
 import ast
 import importlib
@@ -70,19 +71,31 @@ def test_every_import_is_used_or_listed():
         assert not unused, f"chaostego.{path.stem} imports {sorted(unused)} and never uses them"
 
 
+def packages_imported(path: Path) -> set[str]:
+    """The top-level packages the module at ``path`` imports by absolute name."""
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    return imported
+
+
 def test_only_native_builds_or_loads_compiled_code():
     # Building and loading the C source is chaostego._native's policy
     # alone: every other module takes its kernels from _native.library().
     machinery = {"ctypes", "subprocess", "tempfile", "shutil"}
     for path in sorted(Path(chaostego.__file__).parent.glob("*.py")):
-        imported = set()
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                imported.update(a.name.split(".")[0] for a in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                imported.add(node.module.split(".")[0])
+        imported = packages_imported(path)
         if path.stem != "_native":
             assert not imported & machinery, f"chaostego.{path.stem} imports {sorted(imported & machinery)}"
+
+
+def test_cli_keeps_paths_as_strings():
+    # The CLI opens, stats and renames argv paths as the strings they are;
+    # a pathlib object would exist only to be converted back.
+    assert "pathlib" not in packages_imported(Path(cli.__file__))
 
 
 def readme_commands():
