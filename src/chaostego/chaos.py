@@ -179,8 +179,8 @@ def select_positions(keys: SecretKeySet, coupling: PublicCoupling, dims: ImageDi
 
     Returns flat indices ``(row-1)*cols + (col-1)`` into the row-major
     ``rows x cols`` grid as a 1-D int64 array.  The orbit runs in the
-    compiled kernel where it builds and reproduces the frozen :data:`_SELF_CHECK`
-    streams, else in :func:`_orbit_python`, which steps through :func:`coupled_step`;
+    compiled kernel where it builds and its :func:`_check_digest` is the frozen
+    :data:`_SELF_CHECK`, else in :func:`_orbit_python`, which steps through :func:`coupled_step`;
     both perform the same binary64 operations in the same order, and the
     tests pin both to the same frozen streams.  Raises
     :class:`DomainError` naming every violated key and coupling field before anything else,
@@ -255,23 +255,34 @@ def _orbit_python(
     return np.array(found, dtype=np.int64)
 
 
-#: Streams the compiled kernel must reproduce, frozen from :func:`_orbit_python`: the arguments
-#: ``(alpha1, alpha2, x0, y0, r, rows, cols, count, cap)`` on a 16x16 grid (28391 is its
-#: :func:`iteration_cap`) and the SHA-256 of the flat indices as little-endian int64.
-_SELF_CHECK = (
-    ((1.3, 1.7, 0.31, 0.72, 0.97, 16, 16, 256, 28391),  # a chaotic key: full cover, 256 cells
-     "a5d5e608ae5b62ff3adfdc3f3c074cfc94c3721f6199cdd6c90c680611986562"),
-    ((3.0, 2.5, 0.31, 0.72, 0.9, 16, 16, 256, 28391),  # a collapsing key: 86 cells
-     "bdb2b8d76c902c6b2343f21933280005214e377c15124101e550c9dd9d618a09"),
-    ((1.3, 1.7, 0.31, 0.72, 0.97, 16, 16, 256, 100),  # the cap: 80 cells
-     "e687adbe040e8bd0f8bc976bb1642e216294abfa9457e32c7de1e0bc1384e059"),
+#: The compiled kernel's check cases, the arguments ``(alpha1, alpha2, x0, y0, r, rows, cols,
+#: count, cap)`` on a 16x16 grid (28391 is its :func:`iteration_cap`); the orbit starts from the
+#: seeds advanced one uncoupled step, as in :func:`select_positions`.
+_CHECK_CASES = (
+    (1.3, 1.7, 0.31, 0.72, 0.97, 16, 16, 256, 28391),  # a chaotic key: full cover, 256 cells
+    (3.0, 2.5, 0.31, 0.72, 0.9, 16, 16, 256, 28391),  # a collapsing key: 86 cells
+    (1.3, 1.7, 0.31, 0.72, 0.97, 16, 16, 256, 100),  # the cap: 80 cells
 )
+
+
+def _check_digest(orbit) -> str:
+    """SHA-256 of what ``orbit`` gives on :data:`_CHECK_CASES`, in order: each
+    stream's length, then its flat indices, both as explicit little-endian int64
+    (the streams differ in length, so the lengths mark where each one ends)."""
+    streams = [orbit(sanitize(map_step(x0, a1)), sanitize(map_step(y0, a2)), a1, a2, *rest)
+               for a1, a2, x0, y0, *rest in _CHECK_CASES]
+    parts = [np.asarray(part, "<i8").tobytes() for found in streams for part in ([len(found)], found)]
+    return hashlib.sha256(b"".join(parts)).hexdigest()
+
+
+#: :func:`_check_digest` of :func:`_orbit_python`, the spec: re-freeze from it, never from the kernel.
+_SELF_CHECK = "f424a2a961c8c0c640eb6227b5225155cbcef6ee6166c5b89d532ed6059c45a3"
 
 
 @functools.cache
 def _native_orbit():
     """The compiled orbit with :func:`_orbit_python`'s signature, or None: the ``orbit``
-    of :func:`_native.library`, kept only if it reproduces every :data:`_SELF_CHECK` digest."""
+    of :func:`_native.library`, kept only if its :func:`_check_digest` is the frozen :data:`_SELF_CHECK`."""
     lib = _native.library()
     if lib is None:
         return None
@@ -283,11 +294,7 @@ def _native_orbit():
             raise MemoryError(f"no memory for the seen-map of a {rows}x{cols} grid")
         return out[:found]
 
-    for (a1, a2, x0, y0, *rest), digest in _SELF_CHECK:
-        found = orbit(sanitize(map_step(x0, a1)), sanitize(map_step(y0, a2)), a1, a2, *rest)
-        if hashlib.sha256(found.astype("<i8").tobytes()).hexdigest() != digest:
-            return None
-    return orbit
+    return orbit if _check_digest(orbit) == _SELF_CHECK else None
 
 
 def bifurcation_scan(

@@ -2,7 +2,6 @@
 
 import ctypes.util
 import dataclasses
-import hashlib
 import itertools
 import math
 import os
@@ -16,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaostego import _native, chaos
+from chaostego import _native, analysis, chaos
 from chaostego.chaos import (
     EPSILON,
     ChaosState,
@@ -359,18 +358,10 @@ PEAK_KIB = (
 
 
 def orbit_args(case):
-    """The orbit arguments of a ``chaos._SELF_CHECK`` case: its seeds advanced
-    one uncoupled step, as ``chaos._native_orbit`` does."""
+    """The orbit arguments of a ``chaos._CHECK_CASES`` case: its seeds advanced
+    one uncoupled step, as ``chaos._check_digest`` does."""
     a1, a2, x0, y0, *rest = case
     return (sanitize(map_step(x0, a1)), sanitize(map_step(y0, a2)), a1, a2, *rest)
-
-
-def with_wrong_digest(index):
-    """``chaos._SELF_CHECK`` with the digest of case ``index`` changed in one bit."""
-    table = list(chaos._SELF_CHECK)
-    case, digest = table[index]
-    table[index] = (case, f"{int(digest, 16) ^ 1:064x}")
-    return tuple(table)
 
 
 class TestNativeKernel:
@@ -417,7 +408,7 @@ class TestNativeKernel:
 
     @needs_cc
     def test_kernel_compiles_without_warnings(self, tmp_path):
-        # Every C source of the package: _native.c, the orbit and the histogram counters.
+        # Every C source of the package: today only _native.c, the orbit's and the analysis kernels'.
         sources = sorted(Path(chaos.__file__).parent.glob("*.c"))
         assert "_native.c" in {source.name for source in sources}
         for source in sources:
@@ -431,6 +422,7 @@ class TestNativeKernel:
         monkeypatch.setattr(_native.shutil, "which", lambda name: None)
         assert _native.library() is None
         assert chaos._native_orbit.__wrapped__() is None
+        assert analysis._native_kernels.__wrapped__() is None
 
     def test_falls_back_when_the_build_fails(self, monkeypatch, uncached_library):
         def fail(source):
@@ -439,18 +431,19 @@ class TestNativeKernel:
         monkeypatch.setattr(_native, "_build", fail)
         assert _native.library() is None
         assert chaos._native_orbit.__wrapped__() is None
+        assert analysis._native_kernels.__wrapped__() is None
 
     def test_falls_back_when_the_self_check_disagrees(self, monkeypatch):
         if chaos._native_orbit() is None:
             pytest.skip("compiled kernel unavailable")
-        monkeypatch.setattr(chaos, "_SELF_CHECK", with_wrong_digest(0))
+        monkeypatch.setattr(chaos, "_SELF_CHECK", f"{int(chaos._SELF_CHECK, 16) ^ 1:064x}")
         assert chaos._native_orbit.__wrapped__() is None
 
     def test_self_check_cases_take_every_exit(self):
         # Doubling the cap changes nothing after a count or cycle exit, and
         # finds more cells after a cap exit.
         found = []
-        for case, _ in chaos._SELF_CHECK:
+        for case in chaos._CHECK_CASES:
             args = orbit_args(case)
             longer = chaos._orbit_python(*args[:-1], 2 * args[-1])
             found.append((len(chaos._orbit_python(*args)), len(longer), args[7]))
@@ -460,17 +453,37 @@ class TestNativeKernel:
         assert capped < capped_longer < count
 
     def test_self_check_digests_are_the_python_streams(self):
-        # Ties the frozen pins to the spec: the kernel is checked against
-        # these digests only, so they must be what _orbit_python gives.
-        for case, digest in chaos._SELF_CHECK:
-            found = chaos._orbit_python(*orbit_args(case))
-            assert hashlib.sha256(found.astype("<i8").tobytes()).hexdigest() == digest
+        # Ties the frozen pin to the spec: the kernel is checked against this
+        # digest only.  After a deliberate change to the check cases, freeze
+        # the digest printed here, never one the kernel gives.
+        got = chaos._check_digest(chaos._orbit_python)
+        assert got == chaos._SELF_CHECK, f"_orbit_python gives {got}"
 
-    def test_falls_back_when_the_self_check_disagrees_at_the_cap(self, monkeypatch):
-        if chaos._native_orbit() is None:
-            pytest.skip("compiled kernel unavailable")
-        monkeypatch.setattr(chaos, "_SELF_CHECK", with_wrong_digest(2))
-        assert chaos._native_orbit.__wrapped__() is None
+    @pytest.mark.parametrize("index", range(len(chaos._CHECK_CASES)), ids=("full-cover", "cycle", "cap"))
+    def test_a_stream_wrong_in_one_case_changes_the_digest(self, index):
+        # An orbit that drops the last index in this case only: a reference
+        # wrong in any one case must not give the frozen digest.
+        wrong = orbit_args(chaos._CHECK_CASES[index])
+
+        def orbit(*args):
+            found = chaos._orbit_python(*args)
+            return found[:-1] if args == wrong else found
+
+        assert chaos._check_digest(orbit) != chaos._SELF_CHECK
+
+    def test_lengths_keep_the_streams_apart(self):
+        # The first stream's last index moved to the front of the second
+        # leaves the indices in the same order; only the lengths differ.
+        first, second = (orbit_args(case) for case in chaos._CHECK_CASES[:2])
+        last = chaos._orbit_python(*first)[-1]
+
+        def orbit(*args):
+            found = chaos._orbit_python(*args)
+            if args == first:
+                return found[:-1]
+            return np.concatenate([[last], found]) if args == second else found
+
+        assert chaos._check_digest(orbit) != chaos._SELF_CHECK
 
     @needs_cc
     def test_self_check_runs_no_python_orbit(self, monkeypatch):

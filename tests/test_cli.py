@@ -29,6 +29,7 @@ from chaostego.keymat import (
     SecretKeySet,
     format_public_key,
     format_secret_keys,
+    generate_keys,
     parse_public_key,
     parse_secret_keys,
 )
@@ -605,6 +606,40 @@ class TestOutputWrites:
             assert run(argv) == 2
         assert len(swaps) == 3  # the second failed, then the first was swapped back
         assert snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize("swap_back", [False, OSError(errno.EIO, os.strerror(errno.EIO))],
+                             ids=("refused", "raises"))
+    def test_swap_that_cannot_go_back_keeps_the_old_file(self, tmp_path, swap_back, monkeypatch, capsys):
+        # The second swap fails, then swapping the first back fails too:
+        # secret.key keeps the new key and its temp file, kept, the old one.
+        if not exchange_supported(tmp_path):
+            pytest.skip("names cannot be swapped here")
+        keygen(tmp_path, seed=11)
+        secret, pub = tmp_path / "secret.key", tmp_path / "public.key"
+        old_secret, old_pub = secret.read_bytes(), pub.read_bytes()
+        exchange = _native.exchange
+        swaps = []
+
+        def only_the_first_swaps(a, b):
+            swaps.append(b)
+            if len(swaps) == 1:
+                return exchange(a, b)
+            if len(swaps) == 2:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            if isinstance(swap_back, OSError):
+                raise swap_back
+            return swap_back
+
+        monkeypatch.setattr(_native, "exchange", only_the_first_swaps)
+        capsys.readouterr()
+        assert run(["keygen", "--out", str(secret), "--pub", str(pub), "--seed", "12"]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {pub}: No space left on device\n"
+        assert swaps == [str(secret), str(pub), str(secret)]
+        assert secret.read_bytes() == format_secret_keys(generate_keys(12)[0]).encode()
+        assert pub.read_bytes() == old_pub
+        kept = tmp_path / f".secret.key.{os.getpid()}-0.tmp"
+        assert kept.read_bytes() == old_secret
+        assert sorted(p.name for p in tmp_path.iterdir()) == [kept.name, "public.key", "secret.key"]
 
     def test_directory_made_during_the_write_is_swapped_back(self, tmp_path, monkeypatch, capsys):
         # A directory made after the target's lstat must fail the write, as

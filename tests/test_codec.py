@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chaostego import codec
 from chaostego.chaos import ImageDims, select_positions
 from chaostego.codec import (
     HEADER_BITS,
@@ -67,6 +68,11 @@ class TestEncodeMessage:
             encode_message(b"bytes", "ascii7")
         with pytest.raises(EncodingError):
             encode_message("x", "base64")
+
+    def test_payload_of_2_to_the_32_bits_is_refused(self):
+        # A zero-stride view allocates nothing; the refusal comes before the copy.
+        with pytest.raises(EncodingError, match="32-bit length header"):
+            codec._frame("raw", np.broadcast_to(np.uint8(0), (1 << HEADER_BITS,)))
 
 
 class TestMessagePayload:
