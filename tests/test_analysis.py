@@ -327,6 +327,19 @@ class TestNativeCounts:
         assert 0 in pairs and 128 in pairs
         assert any(9 <= n <= 127 and n % 8 for n in pairs)
 
+    def test_falls_back_without_a_compiler(self, monkeypatch, uncached_library):
+        monkeypatch.setattr(_native.shutil, "which", lambda name: None)
+        assert _native.library() is None
+        assert analysis._native_kernels.__wrapped__() is None
+
+    def test_falls_back_when_the_build_fails(self, monkeypatch, uncached_library):
+        def fail(source):
+            raise OSError("no compiler")
+
+        monkeypatch.setattr(_native, "_build", fail)
+        assert _native.library() is None
+        assert analysis._native_kernels.__wrapped__() is None
+
     @needs_cc
     def test_loads_an_unchanged_copy(self, tmp_path, monkeypatch, uncached_library):
         # The control for the mutants below and in TestGammaExpansions: a copy of the source loads.

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaostego import _native, analysis, chaos
+from chaostego import _native, chaos
 from chaostego.chaos import (
     EPSILON,
     ChaosState,
@@ -422,7 +422,6 @@ class TestNativeKernel:
         monkeypatch.setattr(_native.shutil, "which", lambda name: None)
         assert _native.library() is None
         assert chaos._native_orbit.__wrapped__() is None
-        assert analysis._native_kernels.__wrapped__() is None
 
     def test_falls_back_when_the_build_fails(self, monkeypatch, uncached_library):
         def fail(source):
@@ -431,7 +430,6 @@ class TestNativeKernel:
         monkeypatch.setattr(_native, "_build", fail)
         assert _native.library() is None
         assert chaos._native_orbit.__wrapped__() is None
-        assert analysis._native_kernels.__wrapped__() is None
 
     def test_falls_back_when_the_self_check_disagrees(self, monkeypatch):
         if chaos._native_orbit() is None:
