@@ -8,25 +8,24 @@ gamma (series / continued fraction), kept independent of any library
 implementation so the statistic is self-contained.
 The histograms, the attack's statistic over every prefix, PSNR's sums and
 the attack's gamma expansions come from four compiled kernels of
-``_native.c``, checked together on the first grade against one digest
-frozen from numpy's counters and the Python expansions.  Where they build
-and reproduce it, all four run; where not, numpy and Python compute the
+``_native.c`` where :func:`_native.kernels` keeps them, checked with the
+orbit as one set against one digest frozen from the references: numpy's
+counters and the Python expansions here.  Where not, those compute the
 same values.  One value counter serves both the value histogram and the attack.
 """
 
 from __future__ import annotations
 
-import functools
-import hashlib
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _native
+from ._native import GAMMA_EPS, GAMMA_MAX_ITER
 from .errors import CapacityError, DomainError
-from .imagery import RasterImage, abs_difference, check_pair
+from .imagery import RasterImage, abs_difference
 
 PEAK_VALUE = 255  # 8-bit unsigned samples
 _COUNT_CHUNK = 1 << 15  # samples per bincount call; its intp copy stays at 256 KB
@@ -129,23 +128,6 @@ def _numpy_pair_sums(cover: RasterImage, stego: RasterImage) -> tuple[int, int]:
     return int(np.sum(np.square(delta, dtype=np.uint16), dtype=np.int64)), int(np.count_nonzero(delta))
 
 
-def _counts_check_input() -> tuple[np.ndarray, np.ndarray]:
-    """Samples and segment bounds the compiled counters must treat as numpy
-    does: values scattered over the whole range, runs of 0 and of 255, 0
-    next to 255, and an empty segment; running counts with 0, 2, 55 and 128
-    pairs above 4, the edges of numpy's summation, and a tail of uneven counts
-    whose 128 terms sum to other bits in another order; 22 rows of 60, so 20
-    pixels of 3 channels."""
-    samples = (np.arange(1320) * 131 % 256).astype(np.uint8)
-    tail = np.arange(620)
-    samples[700:] = (tail * 11 + tail * tail // 11) % 256
-    samples[40:90] = 0
-    samples[90:130] = 255
-    samples[200:260:2] = 0
-    samples[201:260:2] = 255
-    return samples, np.array([0, 17, 17, 300, 700, 1320], dtype=np.int64)
-
-
 def _entropy_bits(counts: np.ndarray) -> float:
     p = counts[counts > 0] / counts.sum()
     return 0.0 - float(np.sum(p * np.log2(p)))  # +0.0, not -0.0, for one value
@@ -181,18 +163,14 @@ def neighbor_diff_entropy(image: RasterImage) -> float:
 # Regularized upper incomplete gamma Q(a, x)
 # ---------------------------------------------------------------------------
 
-_GAMMA_MAX_ITER = 1000
-_GAMMA_EPS = 1e-16
-
-
 def _lower_series(a: float, x: float) -> float:
     # P(a, x) / prefix by power series, for x < a + 1.
     term = 1.0 / a
     total = term
-    for k in range(1, _GAMMA_MAX_ITER):
+    for k in range(1, GAMMA_MAX_ITER):
         term *= x / (a + k)
         total += term
-        if abs(term) < abs(total) * _GAMMA_EPS:
+        if abs(term) < abs(total) * GAMMA_EPS:
             return total
     raise DomainError(f"incomplete gamma series did not converge at a={a!r}, x={x!r}")
 
@@ -204,7 +182,7 @@ def _upper_continued_fraction(a: float, x: float) -> float:
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for i in range(1, _GAMMA_MAX_ITER):
+    for i in range(1, GAMMA_MAX_ITER):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -216,7 +194,7 @@ def _upper_continued_fraction(a: float, x: float) -> float:
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _GAMMA_EPS:
+        if abs(delta - 1.0) < GAMMA_EPS:
             return h
     raise DomainError(f"incomplete gamma continued fraction did not converge at a={a!r}, x={x!r}")
 
@@ -230,7 +208,7 @@ def gamma_q(a: float, x: float) -> float:
     x**a e**-x / Gamma(a) underflows to 0, Q is exactly 1 below x = a + 1
     and 0 above, and no expansion runs.  Otherwise raises
     :class:`DomainError` where the expansion in use does not converge
-    within ``_GAMMA_MAX_ITER`` terms (near x = a for large a).
+    within ``GAMMA_MAX_ITER`` terms (near x = a for large a).
     """
     # From 2**53 on, a + 1 rounds to a and the expansions break down.
     if not 0.0 < a < 2.0 ** 53:
@@ -266,114 +244,18 @@ def _scaled_q(a: float, x: float, expansion: float | None) -> float:
     return min(max(q, 0.0), 1.0)
 
 
-def _gamma_check_input() -> tuple[np.ndarray, np.ndarray]:
-    """``(a, x)`` on which the compiled expansions must give the Python ones'
-    bits.  Ten of the attack's shapes a = dof / 2, from 0.5 to 63.5, each at
-    four x: inside the series branch, just below x = a + 1 (where the series
-    takes its most terms, 78 at a = 63.5), on it (where the continued
-    fraction starts) and in the continued fraction's tail.  Then x = 0, the
-    continued fraction's most terms found (100, at a = 0.5), and one shape
-    on each branch that does not converge."""
-    a = np.array([1, 2, 3, 8, 17, 32, 63, 100, 126, 127]) / 2.0
-    x = np.concatenate([a / 3.0, a + 1.0, np.nextafter(a + 1.0, 0.0), 3.0 * a + 7.0])
-    a = np.concatenate([a, a, a, a, [0.5, 0.5, 1e5, 1e7]])
-    return a, np.concatenate([x, [0.0, 1.51974025, 99999.0, 1e7 + 1.0]])
-
-
 # ---------------------------------------------------------------------------
 # The computations, compiled or not
 # ---------------------------------------------------------------------------
 
-class _Kernels(NamedTuple):
-    """Grading's four computations: :func:`_native_kernels` or :data:`_FALLBACK`."""
-
-    value_counts: Callable
-    difference_counts: Callable
-    pair_sums: Callable
-    expansions: Callable
-
-
 #: numpy's counters, and no expansion beforehand: :func:`_scaled_q` runs Python's.
-_FALLBACK = _Kernels(_numpy_value_counts, _numpy_difference_counts, _numpy_pair_sums,
-                     lambda a, x: [None] * a.size)
+_FALLBACK = _native.Kernels(None, _numpy_value_counts, _numpy_difference_counts, _numpy_pair_sums,
+                            lambda a, x: [None] * a.size)
 
 
-def _check_digest(kernels: _Kernels) -> str:
-    """SHA-256 of what ``kernels`` give on the check inputs, each part as
-    explicit little-endian bytes (so -0.0 is not 0.0, on any host): the value
-    counts, the differences at steps 1 and 3 and the pair sums of the samples
-    against themselves rolled by 40, then the expansions with None marked."""
-    samples, bounds = _counts_check_input()
-    grid = samples.reshape(22, 60)
-    pair = RasterImage(22, 20, 3, samples), RasterImage(22, 20, 3, np.roll(samples, 40))
-    found = kernels.expansions(*_gamma_check_input())
-    parts = [*zip(kernels.value_counts(samples, bounds), ("<i8", "<f8", "<i8")),
-             (kernels.difference_counts(grid, 1), "<i8"), (kernels.difference_counts(grid, 3), "<i8"),
-             (kernels.pair_sums(*pair), "<i8"), ([value is None for value in found], "u1"),
-             ([0.0 if value is None else value for value in found], "<f8")]
-    return hashlib.sha256(b"".join(np.asarray(part, dtype).tobytes() for part, dtype in parts)).hexdigest()
-
-
-#: :func:`_check_digest` of numpy's counters and the Python expansions, None where they raise.
-_SELF_CHECK = "fdf3fbebaf2cafe9d97283ccf465f47610db70baa5adbde24d5c07d2bcbbc2a4"
-
-
-@functools.cache
-def _native_kernels() -> _Kernels | None:
-    """The compiled kernels as a :class:`_Kernels`, or None.  Their
-    ``expansions`` gives, for arrays ``a`` and ``x``, the value of
-    :func:`_expansion` at each point, or None where it does not converge.
-
-    Takes them from :func:`_native.library` on the first grade and keeps
-    them only if their :func:`_check_digest` is the frozen :data:`_SELF_CHECK`,
-    which runs no numpy counter and no Python expansion; a wrong digest, or
-    a library lacking a kernel, drops all four.
-    """
-    lib = _native.library()
-    if lib is None:
-        return None
-
-    def value_counts(flat, bounds):
-        flat = np.ascontiguousarray(flat, dtype=np.uint8)
-        bounds = np.ascontiguousarray(bounds, dtype=np.int64)
-        hist = np.empty(256, dtype=np.int64)
-        chis = np.empty(bounds.size - 1, dtype=np.float64)
-        pairs = np.empty(bounds.size - 1, dtype=np.int64)
-        lib.count_values(flat.ctypes.data, bounds.ctypes.data, chis.size, hist.ctypes.data, chis.ctypes.data,
-                         pairs.ctypes.data)
-        return hist, chis, pairs
-
-    def difference_counts(samples, step):
-        samples = np.ascontiguousarray(samples, dtype=np.uint8)
-        out = np.empty(2 * PEAK_VALUE + 1, dtype=np.int64)
-        lib.count_differences(samples.ctypes.data, samples.shape[0], samples.shape[1], step, out.ctypes.data)
-        return out
-
-    def pair_sums(cover, stego):
-        check_pair(cover, stego)  # the kernel reads as many samples from each
-        out = np.empty(2, dtype=np.int64)
-        lib.pair_sums(cover.samples.ctypes.data, stego.samples.ctypes.data, cover.samples.size, out.ctypes.data)
-        return int(out[0]), int(out[1])
-
-    def expansions(a, x):
-        a = np.ascontiguousarray(a, dtype=np.float64)
-        x = np.ascontiguousarray(x, dtype=np.float64)
-        out = np.empty(a.size, dtype=np.float64)
-        iters = np.empty(a.size, dtype=np.int64)
-        failed = lib.gamma_expansions(a.ctypes.data, x.ctypes.data, a.size, _GAMMA_MAX_ITER, _GAMMA_EPS,
-                                      out.ctypes.data, iters.ctypes.data)
-        values = out.tolist()
-        if failed:
-            values = [value if n >= 0 else None for value, n in zip(values, iters.tolist())]
-        return values
-
-    kernels = _Kernels(value_counts, difference_counts, pair_sums, expansions)
-    return kernels if _check_digest(kernels) == _SELF_CHECK else None
-
-
-def _kernels() -> _Kernels:
-    """The compiled kernels where they load and pass their checks, else :data:`_FALLBACK`."""
-    return _native_kernels() or _FALLBACK
+def _kernels() -> _native.Kernels:
+    """The compiled kernels where :func:`_native.kernels` keeps them, else :data:`_FALLBACK`."""
+    return _native.kernels() or _FALLBACK
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +276,7 @@ def chi_square_attack(image: RasterImage, step_percent: int) -> list[AttackPoint
     (:func:`_numpy_value_counts`): compiled, it counts the running
     histograms segment by segment and sums each prefix's included pair
     terms in numpy's order, so either path gives the same bits.  One call
-    to ``expansions`` (:func:`_native_kernels`) then gives each prefix's
+    to ``expansions`` (:func:`_native.kernels`) then gives each prefix's
     series or continued fraction, or None for Python to run it; Python keeps
     the rest of :func:`gamma_q`, so the p-values keep its bits and its errors.
     """

@@ -14,8 +14,6 @@ key material reproduce the exact same position stream.
 
 from __future__ import annotations
 
-import functools
-import hashlib
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -179,8 +177,8 @@ def select_positions(keys: SecretKeySet, coupling: PublicCoupling, dims: ImageDi
 
     Returns flat indices ``(row-1)*cols + (col-1)`` into the row-major
     ``rows x cols`` grid as a 1-D int64 array.  The orbit runs in the
-    compiled kernel where it builds and its :func:`_check_digest` is the frozen
-    :data:`_SELF_CHECK`, else in :func:`_orbit_python`, which steps through :func:`coupled_step`;
+    compiled kernel where :func:`_native.kernels` keeps it, else in
+    :func:`_orbit_python`, which steps through :func:`coupled_step`;
     both perform the same binary64 operations in the same order, and the
     tests pin both to the same frozen streams.  Raises
     :class:`DomainError` naming every violated key and coupling field before anything else,
@@ -204,7 +202,8 @@ def select_positions(keys: SecretKeySet, coupling: PublicCoupling, dims: ImageDi
     if count == 0:
         return np.empty(0, dtype=np.int64)
     cap = iteration_cap(ImageDims(rows, cols))
-    orbit = _native_orbit() or _orbit_python
+    kernels = _native.kernels()
+    orbit = kernels.orbit if kernels else _orbit_python
     found = orbit(x, y, keys.alpha1, keys.alpha2, r, rows, cols, count, cap)
     if len(found) < count:
         raise InsufficientCapacity(
@@ -253,48 +252,6 @@ def _orbit_python(
         state = coupled_step(state, alpha1, alpha2, r)
         steps += 1
     return np.array(found, dtype=np.int64)
-
-
-#: The compiled kernel's check cases, the arguments ``(alpha1, alpha2, x0, y0, r, rows, cols,
-#: count, cap)`` on a 16x16 grid (28391 is its :func:`iteration_cap`); the orbit starts from the
-#: seeds advanced one uncoupled step, as in :func:`select_positions`.
-_CHECK_CASES = (
-    (1.3, 1.7, 0.31, 0.72, 0.97, 16, 16, 256, 28391),  # a chaotic key: full cover, 256 cells
-    (3.0, 2.5, 0.31, 0.72, 0.9, 16, 16, 256, 28391),  # a collapsing key: 86 cells
-    (1.3, 1.7, 0.31, 0.72, 0.97, 16, 16, 256, 100),  # the cap: 80 cells
-)
-
-
-def _check_digest(orbit) -> str:
-    """SHA-256 of what ``orbit`` gives on :data:`_CHECK_CASES`, in order: each
-    stream's length, then its flat indices, both as explicit little-endian int64
-    (the streams differ in length, so the lengths mark where each one ends)."""
-    streams = [orbit(sanitize(map_step(x0, a1)), sanitize(map_step(y0, a2)), a1, a2, *rest)
-               for a1, a2, x0, y0, *rest in _CHECK_CASES]
-    parts = [np.asarray(part, "<i8").tobytes() for found in streams for part in ([len(found)], found)]
-    return hashlib.sha256(b"".join(parts)).hexdigest()
-
-
-#: :func:`_check_digest` of :func:`_orbit_python`, the spec: re-freeze from it, never from the kernel.
-_SELF_CHECK = "f424a2a961c8c0c640eb6227b5225155cbcef6ee6166c5b89d532ed6059c45a3"
-
-
-@functools.cache
-def _native_orbit():
-    """The compiled orbit with :func:`_orbit_python`'s signature, or None: the ``orbit``
-    of :func:`_native.library`, kept only if its :func:`_check_digest` is the frozen :data:`_SELF_CHECK`."""
-    lib = _native.library()
-    if lib is None:
-        return None
-
-    def orbit(x, y, alpha1, alpha2, r, rows, cols, count, cap):
-        out = np.empty(count, dtype=np.int64)
-        found = lib.orbit(x, y, alpha1, alpha2, r, rows, cols, count, cap, out.ctypes.data)
-        if found < 0:
-            raise MemoryError(f"no memory for the seen-map of a {rows}x{cols} grid")
-        return out[:found]
-
-    return orbit if _check_digest(orbit) == _SELF_CHECK else None
 
 
 def bifurcation_scan(

@@ -86,13 +86,16 @@ def _named(path: str) -> tuple[str, str]:
     return root + "/".join(names[:-1]), names[-1]
 
 
-def _write_files(*files: tuple[str, bytes]) -> None:
+def _write_files(*files: tuple[str, bytes], secret: str | None = None) -> None:
     """Write all of a command's ``(path, data)`` outputs, or none of them.
 
     Two outputs naming the same file are refused before anything is written.
-    A regular or missing target is written to a temp file beside it, which
-    takes the existing target's mode; its name is the first free one, so a
-    stale temp file is neither replaced nor removed.  Once every output is
+    A regular or missing target is written to a temp file beside it; its name
+    is the first free one, so a stale temp file is neither replaced nor
+    removed.  The temp file is created ``0600`` and takes an existing
+    target's exact mode before its first byte; for a new target it stays
+    ``0600`` if its path is ``secret``, else it is created ``0666`` less the
+    umask.  Once every output is
     written, each temp file takes its target's name: an existing target is
     swapped with it (:func:`_native.exchange`) and its old content unlinked
     only after every output is in place; a missing target, or one where names
@@ -129,17 +132,18 @@ def _write_files(*files: tuple[str, bytes]) -> None:
                 direct.append((path, data))
                 continue
             parent, name = _named(path)
+            mode = 0o600 if st is not None or path == secret else 0o666
             for n in itertools.count(i):
                 tmp = os.path.join(parent, f".{name}.{os.getpid()}-{n}.tmp")
                 with contextlib.suppress(FileExistsError):
-                    fh = open(tmp, "xb")
+                    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
                     break
             staged.append((tmp, path, st is not None))
             temps.append(tmp)
-            with fh:
+            with open(fd, "wb") as fh:
+                if st is not None:
+                    os.fchmod(fd, stat.S_IMODE(st.st_mode))
                 fh.write(data)
-            if st is not None:
-                os.chmod(tmp, stat.S_IMODE(st.st_mode))
         for path, data in direct:
             with open(path, "wb") as fh:
                 fh.write(data)
@@ -235,6 +239,7 @@ def _cmd_keygen(args) -> int:
     _write_files(
         (args.out, keymat.format_secret_keys(keys).encode("utf-8")),
         (args.pub, keymat.format_public_key(coupling).encode("utf-8")),
+        secret=args.out,
     )
     return EXIT_OK
 
@@ -286,7 +291,7 @@ def _cmd_extract(args) -> int:
             message = message.encode("utf-8")
         except UnicodeEncodeError as exc:  # a utf16 payload may hold lone surrogates
             raise ExtractError(f"recovered message cannot be written as UTF-8: {exc.reason}") from exc
-    _write_files((args.out, message))
+    _write_files((args.out, message), secret=args.out)
     return EXIT_OK
 
 

@@ -33,7 +33,7 @@ from chaostego.cli import (
 from chaostego.codec import embed, encode_message
 from chaostego.errors import CapacityError, DimensionMismatch, DomainError
 from chaostego.imagery import RasterImage
-from conftest import native_source_copy, random_image
+from conftest import native_source_copy, python_expansion, random_image, reference_kernels
 
 
 def gray(rows, cols, values):
@@ -280,7 +280,7 @@ class TestNativeCounts:
 
     @needs_cc
     def test_loads_where_a_compiler_exists(self):
-        assert analysis._native_kernels() is not None
+        assert _native.kernels() is not None and analysis._kernels() is _native.kernels()
 
     @needs_cc
     @settings(max_examples=200, derandomize=True, deadline=None)
@@ -304,7 +304,7 @@ class TestNativeCounts:
         samples = pixels.reshape(rows, cols * channels)
         flat = samples.ravel()
         bounds = np.array(sorted([0, flat.size] + [min(cut, flat.size) for cut in cuts]), dtype=np.int64)
-        kernels = analysis._native_kernels()
+        kernels = _native.kernels()
         hist, chis, pairs = kernels.value_counts(flat, bounds)
         assert np.array_equal(hist, widened_value_counts(flat, bounds)[-1])
         assert [(repr(chi), n) for chi, n in zip(chis.tolist(), pairs.tolist())] == \
@@ -313,7 +313,7 @@ class TestNativeCounts:
                               widened_difference_counts(samples, channels))
 
     def test_check_input_has_runs_extremes_and_an_empty_segment(self):
-        samples, bounds = analysis._counts_check_input()
+        samples, bounds = _native._counts_check_input()
         assert np.any(samples[1:] == samples[:-1]) and {0, 255} <= set(samples.tolist())
         assert np.any(np.abs(np.diff(samples.astype(np.int64))) == 255)
         # The pair sums' check sets equal samples and 0 against 255.
@@ -327,24 +327,11 @@ class TestNativeCounts:
         assert 0 in pairs and 128 in pairs
         assert any(9 <= n <= 127 and n % 8 for n in pairs)
 
-    def test_falls_back_without_a_compiler(self, monkeypatch, uncached_library):
-        monkeypatch.setattr(_native.shutil, "which", lambda name: None)
-        assert _native.library() is None
-        assert analysis._native_kernels.__wrapped__() is None
-
-    def test_falls_back_when_the_build_fails(self, monkeypatch, uncached_library):
-        def fail(source):
-            raise OSError("no compiler")
-
-        monkeypatch.setattr(_native, "_build", fail)
-        assert _native.library() is None
-        assert analysis._native_kernels.__wrapped__() is None
-
     @needs_cc
     def test_loads_an_unchanged_copy(self, tmp_path, monkeypatch, uncached_library):
         # The control for the mutants below and in TestGammaExpansions: a copy of the source loads.
         monkeypatch.setattr(_native, "_SOURCE", native_source_copy(tmp_path))
-        assert analysis._native_kernels.__wrapped__() is not None
+        assert _native.kernels.__wrapped__() is not None
 
     @needs_cc
     @pytest.mark.parametrize("old, new", [
@@ -354,23 +341,31 @@ class TestNativeCounts:
         ("block_flips += d != 0;", "block_flips += d > 0;"),  # PSNR's flips counted one way only
     ])
     def test_falls_back_when_the_check_counts_differ(self, tmp_path, monkeypatch, uncached_library, old, new):
+        # The whole set is dropped: the orbit, which passes its part of the check, with the counters.
         monkeypatch.setattr(_native, "_SOURCE", native_source_copy(tmp_path, old, new))
-        assert analysis._native_kernels.__wrapped__() is None
+        assert _native.kernels.__wrapped__() is None
 
     def test_self_check_digest_is_the_references(self):
         # Ties the frozen pin to the references: the kernels are checked
         # against this digest only.  After a deliberate change to the check
         # inputs, freeze the digest printed here, never one the kernels give.
-        got = analysis._check_digest(reference_kernels())
-        assert got == analysis._SELF_CHECK, f"the references give {got}"
+        got = _native._check_digest(reference_kernels())
+        print(f"the references give {got}")
+        assert got == _native._SELF_CHECK, f"the references give {got}"
 
-    def test_falls_back_when_the_self_check_disagrees(self, monkeypatch):
-        if analysis._native_kernels() is None:
-            pytest.skip("compiled kernels unavailable")
-        monkeypatch.setattr(analysis, "_SELF_CHECK", f"{int(analysis._SELF_CHECK, 16) ^ 1:064x}")
-        assert analysis._native_kernels.__wrapped__() is None
-        monkeypatch.setattr(analysis, "_native_kernels", analysis._native_kernels.__wrapped__)
-        assert analysis._kernels() is analysis._FALLBACK
+    @pytest.mark.parametrize("part, spoil", [
+        ("value_counts", lambda found: (found[0] + (np.arange(256) == 7), *found[1:])),
+        ("difference_counts", lambda found: found + (np.arange(found.size) == 300)),
+        ("pair_sums", lambda found: (found[0], found[1] + 1)),
+        ("expansions", lambda found: [math.nextafter(found[0], 1.0), *found[1:]]),
+    ], ids=["value_counts", "difference_counts", "pair_sums", "expansions"])
+    def test_a_reference_wrong_in_one_part_changes_the_digest(self, part, spoil):
+        # One count one too high, or one expansion one ulp off: a reference
+        # wrong in any one part must not give the frozen digest.
+        references = reference_kernels()
+        right = getattr(references, part)
+        wrong = references._replace(**{part: lambda *args: spoil(right(*args))})
+        assert _native._check_digest(wrong) != _native._SELF_CHECK
 
     @needs_cc
     def test_self_check_runs_no_numpy_counter_or_python_expansion(self, monkeypatch):
@@ -381,15 +376,17 @@ class TestNativeCounts:
         assert len(references) == 4
         for name in references:
             monkeypatch.setattr(analysis, name, fail)
-        assert analysis._native_kernels.__wrapped__() is not None
+        assert _native.kernels.__wrapped__() is not None
 
     def test_loaded_on_first_count_not_at_import(self, tmp_path):
-        # Commands that grade nothing must not pay for the build or the check.
+        # Importing builds and checks nothing.  The first command that needs
+        # a kernel, here keygen's liveness probe, checks all five, once.
         script = (
             "import sys\n"
-            "from chaostego import analysis, cli\n"
+            "from chaostego import _native, cli\n"
+            "assert _native.library.cache_info().currsize == _native.kernels.cache_info().currsize == 0\n"
             "assert cli.run(['keygen', '--out', sys.argv[1], '--pub', sys.argv[2], '--seed', '3']) == 0\n"
-            "assert analysis._native_kernels.cache_info().currsize == 0\n"
+            "assert _native.kernels.cache_info().misses == 1\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(analysis.__file__).parents[1]))
         argv = [sys.executable, "-c", script, str(tmp_path / "s.key"), str(tmp_path / "p.key")]
@@ -514,29 +511,13 @@ class TestGammaQ:
             gamma_q(math.inf, 1.0)
 
 
-def python_expansion(a, x):
-    """The Python series (x < a + 1) or continued fraction at ``(a, x)``, or
-    None where it does not converge."""
-    try:
-        return analysis._expansion(a, x)
-    except DomainError:
-        return None
-
-
-def reference_kernels():
-    """numpy's counters and the Python expansions, None where they raise:
-    the references ``analysis._SELF_CHECK`` is frozen from."""
-    return analysis._FALLBACK._replace(
-        expansions=lambda a, x: [python_expansion(a_k, x_k) for a_k, x_k in zip(a.tolist(), x.tolist())])
-
-
 def kernel_terms(a, x):
     """The terms ``gamma_expansions`` takes at each ``(a, x)``, -1 where it
     does not converge."""
     a, x = np.asarray(a, dtype=np.float64), np.asarray(x, dtype=np.float64)
     out, terms = np.empty(a.size), np.empty(a.size, dtype=np.int64)
-    _native.library().gamma_expansions(a.ctypes.data, x.ctypes.data, a.size, analysis._GAMMA_MAX_ITER,
-                                       analysis._GAMMA_EPS, out.ctypes.data, terms.ctypes.data)
+    _native.library().gamma_expansions(a.ctypes.data, x.ctypes.data, a.size, _native.GAMMA_MAX_ITER,
+                                       _native.GAMMA_EPS, out.ctypes.data, terms.ctypes.data)
     return terms
 
 
@@ -565,13 +546,13 @@ class TestGammaExpansions:
     def test_compiled_equals_python(self, dof, x, edge):
         a = dof / 2.0
         x = {"": x, "boundary": a + 1.0, "below": math.nextafter(a + 1.0, 0.0)}[edge]
-        got = analysis._native_kernels().expansions(np.array([a]), np.array([x]))[0]
+        got = _native.kernels().expansions(np.array([a]), np.array([x]))[0]
         assert repr(got) == repr(python_expansion(a, x))
         assert repr(analysis._scaled_q(a, x, got)) == repr(gamma_q(a, x))
 
     @needs_cc
     def test_check_input_covers_both_branches_and_the_most_terms(self):
-        a, x = analysis._gamma_check_input()
+        a, x = _native._gamma_check_input()
         terms, series = kernel_terms(a, x), x < a + 1.0
         assert 0.5 in a.tolist() and np.any(x == a + 1.0) and np.any(x == 0.0)
         assert terms[series].max() == 78 and terms[~series].max() == 100
@@ -585,9 +566,9 @@ class TestGammaExpansions:
     ])
     def test_falls_back_when_the_check_expansions_differ(self, tmp_path, monkeypatch, uncached_library, old, new):
         monkeypatch.setattr(_native, "_SOURCE", native_source_copy(tmp_path, old, new))
-        assert analysis._native_kernels.__wrapped__() is None
-        # The counters, which pass their own check, fall back with the expansions.
-        monkeypatch.setattr(analysis, "_native_kernels", analysis._native_kernels.__wrapped__)
+        assert _native.kernels.__wrapped__() is None
+        # The orbit and the counters, which pass their parts of the check, fall back with the expansions.
+        monkeypatch.setattr(_native, "kernels", _native.kernels.__wrapped__)
         assert analysis._kernels() is analysis._FALLBACK
 
     @pytest.mark.parametrize("chi, pairs, expansion", [

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaostego import _native, chaos
+from chaostego import _native, analysis, chaos
 from chaostego.chaos import (
     EPSILON,
     ChaosState,
@@ -32,7 +32,7 @@ from chaostego.chaos import (
 )
 from chaostego.errors import DomainError, InsufficientCapacity
 from chaostego.keymat import ALPHA_RANGE, PublicCoupling, SecretKeySet, generate_keys
-from conftest import native_source_copy
+from conftest import native_source_copy, reference_kernels
 from test_golden import KEY_SETS
 
 
@@ -248,7 +248,8 @@ class TestSelectPositions:
         n = np.random.default_rng(14).integers(1, chaos._MAX_CELLS, 10**5)
         assert np.array_equal((top * n).astype(np.int64), n - 1)
         for path in orbit_paths:
-            orbit = chaos._native_orbit() or chaos._orbit_python
+            kernels = _native.kernels()
+            orbit = kernels.orbit if kernels else chaos._orbit_python
             for rows, cols in ((1, 1), (1, 7), (7, 1), (3, 5), (97, 89), (1000, 1000)):
                 got = orbit(top, top, 1.3, 1.7, 0.97, rows, cols, 1, 1)
                 assert got.tolist() == [rows * cols - 1], (path, rows, cols)
@@ -308,7 +309,7 @@ class TestSelectPositions:
             states.append(coupled_step(*args))
             return states[-1]
 
-        monkeypatch.setattr(chaos, "_native_orbit", lambda: None)
+        monkeypatch.setattr(_native, "kernels", lambda: None)
         monkeypatch.setattr(chaos, "coupled_step", recording_step)
         got = select_positions(keys, coupling, dims, 500)
         assert len(states) > 1, "the Python orbit never called coupled_step"
@@ -329,7 +330,7 @@ class TestSelectPositions:
             calls += 1
             return sanitize(u)
 
-        monkeypatch.setattr(chaos, "_native_orbit", lambda: None)
+        monkeypatch.setattr(_native, "kernels", lambda: None)
         monkeypatch.setattr(chaos, "sanitize", counting_sanitize)
         keys = SecretKeySet(3.0, 2.5, 0.31, 0.72)
         with pytest.raises(InsufficientCapacity, match=r"\(28391 steps, 86 unique positions found\)"):
@@ -357,17 +358,10 @@ PEAK_KIB = (
 )
 
 
-def orbit_args(case):
-    """The orbit arguments of a ``chaos._CHECK_CASES`` case: its seeds advanced
-    one uncoupled step, as ``chaos._check_digest`` does."""
-    a1, a2, x0, y0, *rest = case
-    return (sanitize(map_step(x0, a1)), sanitize(map_step(y0, a2)), a1, a2, *rest)
-
-
 class TestNativeKernel:
     @needs_cc
     def test_loads_where_a_compiler_exists(self):
-        assert chaos._native_orbit() is not None
+        assert _native.kernels() is not None
 
     @needs_cc
     def test_build_is_cached_by_source_hash(self, tmp_path):
@@ -421,7 +415,7 @@ class TestNativeKernel:
     def test_falls_back_without_a_compiler(self, monkeypatch, uncached_library):
         monkeypatch.setattr(_native.shutil, "which", lambda name: None)
         assert _native.library() is None
-        assert chaos._native_orbit.__wrapped__() is None
+        assert _native.kernels.__wrapped__() is None
 
     def test_falls_back_when_the_build_fails(self, monkeypatch, uncached_library):
         def fail(source):
@@ -429,50 +423,47 @@ class TestNativeKernel:
 
         monkeypatch.setattr(_native, "_build", fail)
         assert _native.library() is None
-        assert chaos._native_orbit.__wrapped__() is None
+        assert _native.kernels.__wrapped__() is None
 
-    def test_falls_back_when_the_self_check_disagrees(self, monkeypatch):
-        if chaos._native_orbit() is None:
-            pytest.skip("compiled kernel unavailable")
-        monkeypatch.setattr(chaos, "_SELF_CHECK", f"{int(chaos._SELF_CHECK, 16) ^ 1:064x}")
-        assert chaos._native_orbit.__wrapped__() is None
+    def test_falls_back_when_the_self_check_disagrees(self, monkeypatch, live_keys):
+        if _native.kernels() is None:
+            pytest.skip("compiled kernels unavailable")
+        monkeypatch.setattr(_native, "_SELF_CHECK", f"{int(_native._SELF_CHECK, 16) ^ 1:064x}")
+        assert _native.kernels.__wrapped__() is None
+        # Both callers then run their references.
+        monkeypatch.setattr(_native, "kernels", _native.kernels.__wrapped__)
+        assert analysis._kernels() is analysis._FALLBACK
+        monkeypatch.setattr(chaos, "_orbit_python", lambda *args: np.arange(3))
+        assert select_positions(*live_keys, ImageDims(16, 16), 3).tolist() == [0, 1, 2]
 
     def test_self_check_cases_take_every_exit(self):
         # Doubling the cap changes nothing after a count or cycle exit, and
         # finds more cells after a cap exit.
         found = []
-        for case in chaos._CHECK_CASES:
-            args = orbit_args(case)
-            longer = chaos._orbit_python(*args[:-1], 2 * args[-1])
-            found.append((len(chaos._orbit_python(*args)), len(longer), args[7]))
+        for case in _native._ORBIT_CASES:
+            longer = chaos._orbit_python(*case[:-1], 2 * case[-1])
+            found.append((len(chaos._orbit_python(*case)), len(longer), case[7]))
         (full, full_longer, count), (cycle, cycle_longer, _), (capped, capped_longer, _) = found
         assert full == full_longer == count
         assert cycle == cycle_longer < count
         assert capped < capped_longer < count
 
-    def test_self_check_digests_are_the_python_streams(self):
-        # Ties the frozen pin to the spec: the kernel is checked against this
-        # digest only.  After a deliberate change to the check cases, freeze
-        # the digest printed here, never one the kernel gives.
-        got = chaos._check_digest(chaos._orbit_python)
-        assert got == chaos._SELF_CHECK, f"_orbit_python gives {got}"
-
-    @pytest.mark.parametrize("index", range(len(chaos._CHECK_CASES)), ids=("full-cover", "cycle", "cap"))
+    @pytest.mark.parametrize("index", range(len(_native._ORBIT_CASES)), ids=("full-cover", "cycle", "cap"))
     def test_a_stream_wrong_in_one_case_changes_the_digest(self, index):
         # An orbit that drops the last index in this case only: a reference
         # wrong in any one case must not give the frozen digest.
-        wrong = orbit_args(chaos._CHECK_CASES[index])
+        wrong = _native._ORBIT_CASES[index]
 
         def orbit(*args):
             found = chaos._orbit_python(*args)
             return found[:-1] if args == wrong else found
 
-        assert chaos._check_digest(orbit) != chaos._SELF_CHECK
+        assert _native._check_digest(reference_kernels()._replace(orbit=orbit)) != _native._SELF_CHECK
 
     def test_lengths_keep_the_streams_apart(self):
         # The first stream's last index moved to the front of the second
         # leaves the indices in the same order; only the lengths differ.
-        first, second = (orbit_args(case) for case in chaos._CHECK_CASES[:2])
+        first, second = _native._ORBIT_CASES[:2]
         last = chaos._orbit_python(*first)[-1]
 
         def orbit(*args):
@@ -481,7 +472,7 @@ class TestNativeKernel:
                 return found[:-1]
             return np.concatenate([[last], found]) if args == second else found
 
-        assert chaos._check_digest(orbit) != chaos._SELF_CHECK
+        assert _native._check_digest(reference_kernels()._replace(orbit=orbit)) != _native._SELF_CHECK
 
     @needs_cc
     def test_self_check_runs_no_python_orbit(self, monkeypatch):
@@ -490,28 +481,28 @@ class TestNativeKernel:
 
         monkeypatch.setattr(chaos, "_orbit_python", fail)
         monkeypatch.setattr(chaos, "coupled_step", fail)
-        assert chaos._native_orbit.__wrapped__() is not None
+        assert _native.kernels.__wrapped__() is not None
 
     def test_reports_a_failed_seen_map_allocation(self, monkeypatch):
         # A grid no address space holds: rows*cols bits overflow any calloc.
-        orbit = chaos._native_orbit()
-        if orbit is None:
+        kernels = _native.kernels()
+        if kernels is None:
             pytest.skip("compiled kernel unavailable")
         with pytest.raises(MemoryError, match="seen-map"):
-            orbit(0.3, 0.7, 2.0, 3.0, 0.9, 2**40, 2**22, 1, 10)
+            kernels.orbit(0.3, 0.7, 2.0, 3.0, 0.9, 2**40, 2**22, 1, 10)
 
     @needs_vmhwm
     def test_seen_map_memory_follows_the_work(self, tmp_path):
         # 500 positions on an 8000x8000 grid: a byte per cell would be 64 MB,
         # a bitset 8 MB of address space of which only touched pages count.
-        if chaos._native_orbit() is None:
+        if _native.kernels() is None:
             pytest.skip("compiled kernel unavailable")
         script = PEAK_KIB + (
             "import sys\n"
-            "from chaostego import chaos, cli\n"
+            "from chaostego import _native, cli\n"
             "sec, pub, out = sys.argv[1:]\n"
             "assert cli.run(['keygen', '--out', sec, '--pub', pub, '--seed', '3']) == 0\n"
-            "assert chaos._native_orbit() is not None\n"
+            "assert _native.kernels() is not None\n"
             "before = peak_kib()\n"
             "assert cli.run(['exchange-sim', '--alice', sec, '--pub', pub, '--rows', '8000',\n"
             "                '--cols', '8000', '--prefix', '500', '--out', out]) == 0\n"
@@ -532,13 +523,13 @@ class TestNativeKernel:
         # 2 MB of pages.  Once one was freed, calloc could serve the next
         # from the heap and zero it whole; mmap'd afresh, each call keeps
         # only the pages it touches.
-        if chaos._native_orbit() is None:
+        if _native.kernels() is None:
             pytest.skip("compiled kernel unavailable")
         script = PEAK_KIB + (
-            "from chaostego import chaos\n"
+            "from chaostego import _native, chaos\n"
             "from chaostego.keymat import generate_keys\n"
             "keys, coupling = generate_keys(3)\n"
-            "assert chaos._native_orbit() is not None\n"
+            "assert _native.kernels() is not None\n"
             "for _ in range(4):\n"
             "    before = peak_kib()\n"
             "    assert chaos.select_positions(keys, coupling, chaos.ImageDims(8000, 8000), 500).size == 500\n"
@@ -558,19 +549,17 @@ class TestNativeKernel:
     ])
     def test_kernels_run_clean_under_ubsan(self, tmp_path, change, clean):
         # Built with undefined-behaviour checks that abort on the first
-        # finding: the orbit's self-check cases, the analysis kernels'
-        # load-time checks (the counters', the pair sums' and the
-        # expansions' check sets), then the value counter on rows of 0-128
-        # included pairs.
+        # finding: the five kernels' load-time check (the orbit's cases and
+        # the counters', the pair sums' and the expansions' check inputs),
+        # then the value counter on rows of 0-128 included pairs.
         script = (
             "import sys\n"
             "from pathlib import Path\n"
             "import numpy as np\n"
-            "from chaostego import _native, analysis, chaos\n"
+            "from chaostego import _native\n"
             "_native._SOURCE = Path(sys.argv[1])\n"
             "_native._CFLAGS = (*_native._CFLAGS, '-fsanitize=undefined', '-fno-sanitize-recover=undefined')\n"
-            "assert chaos._native_orbit() is not None\n"
-            "kernels = analysis._native_kernels()\n"
+            "kernels = _native.kernels()\n"
             "assert kernels is not None\n"
             "edges = [0, 1, 7, 8, 9, 15, 16, 17, 127, 128]\n"
             "samples = np.repeat(np.arange(0, 256, 2, dtype=np.uint8), 5)\n"
@@ -607,7 +596,7 @@ class TestKeySpace:
     def test_one_ulp_seed_change_often_leaves_the_stream_unchanged(self):
         # Rounding absorbs a one-ulp rise of x0 or y0 in 31 of these 100
         # cases: the 20,000-position stream at 512x512 stays the same.
-        if chaos._native_orbit() is None:
+        if _native.kernels() is None:
             pytest.skip("compiled kernel unavailable")
         dims, unchanged = ImageDims(512, 512), 0
         for seed in range(50):

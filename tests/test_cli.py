@@ -781,6 +781,75 @@ class TestOutputWrites:
                     os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
 
 
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+def mode_of(path):
+    return stat.S_IMODE(os.stat(path).st_mode)
+
+
+class TestOutputModes:
+    """Secret outputs are owner-only from creation: a temp file is created
+    0600 and takes an existing target's mode before its first byte, and a
+    new public output gets 0666 less the umask."""
+
+    def first_write_modes(self, monkeypatch):
+        """Makes every file ``cli`` writes record its mode at its first write."""
+        modes = []
+        real_open = open
+
+        class Recording:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                modes.append(stat.S_IMODE(os.fstat(self.fh.fileno()).st_mode))
+                return self.fh.write(data)
+
+        monkeypatch.setattr(cli, "open", lambda file, mode: Recording(real_open(file, mode)) if "w" in mode
+                            else real_open(file, mode), raising=False)
+        return modes
+
+    def test_new_secret_key_is_owner_only_and_public_key_is_not(self, tmp_path, umask_022):
+        keygen(tmp_path)
+        assert mode_of(tmp_path / "secret.key") == 0o600
+        assert mode_of(tmp_path / "public.key") == 0o644
+
+    def test_secret_temp_files_are_owner_only_before_the_first_byte(self, workdir, umask_022, monkeypatch,
+                                                                     rename_paths):
+        for _ in rename_paths:
+            for name in ("secret.key", "public.key", "recovered.txt"):
+                (workdir / name).unlink(missing_ok=True)
+            modes = self.first_write_modes(monkeypatch)
+            keygen(workdir)  # new files
+            keygen(workdir, seed=12)  # replaced files, 0600 and 0644
+            assert TestEmbedExtract().embed(workdir) == 0
+            assert TestEmbedExtract().extract(workdir) == 0
+            # keygen writes the secret key, then the public key; embed its four
+            # outputs, new or public; extract the recovered message.
+            assert modes == [0o600, 0o644, 0o600, 0o644, 0o644, 0o644, 0o644, 0o644, 0o600]
+            assert mode_of(workdir / "recovered.txt") == 0o600
+
+    def test_replaced_owner_only_files_stay_owner_only(self, tmp_path, umask_022, rename_paths):
+        for _ in rename_paths:
+            keygen(tmp_path)
+            (tmp_path / "public.key").chmod(0o600)
+            (tmp_path / "secret.key").chmod(0o640)  # the exact mode, not 0600
+            keygen(tmp_path, seed=12)
+            assert mode_of(tmp_path / "public.key") == 0o600
+            assert mode_of(tmp_path / "secret.key") == 0o640
+
+
 class TestOddPaths:
     """Path arguments are split as pathlib splits them: empty and ``.``
     components are dropped and ``..`` is kept."""

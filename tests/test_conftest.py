@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import chaostego
-from chaostego import _native, analysis, chaos
+from chaostego import _native
 
 TESTS = Path(__file__).resolve().parent
 
@@ -44,10 +44,12 @@ def test_failing_hypothesis_example_is_reported(tmp_path):
 def test_path_fixtures_switch_the_same_way_on_every_loop(orbit_paths, analysis_paths, rename_paths):
     # The first implementation, where it works, is the one in place at
     # set-up; the last is the fallback, left in place after the loop.
-    for paths, module, name, labels in ((orbit_paths, chaos, "_native_orbit", ["native", "python"]),
-                                        (analysis_paths, analysis, "_native_kernels", ["native", "numpy"]),
-                                        (rename_paths, _native, "exchange", ["exchange", "replace"])):
-        original = getattr(module, name)
+    cases = ((orbit_paths, _native, "kernels", ["native", "python"]),
+             (analysis_paths, _native, "kernels", ["native", "numpy"]),
+             (rename_paths, _native, "exchange", ["exchange", "replace"]))
+    # The first two switch one name: take the originals before either loop.
+    originals = [getattr(module, name) for _, module, name, _ in cases]
+    for (paths, module, name, labels), original in zip(cases, originals):
         loops = [[(label, getattr(module, name) is original) for label in paths] for _ in range(2)]
         assert loops[0] == loops[1] and getattr(module, name) is not original
         assert loops[0] in ([(labels[0], True), (labels[1], False)], [(labels[1], False)])

@@ -96,13 +96,7 @@ EMBED_SHA256 = {
 
 
 def flat_stream(keys, coupling, rows, cols, count) -> np.ndarray:
-    positions = np.asarray(select_positions(keys, coupling, ImageDims(rows, cols), count), dtype=np.int64)
-    if positions.ndim == 2:
-        # (col, row) pairs, the form select_positions returned before it
-        # returned flat indices; accepted so the vectors can be checked
-        # against that version too.
-        positions = (positions[:, 1] - 1) * cols + (positions[:, 0] - 1)
-    return positions
+    return np.asarray(select_positions(keys, coupling, ImageDims(rows, cols), count), dtype=np.int64)
 
 
 def sha256(data: bytes) -> str:

@@ -1,7 +1,7 @@
 """The package root exports exactly the names README's "Library use" shows,
 every name it lists under a module exists there, its shell examples are
 valid invocations, each module uses what it imports, the CLI keeps paths
-as strings, only ``_native`` builds or loads C, declares every C function
+as strings, only ``_native`` builds, loads or checks C, declares every C function
 it exports and falls back without any one of them, every C source ships
 with the package, and the benchmark evidence at the repository root comes
 in complete, paired files."""
@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import chaostego
-from chaostego import _native, analysis, chaos, cli
+from chaostego import _native, cli
 from conftest import native_source_copy
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -83,13 +83,21 @@ def packages_imported(path: Path) -> set[str]:
 
 
 def test_only_native_builds_or_loads_compiled_code():
-    # Building and loading the C source is chaostego._native's policy
-    # alone: every other module takes its kernels from _native.library().
+    # Building, loading and trusting the C source is chaostego._native's
+    # policy alone: every other module takes its kernels from
+    # _native.kernels(), checked, and never from _native.library() or
+    # through an array's .ctypes pointer.
     machinery = {"ctypes", "subprocess", "tempfile", "shutil"}
     for path in sorted(Path(chaostego.__file__).parent.glob("*.py")):
+        if path.stem == "_native":
+            continue
         imported = packages_imported(path)
-        if path.stem != "_native":
-            assert not imported & machinery, f"chaostego.{path.stem} imports {sorted(imported & machinery)}"
+        assert not imported & machinery, f"chaostego.{path.stem} imports {sorted(imported & machinery)}"
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                assert node.attr != "ctypes", f"chaostego.{path.stem} reads .ctypes at line {node.lineno}"
+                library = node.attr == "library" and isinstance(node.value, ast.Name) and node.value.id == "_native"
+                assert not library, f"chaostego.{path.stem} names _native.library at line {node.lineno}"
 
 
 def test_cli_keeps_paths_as_strings():
@@ -160,8 +168,7 @@ def test_library_lacking_a_kernel_falls_back(name, tmp_path, monkeypatch, uncach
     head = exported_c_functions()[name]
     monkeypatch.setattr(_native, "_SOURCE", native_source_copy(tmp_path, "\n" + head, "\nstatic " + head))
     assert _native.library() is None
-    assert chaos._native_orbit.__wrapped__() is None
-    assert analysis._native_kernels.__wrapped__() is None
+    assert _native.kernels.__wrapped__() is None
 
 
 def test_bench_files_are_named_correct_and_paired():
