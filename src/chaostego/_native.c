@@ -18,7 +18,12 @@
  *
  * gamma_expansions is the compiled form of analysis._lower_series and
  * analysis._upper_continued_fraction, the expansions of the attack's
- * incomplete gamma: the same binary64 operations in the same order. */
+ * incomplete gamma: the same binary64 operations in the same order.
+ *
+ * scatter and gather are codec's LSB embedding and its bit rule, on change
+ * marks held as PBM rasters: rows of ceil(cols / 8) bytes, MSB first, with
+ * padding bits 0.  At 50-90% fill whether a sample changes, and whether its
+ * marks agree, are coin flips, so neither loop branches on them. */
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -245,4 +250,50 @@ int64_t gamma_expansions(const double *a, const double *x, int64_t n, int64_t ca
         failed += i >= cap;
     }
     return failed;
+}
+
+/* The bit of flat sample index p in a PBM raster of rows holding cols cells
+ * and pad padding bits each.  pad is fixed for a call, so its test is always
+ * predicted, and a width of whole bytes pays no division. */
+static inline int64_t mark_bit(int64_t p, int64_t cols, int64_t pad)
+{
+    return pad ? p + p / cols * pad : p;
+}
+
+/* Writes bits[k] (0 or 1) into the LSB of samples[flat[k]] for each k < n,
+ * the rows x cols samples row-major and the flat indices distinct, and
+ * builds the change marks: ones is filled here with 1s, its padding bits 0,
+ * and zeros arrives zeroed.  A sample whose LSB flips gets its bit in both
+ * marks; every other cell keeps 1 in ones and 0 in zeros. */
+void scatter(uint8_t *samples, int64_t rows, int64_t cols, const int64_t *flat, const uint8_t *bits, int64_t n,
+             uint8_t *ones, uint8_t *zeros)
+{
+    int64_t row_bytes = (cols + 7) / 8, pad = 8 * row_bytes - cols;
+    memset(ones, 0xFF, (size_t)(rows * row_bytes));
+    if (pad)
+        for (int64_t r = 1; r <= rows; r++) ones[r * row_bytes - 1] = (uint8_t)(0xFFu << pad);
+    for (int64_t k = 0; k < n; k++) {
+        int64_t p = flat[k], q = mark_bit(p, cols, pad);
+        unsigned bit = bits[k], sample = samples[p], changed = (sample ^ bit) & 1u;
+        unsigned mask = 0x80u >> (q & 7);
+        samples[p] = (uint8_t)(sample ^ changed);
+        ones[q >> 3] = (uint8_t)(ones[q >> 3] & ~(mask & -(changed & ~bit)));
+        zeros[q >> 3] = (uint8_t)(zeros[q >> 3] | (mask & -(changed & bit)));
+    }
+}
+
+/* out[k] = the bit at samples[flat[k]] for each k < n, by codec's rule: the
+ * shared mark where the ones and zeros rasters agree, else the sample's LSB.
+ * The samples are row-major with cols to a row.  Padding bits are never read. */
+void gather(const uint8_t *samples, int64_t cols, const uint8_t *ones, const uint8_t *zeros, const int64_t *flat,
+            int64_t n, uint8_t *out)
+{
+    int64_t pad = 8 * ((cols + 7) / 8) - cols;
+    for (int64_t k = 0; k < n; k++) {
+        int64_t p = flat[k], q = mark_bit(p, cols, pad);
+        unsigned shift = 7u - (unsigned)(q & 7);
+        unsigned one = (ones[q >> 3] >> shift) & 1u, zero = (zeros[q >> 3] >> shift) & 1u;
+        unsigned lsb = samples[p] & 1u;
+        out[k] = (uint8_t)(lsb ^ ((lsb ^ one) & ~(one ^ zero)));
+    }
 }

@@ -1,8 +1,9 @@
 """Builds and loads ``_native.c``, the package's one C source, and decides
-whether its kernels may run: the orbit of :mod:`chaos` and the four grading
-kernels of :mod:`analysis` are wrapped as one :class:`Kernels` record, which
-:func:`kernels` keeps only if it reproduces the references' bits on fixed
-check inputs, so all five run or all five fall back.
+whether its kernels may run: the orbit of :mod:`chaos`, the four grading
+kernels of :mod:`analysis` and the two mark kernels of :mod:`codec` are
+wrapped as one :class:`Kernels` record, which :func:`kernels` keeps only if it
+reproduces the references' bits on fixed check inputs, so all seven run or
+all seven fall back.
 Also takes ``renameat2`` from the C library, for :func:`exchange`."""
 
 import ctypes
@@ -41,9 +42,9 @@ GAMMA_EPS = 1e-16
 @functools.cache
 def library():
     """:data:`_SOURCE` built and loaded with ctypes, the argument and result
-    types of its five functions, ``orbit``, ``count_values``,
-    ``count_differences``, ``pair_sums`` and ``gamma_expansions``, declared;
-    None if it cannot be built or loaded or lacks one."""
+    types of its seven functions, ``orbit``, ``count_values``,
+    ``count_differences``, ``pair_sums``, ``gamma_expansions``, ``scatter``
+    and ``gather``, declared; None if it cannot be built or loaded or lacks one."""
     try:
         lib = ctypes.CDLL(str(_build(_SOURCE)))
         lib.orbit.argtypes = [ctypes.c_double] * 5 + [ctypes.c_int64] * 4 + [ctypes.c_void_p]
@@ -53,7 +54,12 @@ def library():
         lib.pair_sums.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
         lib.gamma_expansions.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 2 + [ctypes.c_double] + \
             [ctypes.c_void_p] * 2
+        lib.scatter.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 2 + \
+            [ctypes.c_int64] + [ctypes.c_void_p] * 2
+        lib.gather.argtypes = [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 3 + [ctypes.c_int64] + \
+            [ctypes.c_void_p]
         lib.count_values.restype = lib.count_differences.restype = lib.pair_sums.restype = None
+        lib.scatter.restype = lib.gather.restype = None
         lib.gamma_expansions.restype = ctypes.c_int64
     except (OSError, AttributeError, subprocess.SubprocessError):
         return None
@@ -92,15 +98,18 @@ def _build(source: Path) -> Path:
 
 
 class Kernels(NamedTuple):
-    """The five computations of ``_native.c`` with numpy arguments and
-    results: :func:`kernels` wraps the compiled ones, and :mod:`chaos` and
-    :mod:`analysis` hold the references that run where those do not."""
+    """The seven computations of ``_native.c`` with numpy arguments and
+    results: :func:`kernels` wraps the compiled ones, and :mod:`chaos`,
+    :mod:`analysis` and :mod:`codec` hold the references that run where those
+    do not."""
 
     orbit: Callable
     value_counts: Callable
     difference_counts: Callable
     pair_sums: Callable
     expansions: Callable
+    scatter: Callable
+    gather: Callable
 
 
 #: The orbit's check cases, its arguments ``(x, y, alpha1, alpha2, r, rows, cols, count, cap)`` on a
@@ -149,7 +158,13 @@ def _check_digest(kernels: Kernels) -> str:
     orbit's stream on each of :data:`_ORBIT_CASES`, its length first (the
     lengths keep streams of different lengths apart), the value counts, the
     differences at steps 1 and 3 and the pair sums of the samples against
-    themselves rolled by 40, then the expansions with None marked."""
+    themselves rolled by 40, then the expansions with None marked.  Last come
+    the marks, on a 16x16 grid of the first samples (whole bytes to a row)
+    and a 20x13 one (3 padding bits a row): the stego samples and rasters of
+    scattering the last samples' LSBs at the second stream's cells, then the
+    bits gathered from the cover with those rasters at the first stream's
+    cells, which are every cell of the 16x16 grid.  At a changed cell the
+    cover's LSB is not the bit the marks hold, so both sources are read."""
     samples, bounds = _counts_check_input()
     grid = samples.reshape(22, 60)
     rolled = np.concatenate((samples[-40:], samples[:-40]))  # np.roll's result, at a tenth of its first call
@@ -161,23 +176,32 @@ def _check_digest(kernels: Kernels) -> str:
               (kernels.difference_counts(grid, 1), "<i8"), (kernels.difference_counts(grid, 3), "<i8"),
               (kernels.pair_sums(*pair), "<i8"), ([value is None for value in found], "u1"),
               ([0.0 if value is None else value for value in found], "<f8")]
+    bits = samples[-len(streams[1]):] & 1
+    for rows, cols in ((16, 16), (20, 13)):
+        cover = samples[:rows * cols].reshape(rows, cols)
+        stego, ones, zeros = kernels.scatter(cover, streams[1], bits)
+        parts += [(stego, "u1"), (ones, "u1"), (zeros, "u1"), (kernels.gather(cover, ones, zeros, streams[0]), "u1")]
     return hashlib.sha256(b"".join(np.asarray(part, dtype).tobytes() for part, dtype in parts)).hexdigest()
 
 
-#: :func:`_check_digest` of the references: ``chaos._orbit_python``, numpy's counters and the
-#: Python expansions, None where they raise.  Re-freeze it from them, never from the kernels.
-_SELF_CHECK = "03572ecac01c8584f653309c1602f235dbc58349fbeb171cc0f857ed4df3f723"
+#: :func:`_check_digest` of the references: ``chaos._orbit_python``, numpy's counters, the
+#: Python expansions, None where they raise, and codec's numpy marks.  Re-freeze it from them,
+#: never from the kernels.
+_SELF_CHECK = "16110f4e8a4e1894a10482ea3003bd6aefd026408137e7eefbc2c9c5e3b62b1a"
 
 
 @functools.cache
 def kernels() -> Kernels | None:
     """The kernels of :func:`library` as a :class:`Kernels`, or None: None
     where there is no library, or where their :func:`_check_digest` is not
-    the frozen :data:`_SELF_CHECK`, so one wrong kernel drops all five.  The
+    the frozen :data:`_SELF_CHECK`, so one wrong kernel drops all seven.  The
     check runs no reference.  ``orbit`` raises MemoryError where it cannot
     allocate its seen-map; ``expansions`` gives, for arrays ``a`` and ``x``,
     the series or continued fraction at each point, or None where it does
-    not converge within :data:`GAMMA_MAX_ITER` terms."""
+    not converge within :data:`GAMMA_MAX_ITER` terms.  ``scatter`` and
+    ``gather`` trust their caller, :mod:`codec`, for the bounds: each flat
+    index on the 2-D sample grid, as many bits as indices, and mark rasters
+    of the grid's rows and ``ceil(columns / 8)`` bytes."""
     lib = library()
     if lib is None:
         return None
@@ -223,7 +247,26 @@ def kernels() -> Kernels | None:
             values = [value if n >= 0 else None for value, n in zip(values, iters.tolist())]
         return values
 
-    compiled = Kernels(orbit, value_counts, difference_counts, pair_sums, expansions)
+    def scatter(samples, flat, bits):
+        stego = np.array(samples, dtype=np.uint8, order="C")
+        flat = np.ascontiguousarray(flat, dtype=np.int64)
+        bits = np.ascontiguousarray(bits, dtype=np.uint8)
+        rows, cols = stego.shape
+        ones = np.empty((rows, (cols + 7) // 8), dtype=np.uint8)
+        zeros = np.zeros_like(ones)
+        lib.scatter(stego.ctypes.data, rows, cols, flat.ctypes.data, bits.ctypes.data, flat.size, ones.ctypes.data,
+                    zeros.ctypes.data)
+        return stego, ones, zeros
+
+    def gather(samples, ones, zeros, flat):
+        samples, ones, zeros = (np.ascontiguousarray(a, dtype=np.uint8) for a in (samples, ones, zeros))
+        flat = np.ascontiguousarray(flat, dtype=np.int64)
+        out = np.empty(flat.size, dtype=np.uint8)
+        lib.gather(samples.ctypes.data, samples.shape[1], ones.ctypes.data, zeros.ctypes.data, flat.ctypes.data,
+                   flat.size, out.ctypes.data)
+        return out
+
+    compiled = Kernels(orbit, value_counts, difference_counts, pair_sums, expansions, scatter, gather)
     return compiled if _check_digest(compiled) == _SELF_CHECK else None
 
 

@@ -250,7 +250,7 @@ def _scaled_q(a: float, x: float, expansion: float | None) -> float:
 
 #: numpy's counters, and no expansion beforehand: :func:`_scaled_q` runs Python's.
 _FALLBACK = _native.Kernels(None, _numpy_value_counts, _numpy_difference_counts, _numpy_pair_sums,
-                            lambda a, x: [None] * a.size)
+                            lambda a, x: [None] * a.size, None, None)
 
 
 def _kernels() -> _native.Kernels:

@@ -268,8 +268,8 @@ def _cmd_embed(args) -> int:
     stego_path, ones_path, zeros_path = _stego_paths(args.out, cover.channels)
     _write_files(
         (stego_path, imagery.save_pnm(bundle.stego)),
-        (ones_path, imagery.save_pbm(bundle.ones)),
-        (zeros_path, imagery.save_pbm(bundle.zeros)),
+        (ones_path, imagery.save_pbm(bundle.ones, cover.flat_cols)),
+        (zeros_path, imagery.save_pbm(bundle.zeros, cover.flat_cols)),
         # The mode tag rides in the public file so extraction needs no flag.
         (args.pub, keymat.format_public_key(coupling, bundle.mode).encode("utf-8")),
     )
@@ -278,12 +278,14 @@ def _cmd_embed(args) -> int:
 
 def _cmd_extract(args) -> int:
     stego = imagery.load_pnm(_read_bytes(args.stego))
-    ones = imagery.load_pbm(_read_bytes(args.ones))
-    zeros = imagery.load_pbm(_read_bytes(args.zeros))
+    ones, ones_cols = imagery.load_pbm(_read_bytes(args.ones))
+    zeros, zeros_cols = imagery.load_pbm(_read_bytes(args.zeros))
     keys = keymat.parse_secret_keys(_read_text(args.secret))
     coupling, mode = keymat.parse_public_key(_read_text(args.pub))
     if mode is None:
         raise ParseError(f"{args.pub}: no mode tag (embed writes one)")
+    codec.check_marks(stego, ones, ones_cols)
+    codec.check_marks(stego, zeros, zeros_cols)
     bundle = codec.StegoBundle(stego, ones, zeros, coupling, mode)
     message = codec.decode_message(codec.extract(bundle, keys))
     if mode != "raw":

@@ -8,7 +8,10 @@ Bits are written into image LSBs at the keyed position stream, and every
 pixel that actually changed is marked by setting the same cell of both
 change-mark matrices to the embedded bit.  Extraction regenerates the
 stream and reads each bit from the matrices where they agree (changed
-pixel) or from the stego LSB where they differ (untouched pixel).
+pixel) or from the stego LSB where they differ (untouched pixel).  The
+matrices are held as the PBM rasters they are saved as, and both steps run
+in the compiled ``scatter`` and ``gather`` of :func:`_native.kernels` where
+it loads, else in :func:`_numpy_scatter` and :func:`_numpy_gather`.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from .chaos import ImageDims
 # Bound under the name perfbench/tracing.py patches to time the orbit.
 from .chaos import select_positions as iter_positions
@@ -133,10 +137,12 @@ def decode_message(payload: MessagePayload):
 class StegoBundle:
     """Everything the recipient receives: stego image, marks, public data.
 
-    ``ones`` and ``zeros`` are the change-mark matrices: uint8 arrays of 0/1
-    cells shaped like ``stego.samples``.  They start all-1 and all-0 (every
-    cell differs); embedding sets both cells of a changed sample to the
-    embedded bit, so equal cells mark a changed sample.
+    ``ones`` and ``zeros`` are the change-mark matrices, one cell per sample
+    of ``stego.samples``, as PBM rasters: ``rows x ceil(cols * channels / 8)``
+    uint8 arrays, each row's cells packed MSB first with padding bits 0.
+    They start all-1 and all-0 (every cell differs); embedding sets both
+    cells of a changed sample to the embedded bit, so equal cells mark a
+    changed sample.
     """
 
     stego: RasterImage
@@ -155,19 +161,8 @@ def embed(
     """Write the payload bits into the cover at the keyed position stream."""
     bits = payload.bits
     flat = iter_positions(keys, coupling, ImageDims(cover.rows, cover.flat_cols), len(bits))
-
-    stego = cover.samples.copy()
-    samples = stego.reshape(-1)
-    old = samples[flat]
-    changed = (old ^ bits) & 1  # 1 where the LSB must flip
-    samples[flat] = old ^ changed
-
-    # A changed sample gets its bit in both marks; an unchanged one 1 and 0.
-    ones = np.ones_like(stego)
-    zeros = np.zeros_like(stego)
-    ones.reshape(-1)[flat] = bits | (changed ^ 1)
-    zeros.reshape(-1)[flat] = bits & changed
-
+    kernels = _native.kernels()
+    stego, ones, zeros = (kernels.scatter if kernels else _numpy_scatter)(cover.samples, flat, bits)
     stego_image = RasterImage(cover.rows, cover.cols, cover.channels, stego)
     return StegoBundle(stego_image, ones, zeros, coupling, payload.mode)
 
@@ -180,12 +175,8 @@ def extract(bundle: StegoBundle, keys: SecretKeySet) -> MessagePayload:
     stego LSB (which under lossless transport equals the cover LSB).
     """
     samples = bundle.stego.samples
-    for m in (bundle.ones, bundle.zeros):
-        if m.shape != samples.shape:
-            raise DimensionMismatch(
-                f"mark matrix of shape {m.shape} does not match the sample grid "
-                f"of shape {samples.shape}"
-            )
+    for marks in (bundle.ones, bundle.zeros):
+        check_marks(bundle.stego, marks, bundle.stego.flat_cols)
 
     header = _recover_bits(bundle, keys, HEADER_BITS)
     declared = _header_value(header)
@@ -205,9 +196,52 @@ def _recover_bits(bundle: StegoBundle, keys: SecretKeySet, count: int) -> np.nda
         flat = iter_positions(keys, bundle.coupling, ImageDims(stego.rows, stego.flat_cols), count)
     except InsufficientCapacity as exc:
         raise ExtractError(f"position stream could not be regenerated: {exc}") from exc
-    ones = bundle.ones.reshape(-1)[flat]
-    zeros = bundle.zeros.reshape(-1)[flat]
-    lsb = stego.samples.reshape(-1)[flat] & 1
+    kernels = _native.kernels()
+    return (kernels.gather if kernels else _numpy_gather)(stego.samples, bundle.ones, bundle.zeros, flat)
+
+
+def check_marks(stego: RasterImage, marks: np.ndarray, cols: int) -> None:
+    """Raise :class:`DimensionMismatch` unless ``marks``, a mark raster of
+    ``cols`` cells to a row as :func:`imagery.load_pbm` returns it, holds one
+    cell per sample of ``stego``.  Packed rows hide the width (250 and 256
+    cells both pack to 32 bytes), so ``cols`` is compared as well as the shape."""
+    shape = (len(marks), cols)
+    if shape != stego.samples.shape:
+        raise DimensionMismatch(
+            f"mark matrix of shape {shape} does not match the sample grid "
+            f"of shape {stego.samples.shape}"
+        )
+    if marks.shape != (shape[0], (cols + 7) // 8):
+        raise DimensionMismatch(f"mark raster of shape {marks.shape} does not pack {cols} cells to a row")
+
+
+def _numpy_scatter(samples: np.ndarray, flat: np.ndarray, bits: np.ndarray):
+    """The stego samples and the ``ones`` and ``zeros`` rasters of writing
+    ``bits`` into the LSBs of the 2-D ``samples`` at the distinct flat
+    indices ``flat``: the reference for ``scatter`` in ``_native.c``, and the
+    fallback where it cannot run."""
+    stego = samples.copy()
+    flat_samples = stego.reshape(-1)
+    old = flat_samples[flat]
+    changed = (old ^ bits) & 1  # 1 where the LSB must flip
+    flat_samples[flat] = old ^ changed
+    # A changed sample gets its bit in both marks; an unchanged one 1 and 0.
+    ones = np.ones_like(stego)
+    zeros = np.zeros_like(stego)
+    ones.reshape(-1)[flat] = bits | (changed ^ 1)
+    zeros.reshape(-1)[flat] = bits & changed
+    return stego, np.packbits(ones, axis=1), np.packbits(zeros, axis=1)
+
+
+def _numpy_gather(samples: np.ndarray, ones: np.ndarray, zeros: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """The bits at the flat indices ``flat`` of the 2-D ``samples``: the
+    shared mark where the ``ones`` and ``zeros`` rasters agree, else the LSB.
+    The reference for ``gather`` in ``_native.c``, and the fallback where it
+    cannot run."""
+    cols = samples.shape[1]
+    ones = np.unpackbits(ones, axis=1, count=cols).reshape(-1)[flat]
+    zeros = np.unpackbits(zeros, axis=1, count=cols).reshape(-1)[flat]
+    lsb = samples.reshape(-1)[flat] & 1
     return np.where(ones == zeros, ones, lsb)
 
 

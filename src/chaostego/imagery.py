@@ -145,23 +145,26 @@ def save_pnm(image: RasterImage) -> bytes:
     return header + image.samples.tobytes()
 
 
-def load_pbm(data: bytes) -> np.ndarray:
+def load_pbm(data: bytes) -> tuple[np.ndarray, int]:
     """Parse a binary PBM (P4): bit-packed rows, MSB first, byte-padded.
 
-    Returns a C-contiguous ``rows x cols`` uint8 array of 0/1 cells.
+    Returns the raster, a read-only ``rows x ceil(cols / 8)`` uint8 view of
+    ``data``, and ``cols``, the width the header declares.  Padding bits are
+    kept as read; nothing here or in :mod:`codec` reads them.
     """
-    packed, cols, _ = _read_netpbm(data, {b"P4": 0}, "bitmap")
-    return np.unpackbits(packed, axis=1, count=cols)
+    raster, cols, _ = _read_netpbm(data, {b"P4": 0}, "bitmap")
+    return raster, cols
 
 
-def save_pbm(marks: np.ndarray) -> bytes:
-    """Emit canonical binary PBM of a 2-D array of 0/1 cells; row padding
-    bits are written as 0."""
-    if not (isinstance(marks, np.ndarray) and marks.ndim == 2 and marks.size
-            and marks.dtype in (np.uint8, np.bool_) and marks.max() <= 1):
-        raise DomainError("a PBM holds a non-empty 2-D uint8 or bool array of 0/1 cells")
-    header = b"P4\n%d %d\n" % (marks.shape[1], marks.shape[0])
-    return header + np.packbits(marks, axis=1).tobytes()
+def save_pbm(raster: np.ndarray, cols: int) -> bytes:
+    """Emit canonical binary PBM of a raster of ``cols`` cells to a row, as
+    :func:`load_pbm` returns it: a non-empty 2-D uint8 array of
+    ``ceil(cols / 8)``-byte rows, written as it is, padding bits included."""
+    if not (isinstance(raster, np.ndarray) and raster.ndim == 2 and raster.size and raster.dtype == np.uint8
+            and isinstance(cols, int) and cols > 0 and raster.shape[1] == (cols + 7) // 8):
+        raise DomainError(f"a PBM of {cols!r} columns holds a non-empty 2-D uint8 raster of its packed rows")
+    header = b"P4\n%d %d\n" % (cols, len(raster))
+    return header + raster.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from chaostego import _native, analysis, chaos
+from chaostego import _native, analysis, chaos, codec
 from chaostego.errors import DomainError
 from chaostego.imagery import RasterImage
 from chaostego.keymat import generate_keys
@@ -85,10 +85,11 @@ def python_expansion(a, x):
 
 def reference_kernels() -> _native.Kernels:
     """The references ``_native._SELF_CHECK`` is frozen from: ``chaos._orbit_python``,
-    numpy's counters and the Python expansions, None where they raise."""
+    numpy's counters, the Python expansions, None where they raise, and codec's numpy marks."""
     return analysis._FALLBACK._replace(
         orbit=chaos._orbit_python,
-        expansions=lambda a, x: [python_expansion(a_k, x_k) for a_k, x_k in zip(a.tolist(), x.tolist())])
+        expansions=lambda a, x: [python_expansion(a_k, x_k) for a_k, x_k in zip(a.tolist(), x.tolist())],
+        scatter=codec._numpy_scatter, gather=codec._numpy_gather)
 
 
 def exchange_supported(directory) -> bool:

@@ -358,7 +358,9 @@ class TestNativeCounts:
         ("difference_counts", lambda found: found + (np.arange(found.size) == 300)),
         ("pair_sums", lambda found: (found[0], found[1] + 1)),
         ("expansions", lambda found: [math.nextafter(found[0], 1.0), *found[1:]]),
-    ], ids=["value_counts", "difference_counts", "pair_sums", "expansions"])
+        ("scatter", lambda found: (found[0], found[1] ^ np.eye(*found[1].shape, dtype=np.uint8), found[2])),
+        ("gather", lambda found: np.concatenate(([found[0] ^ 1], found[1:]))),
+    ], ids=["value_counts", "difference_counts", "pair_sums", "expansions", "scatter", "gather"])
     def test_a_reference_wrong_in_one_part_changes_the_digest(self, part, spoil):
         # One count one too high, or one expansion one ulp off: a reference
         # wrong in any one part must not give the frozen digest.

@@ -189,12 +189,53 @@ class TestEmbedExtract:
         cover = load_pnm((workdir / "cover.pgm").read_bytes())
         bundle = embed(cover, encode_message("a\ud800b", "utf16"), keys, coupling)
         (workdir / "stego.pgm").write_bytes(save_pnm(bundle.stego))
-        (workdir / "stego.ones.pbm").write_bytes(save_pbm(bundle.ones))
-        (workdir / "stego.zeros.pbm").write_bytes(save_pbm(bundle.zeros))
+        (workdir / "stego.ones.pbm").write_bytes(save_pbm(bundle.ones, cover.flat_cols))
+        (workdir / "stego.zeros.pbm").write_bytes(save_pbm(bundle.zeros, cover.flat_cols))
         (workdir / "public.key").write_text(format_public_key(coupling, "utf16"))
         assert self.extract(workdir) == 3
         assert "error: recovered message cannot be written as UTF-8" in capsys.readouterr().err
         assert not (workdir / "recovered.txt").exists()
+
+    @pytest.mark.parametrize("rows, cols, channels, declared", [(16, 256, 1, 250), (64, 2, 3, 2)],
+                             ids=["250-of-256", "pixel-grid"])
+    def test_mark_width_is_checked_not_only_its_bytes(self, workdir, capsys, rows, cols, channels, declared):
+        # 250 and 256 cells pack to 32 bytes a row, and an RGB image's 2
+        # pixels and 6 samples to 1: only the declared width tells them apart.
+        keygen(workdir)
+        cover = random_image(np.random.default_rng(56), rows, cols, channels)
+        (workdir / "cover.pnm").write_bytes(save_pnm(cover))
+        (workdir / "msg.txt").write_bytes(b"hi")
+        assert self.embed(workdir, cover="cover.pnm") == 0
+        stego = "stego.pgm" if channels == 1 else "stego.ppm"
+        zeros = workdir / "stego.zeros.pbm"
+        header = b"P4\n%d %d\n" % (cols * channels, rows)
+        raster = zeros.read_bytes()[len(header):]
+        assert len(raster) == rows * ((declared + 7) // 8)
+        zeros.write_bytes(b"P4\n%d %d\n" % (declared, rows) + raster)
+        assert self.extract(workdir, stego=stego) == 2
+        assert capsys.readouterr().err == (f"error: mark matrix of shape ({rows}, {declared}) does not match the "
+                                           f"sample grid of shape ({rows}, {cols * channels})\n")
+        assert not (workdir / "recovered.txt").exists()
+
+    @pytest.mark.parametrize("rows, cols, channels", [(37, 29, 1), (255, 257, 3)])
+    def test_padding_bits_of_the_marks_are_ignored(self, workdir, orbit_paths, rows, cols, channels):
+        # 29 and 771 cells a row end in 3 and 5 padding bits; set them all.
+        keygen(workdir)
+        cover = random_image(np.random.default_rng(57), rows, cols, channels)
+        (workdir / "cover.pnm").write_bytes(save_pnm(cover))
+        stego = "stego.pgm" if channels == 1 else "stego.ppm"
+        row_bytes, padding = (cols * channels + 7) // 8, (1 << -(cols * channels) % 8) - 1
+        assert self.embed(workdir, cover="cover.pnm") == 0
+        for name in ("stego.ones.pbm", "stego.zeros.pbm"):
+            data = (workdir / name).read_bytes()
+            split = len(data) - rows * row_bytes
+            raster = np.frombuffer(data[split:], np.uint8).reshape(rows, row_bytes).copy()
+            assert not (raster[:, -1] & padding).any()
+            raster[:, -1] |= padding
+            (workdir / name).write_bytes(data[:split] + raster.tobytes())
+        for path in orbit_paths:
+            assert self.extract(workdir, stego=stego, out=f"{path}.txt") == 0
+            assert (workdir / f"{path}.txt").read_bytes() == (workdir / "msg.txt").read_bytes(), path
 
     def test_secrets_never_printed(self, workdir, capsys):
         keygen(workdir)

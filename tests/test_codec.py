@@ -1,11 +1,13 @@
 """Message framing, embedding, extraction, and error-rate measurement."""
 
+import shutil
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from chaostego import codec
+from chaostego import _native, codec
 from chaostego.chaos import ImageDims, select_positions
 from chaostego.codec import (
     HEADER_BITS,
@@ -24,13 +26,18 @@ from chaostego.errors import (
     EncodingError,
     InsufficientCapacity,
 )
-from chaostego.imagery import RasterImage, flip_count
+from chaostego.imagery import RasterImage, flip_count, load_pbm, save_pbm
 from chaostego.keymat import PublicCoupling, SecretKeySet
-from conftest import random_image
+from conftest import native_source_copy, random_image, reference_kernels
 
 
 def bits_of(value, width):
     return [(value >> i) & 1 for i in range(width - 1, -1, -1)]
+
+
+def cells(raster, bundle):
+    """The mark raster ``raster`` of ``bundle`` as one 0/1 cell per sample."""
+    return np.unpackbits(raster, axis=1, count=bundle.stego.flat_cols)
 
 
 class TestEncodeMessage:
@@ -145,8 +152,7 @@ class TestEmbed:
         payload = encode_message("", "ascii7")  # all bits 0
         bundle = embed(cover, payload, keys, coupling)
         assert bundle.stego == cover
-        assert np.all(bundle.ones == 1)
-        assert np.all(bundle.zeros == 0)
+        assert np.all(bundle.ones == 0xFF) and np.all(bundle.zeros == 0)
 
     def test_flips_equal_one_bits_on_zero_cover(self, live_keys):
         # On an all-zero cover every 1-bit forces a flip and every 0-bit
@@ -162,7 +168,7 @@ class TestEmbed:
 
         all_bits = header + body
         assert flip_count(cover, bundle.stego) == sum(all_bits)
-        marked = bundle.ones == bundle.zeros
+        marked = cells(bundle.ones, bundle) == cells(bundle.zeros, bundle)
         flat = select_positions(keys, coupling, ImageDims(128, 128), len(all_bits))
         one_cells = np.sort(flat[np.array(all_bits) == 1])
         assert np.array_equal(np.flatnonzero(marked), one_cells)
@@ -174,13 +180,14 @@ class TestEmbed:
         payload = encode_message(b"\x37" * 400, "raw")
         bundle = embed(cover, payload, keys, coupling)
 
+        ones, zeros = cells(bundle.ones, bundle), cells(bundle.zeros, bundle)
         changed_pixels = np.argwhere(cover.samples != bundle.stego.samples)
-        marked = np.argwhere(bundle.ones == bundle.zeros)
+        marked = np.argwhere(ones == zeros)
         assert {tuple(x) for x in changed_pixels} == {tuple(x) for x in marked}
         # untouched cells keep ones=1, zeros=0
-        untouched = bundle.ones != bundle.zeros
-        assert np.all(bundle.ones[untouched] == 1)
-        assert np.all(bundle.zeros[untouched] == 0)
+        untouched = ones != zeros
+        assert np.all(ones[untouched] == 1)
+        assert np.all(zeros[untouched] == 0)
         # pure LSB embedding: no sample moved by more than one level
         delta = np.abs(cover.samples.astype(int) - bundle.stego.samples.astype(int))
         assert delta.max() <= 1
@@ -257,7 +264,7 @@ class TestExtract:
         assert got.mode == payload.mode and np.array_equal(got.bits, payload.bits)
         assert decode_message(got) == "round trip me"
 
-    def test_bit_rule_reads_marks_at_changed_cells(self):
+    def test_bit_rule_reads_marks_at_changed_cells(self, orbit_paths):
         # 5x5 grid: at the marked cells (1-based (row, col)) the two mark
         # matrices agree and the bit comes from them; everywhere else they
         # differ and the bit comes from the stego LSB.
@@ -267,11 +274,53 @@ class TestExtract:
         for r, c in marked_cells:
             ones[r - 1, c - 1] = zeros[r - 1, c - 1] = 1  # embedded bit was 1
         stego = np.zeros((5, 5), dtype=np.uint8)  # every LSB reads 0
-        bits_by_source = np.where(ones == zeros, ones, stego & 1)
-        for r in range(1, 6):
-            for c in range(1, 6):
-                expected = 1 if (r, c) in marked_cells else 0
-                assert bits_by_source[r - 1, c - 1] == expected
+        for path in orbit_paths:
+            gather = (_native.kernels() or reference_kernels()).gather
+            bits_by_source = gather(stego, np.packbits(ones, axis=1), np.packbits(zeros, axis=1), np.arange(25))
+            for r in range(1, 6):
+                for c in range(1, 6):
+                    expected = 1 if (r, c) in marked_cells else 0
+                    assert bits_by_source[(r - 1) * 5 + c - 1] == expected, path
+
+    @settings(max_examples=150, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        rows=st.integers(1, 40),
+        cols=st.integers(1, 70),
+        channels=st.sampled_from([1, 3]),
+        fill=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mark_kernels_equal_the_numpy_references(self, rows, cols, channels, fill, seed, orbit_paths):
+        # Odd widths put padding bits in every row; one bit to every cell.
+        rng = np.random.default_rng(seed)
+        cover = random_image(rng, rows, cols, channels).samples
+        size = cover.size
+        flat = rng.permutation(size)[: max(1, round(fill * size))]
+        bits = rng.integers(0, 2, flat.size, dtype=np.uint8)
+        references = reference_kernels()
+        stego, ones, zeros = references.scatter(cover, flat, bits)
+        probe = rng.permutation(size)  # every cell, in an order of its own
+        for path in orbit_paths:
+            kernels = _native.kernels() or references
+            got = kernels.scatter(cover, flat, bits)
+            for a, b in zip(got, (stego, ones, zeros)):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), path
+            # The cover's LSBs disagree with the bits where the marks agree.
+            assert kernels.gather(cover, ones, zeros, probe).tobytes() == \
+                references.gather(cover, ones, zeros, probe).tobytes(), path
+            assert np.array_equal(kernels.gather(stego, ones, zeros, flat), bits), path
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+    @pytest.mark.parametrize("old, new", [
+        ("zeros[q >> 3] | (mask & -(changed & bit))", "zeros[q >> 3] | (mask & -bit)"),  # unchanged 1s marked
+        ("return pad ? p + p / cols * pad : p;", "return p;"),  # rows with padding bits misaddressed
+        ("out[k] = (uint8_t)(lsb ^ ((lsb ^ one) & ~(one ^ zero)));", "out[k] = (uint8_t)(lsb | one & zero);"),
+    ], ids=["scatter", "mark-bit", "gather"])
+    def test_falls_back_when_a_mark_kernel_is_wrong(self, tmp_path, monkeypatch, uncached_library, old, new):
+        # The self-check drops the whole set, as for the other kernels.
+        monkeypatch.setattr(_native, "_SOURCE", native_source_copy(tmp_path, old, new))
+        assert _native.kernels.__wrapped__() is None
 
     def test_corruption_at_unchanged_positions_is_predictable(self, live_keys):
         # Simulated lossy transport: flip stego LSBs at a known subset of
@@ -285,7 +334,7 @@ class TestExtract:
 
         n = len(payload.bits)
         flat = select_positions(keys, coupling, ImageDims(64, 64), n)
-        marked = (bundle.ones == bundle.zeros).ravel()
+        marked = (cells(bundle.ones, bundle) == cells(bundle.zeros, bundle)).ravel()
         unchanged_payload_idx = [i for i in range(HEADER_BITS, n) if not marked[flat[i]]]
         victims = unchanged_payload_idx[::3]
         corrupted = bundle.stego.samples.copy()
@@ -307,8 +356,8 @@ class TestExtract:
         samples = stego.samples.copy()
         claim = [(1 << 20 >> i) & 1 for i in range(31, -1, -1)]
         samples.reshape(-1)[flat] = claim
-        bundle = StegoBundle(RasterImage(8, 8, 1, samples), np.ones((8, 8), dtype=np.uint8),
-                             np.zeros((8, 8), dtype=np.uint8), coupling, "raw")
+        bundle = StegoBundle(RasterImage(8, 8, 1, samples), np.full((8, 1), 0xFF, dtype=np.uint8),
+                             np.zeros((8, 1), dtype=np.uint8), coupling, "raw")
         from chaostego.errors import ExtractError
         with pytest.raises(ExtractError):
             extract(bundle, keys)
@@ -316,25 +365,32 @@ class TestExtract:
     def test_mismatched_side_matrices_rejected(self, live_keys):
         keys, coupling = live_keys
         stego = RasterImage(8, 8, 1, np.zeros(64, dtype=np.uint8))
-        ones, zeros = np.ones((4, 4), dtype=np.uint8), np.zeros((4, 4), dtype=np.uint8)
+        ones, zeros = np.full((4, 1), 0xFF, dtype=np.uint8), np.zeros((4, 1), dtype=np.uint8)
         with pytest.raises(DimensionMismatch):
             extract(StegoBundle(stego, ones, zeros, coupling, "raw"), keys)
+        with pytest.raises(DimensionMismatch, match=r"raster of shape \(8, 2\) does not pack 8 cells"):
+            extract(StegoBundle(stego, np.full((8, 2), 0xFF, dtype=np.uint8), np.zeros((8, 1), dtype=np.uint8),
+                                coupling, "raw"), keys)
 
-    def test_mark_shape_mismatch_names_both_shapes(self, live_keys):
-        keys, coupling = live_keys
+    def test_mark_shape_mismatch_names_both_shapes(self):
+        # A pixel-grid PBM of an RGB image packs to the sample grid's bytes:
+        # 2 and 6 cells are one byte a row, so only the declared width tells.
         stego = RasterImage(4, 2, 3, np.zeros(24, dtype=np.uint8))
-        ones = np.ones((4, 6), dtype=np.uint8)
-        zeros = np.zeros((4, 2), dtype=np.uint8)  # pixel grid, not sample grid
+        raster, cols = load_pbm(save_pbm(np.zeros((4, 1), dtype=np.uint8), 2))  # pixel grid, not sample grid
+        codec.check_marks(stego, raster, 6)
         with pytest.raises(DimensionMismatch, match=r"shape \(4, 2\) .* shape \(4, 6\)"):
-            extract(StegoBundle(stego, ones, zeros, coupling, "raw"), keys)
+            codec.check_marks(stego, raster, cols)
 
-    def test_marks_are_uint8_arrays_shaped_like_the_samples(self, live_keys):
+    def test_marks_are_pbm_rasters_of_the_sample_grid(self, live_keys):
         keys, coupling = live_keys
-        cover = random_image(np.random.default_rng(18), 24, 16, channels=3)
-        bundle = embed(cover, encode_message("marks", "ascii7"), keys, coupling)
-        for m in (bundle.ones, bundle.zeros):
-            assert m.dtype == np.uint8 and m.shape == bundle.stego.samples.shape == (24, 48)
-            assert m.flags.c_contiguous
+        for cols in (16, 13):  # 48 samples to a row, and 39: a row of 5 bytes ends in a padding bit
+            cover = random_image(np.random.default_rng(18), 24, cols, channels=3)
+            bundle = embed(cover, encode_message("marks", "ascii7"), keys, coupling)
+            for m in (bundle.ones, bundle.zeros):
+                assert m.dtype == np.uint8 and m.shape == (24, (3 * cols + 7) // 8)
+                assert m.flags.c_contiguous
+            if cols == 13:
+                assert np.all(bundle.ones[:, -1] & 1 == 0) and np.all(bundle.zeros[:, -1] & 1 == 0)
 
     @pytest.mark.parametrize("mode,message", [
         ("ascii7", "plain ASCII text"),

@@ -160,8 +160,8 @@ def test_embed_file_bytes(rows, cols, channels, orbit_paths):
         bundle = embed(cover, payload, keys, coupling)
         got = (
             sha256(save_pnm(bundle.stego)),
-            sha256(save_pbm(bundle.ones)),
-            sha256(save_pbm(bundle.zeros)),
+            sha256(save_pbm(bundle.ones, cover.flat_cols)),
+            sha256(save_pbm(bundle.zeros, cover.flat_cols)),
         )
         assert got == EMBED_SHA256[channels], path
 

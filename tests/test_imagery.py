@@ -29,9 +29,9 @@ images = st.builds(
     st.integers(1, 12), st.integers(1, 12), st.sampled_from([1, 3]), st.integers(0, 2**32 - 1),
 )
 
-matrices = st.builds(
-    lambda rows, cols, seed: np.random.default_rng(seed).integers(
-        0, 2, (rows, cols), dtype=np.uint8
+rasters = st.builds(
+    lambda rows, cols, seed: (
+        np.random.default_rng(seed).integers(0, 256, (rows, (cols + 7) // 8), dtype=np.uint8), cols
     ),
     st.integers(1, 10), st.integers(1, 21), st.integers(0, 2**32 - 1),
 )
@@ -134,19 +134,21 @@ class TestSavePnm:
 
 class TestPbm:
     def test_bit_order_msb_first(self):
-        m = load_pbm(b"P4\n8 1\n" + bytes([0b10110000]))
-        assert m.ravel().tolist() == [1, 0, 1, 1, 0, 0, 0, 0]
+        raster, cols = load_pbm(b"P4\n8 1\n" + bytes([0b10110000]))
+        assert cols == 8 and np.unpackbits(raster).tolist() == [1, 0, 1, 1, 0, 0, 0, 0]
 
     def test_row_padding(self):
-        m = np.array([[1, 1, 0, 1, 1]], dtype=np.uint8)
-        data = save_pbm(m)
+        m = np.packbits(np.array([[1, 1, 0, 1, 1]], dtype=np.uint8), axis=1)
+        data = save_pbm(m, 5)
         assert data == b"P4\n5 1\n" + bytes([0b11011000])  # 3 zero padding bits
-        assert np.array_equal(load_pbm(data), m)
+        raster, cols = load_pbm(data)
+        assert cols == 5 and np.array_equal(raster, m)
 
     def test_padding_ignored_on_read(self):
-        # Same matrix with padding bits set: values beyond col 5 are dropped.
-        m = load_pbm(b"P4\n5 1\n" + bytes([0b11011111]))
-        assert m.ravel().tolist() == [1, 1, 0, 1, 1]
+        # Same matrix with padding bits set: no rule refuses them, and only
+        # the declared 5 columns are cells (codec never reads the rest).
+        raster, cols = load_pbm(b"P4\n5 1\n" + bytes([0b11011111]))
+        assert np.unpackbits(raster, axis=1, count=cols).ravel().tolist() == [1, 1, 0, 1, 1]
 
     def test_malformed_rejected(self):
         with pytest.raises(ParseError):
@@ -161,41 +163,46 @@ class TestPbm:
             load_pbm(b"P4\n8 1#c\n\x80")
 
     def test_accepted_header_form(self):
-        m = load_pbm(b"P4 #c\n8#c\n1\n\x80")
-        assert m.tolist() == [[1, 0, 0, 0, 0, 0, 0, 0]]
+        raster, cols = load_pbm(b"P4 #c\n8#c\n1\n\x80")
+        assert cols == 8 and raster.tolist() == [[0x80]]
 
     @settings(max_examples=60)
-    @given(matrices)
-    def test_round_trip_identity(self, m):
-        assert np.array_equal(load_pbm(save_pbm(m)), m)
+    @given(rasters)
+    def test_round_trip_identity(self, marks):
+        raster, cols = load_pbm(save_pbm(*marks))
+        assert cols == marks[1] and np.array_equal(raster, marks[0])
 
     def test_load_returns_contiguous_uint8_grid(self):
-        m = load_pbm(b"P4\n5 2\n" + bytes([0b10100000, 0b01011000]))
-        assert m.shape == (2, 5) and m.dtype == np.uint8
-        assert m.flags.c_contiguous and m.flags.writeable
-        assert m.tolist() == [[1, 0, 1, 0, 0], [0, 1, 0, 1, 1]]
+        # The raster is the file's own bytes, one row of 5 cells per byte.
+        raster, cols = load_pbm(b"P4\n5 2\n" + bytes([0b10100000, 0b01011000]))
+        assert raster.shape == (2, 1) and raster.dtype == np.uint8 and cols == 5
+        assert raster.flags.c_contiguous and not raster.flags.writeable
+        assert raster.tolist() == [[0b10100000], [0b01011000]]
 
     @pytest.mark.parametrize(
         "marks",
         [
-            [[0, 1]],                               # not an array
-            np.zeros(4, dtype=np.uint8),            # 1-D
-            np.zeros((1, 2, 2), dtype=np.uint8),    # 3-D
-            np.zeros((0, 3), dtype=np.uint8),       # empty
-            np.array([[0, 2]], dtype=np.uint8),     # cell above 1
-            np.array([[0, 1]], dtype=np.int64),     # wider than uint8
-            np.array([[0.0, 1.0]]),                 # not integers
+            ([[0, 1]], 16),                                  # not an array
+            (np.zeros(4, dtype=np.uint8), 32),               # 1-D
+            (np.zeros((1, 2, 2), dtype=np.uint8), 16),       # 3-D
+            (np.zeros((0, 1), dtype=np.uint8), 8),           # empty
+            (np.zeros((1, 2), dtype=np.uint8), 8),           # rows longer than 8 columns pack to
+            (np.zeros((1, 1), dtype=np.int64), 8),           # wider than uint8
+            (np.zeros((1, 1), dtype=bool), 8),               # cells, not a raster
+            (np.zeros((1, 1), dtype=np.uint8), 9),           # rows shorter than 9 columns pack to
+            (np.zeros((1, 1), dtype=np.uint8), 0),           # no columns
+            (np.zeros((1, 1), dtype=np.uint8), 8.0),         # a width that is not an integer
         ],
     )
     def test_save_rejects_non_bit_matrices(self, marks):
         with pytest.raises(DomainError):
-            save_pbm(marks)
+            save_pbm(*marks)
 
-    def test_save_takes_bool_cells(self):
-        cells = [[1, 0, 1, 1, 0, 0, 0, 0, 1]]
-        expected = b"P4\n9 1\n" + bytes([0b10110000, 0b10000000])
-        assert save_pbm(np.array(cells, dtype=bool)) == expected
-        assert save_pbm(np.array(cells, dtype=np.uint8)) == expected
+    def test_save_writes_the_raster_as_given(self):
+        # Nine cells a row: the header declares 9, and the bytes, padding
+        # bits included, are the raster's.
+        raster = np.array([[0b10110000, 0b10000000], [0, 0b01111111]], dtype=np.uint8)
+        assert save_pbm(raster, 9) == b"P4\n9 2\n" + bytes([0b10110000, 0b10000000, 0, 0b01111111])
 
 
 class TestFlipCount:

@@ -2,8 +2,8 @@
 every name it lists under a module exists there, its shell examples are
 valid invocations, each module uses what it imports, the CLI keeps paths
 as strings, only ``_native`` builds, loads or checks C, declares every C function
-it exports and falls back without any one of them, every C source ships
-with the package, and the benchmark evidence at the repository root comes
+it exports and falls back without any one of them, compiles without a
+warning, every C source ships with the package, and the benchmark evidence at the repository root comes
 in complete, paired files."""
 
 import ast
@@ -11,6 +11,8 @@ import importlib
 import json
 import re
 import shlex
+import shutil
+import subprocess
 import tomllib
 import types
 from pathlib import Path
@@ -157,7 +159,8 @@ def test_native_declares_exactly_the_exported_c_functions():
     for node in ast.walk(library):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute):
             declared.get(node.attr, set()).add(node.value.attr)
-    assert exported >= {"orbit", "count_values", "count_differences", "pair_sums", "gamma_expansions"}
+    assert exported >= {"orbit", "count_values", "count_differences", "pair_sums", "gamma_expansions", "scatter",
+                        "gather"}
     assert declared["argtypes"] == declared["restype"] == exported
 
 
@@ -169,6 +172,16 @@ def test_library_lacking_a_kernel_falls_back(name, tmp_path, monkeypatch, uncach
     monkeypatch.setattr(_native, "_SOURCE", native_source_copy(tmp_path, "\n" + head, "\nstatic " + head))
     assert _native.library() is None
     assert _native.kernels.__wrapped__() is None
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_native_source_compiles_without_a_warning(tmp_path):
+    # The mark kernels do uint8 mask arithmetic, where integer promotion
+    # can hide a bug that -Wconversion names.
+    flags = [*_native._CFLAGS, "-Wall", "-Wextra", "-Wconversion", "-Werror"]
+    out = subprocess.run(["cc", *flags, "-o", str(tmp_path / "native.so"), str(_native._SOURCE)],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
 
 
 def test_bench_files_are_named_correct_and_paired():
