@@ -2,8 +2,8 @@
 whether its kernels may run: the orbit of :mod:`chaos`, the four grading
 kernels of :mod:`analysis` and the two mark kernels of :mod:`codec` are
 wrapped as one :class:`Kernels` record, which :func:`kernels` keeps only if it
-reproduces the references' bits on fixed check inputs, so all seven run or
-all seven fall back.
+reproduces the bits of :func:`reference` on fixed check inputs, so all seven
+run or all seven references do.
 Also takes ``renameat2`` from the C library, for :func:`exchange`."""
 
 import ctypes
@@ -99,9 +99,8 @@ def _build(source: Path) -> Path:
 
 class Kernels(NamedTuple):
     """The seven computations of ``_native.c`` with numpy arguments and
-    results: :func:`kernels` wraps the compiled ones, and :mod:`chaos`,
-    :mod:`analysis` and :mod:`codec` hold the references that run where those
-    do not."""
+    results: :func:`kernels` wraps the compiled ones, and :func:`reference`
+    the references of :mod:`chaos`, :mod:`analysis` and :mod:`codec`."""
 
     orbit: Callable
     value_counts: Callable
@@ -184,17 +183,27 @@ def _check_digest(kernels: Kernels) -> str:
     return hashlib.sha256(b"".join(np.asarray(part, dtype).tobytes() for part, dtype in parts)).hexdigest()
 
 
-#: :func:`_check_digest` of the references: ``chaos._orbit_python``, numpy's counters, the
-#: Python expansions, None where they raise, and codec's numpy marks.  Re-freeze it from them,
-#: never from the kernels.
+#: :func:`_check_digest` of :func:`reference`.  Re-freeze it from the references, never from the kernels.
 _SELF_CHECK = "16110f4e8a4e1894a10482ea3003bd6aefd026408137e7eefbc2c9c5e3b62b1a"
 
 
 @functools.cache
-def kernels() -> Kernels | None:
-    """The kernels of :func:`library` as a :class:`Kernels`, or None: None
-    where there is no library, or where their :func:`_check_digest` is not
-    the frozen :data:`_SELF_CHECK`, so one wrong kernel drops all seven.  The
+def reference() -> Kernels:
+    """The references, which run where the compiled kernels do not:
+    ``chaos._orbit_python``, analysis's numpy counters and Python expansions,
+    None where they raise, and codec's numpy marks."""
+    from . import analysis, chaos, codec  # each imports this module
+
+    return Kernels(chaos._orbit_python, analysis._numpy_value_counts, analysis._numpy_difference_counts,
+                   analysis._numpy_pair_sums, analysis._python_expansions, codec._numpy_scatter,
+                   codec._numpy_gather)
+
+
+@functools.cache
+def kernels() -> Kernels:
+    """The kernels of :func:`library` as a :class:`Kernels`, or :func:`reference`
+    where there is no library or their :func:`_check_digest` is not the
+    frozen :data:`_SELF_CHECK`, so one wrong kernel drops all seven.  The
     check runs no reference.  ``orbit`` raises MemoryError where it cannot
     allocate its seen-map; ``expansions`` gives, for arrays ``a`` and ``x``,
     the series or continued fraction at each point, or None where it does
@@ -204,7 +213,7 @@ def kernels() -> Kernels | None:
     of the grid's rows and ``ceil(columns / 8)`` bytes."""
     lib = library()
     if lib is None:
-        return None
+        return reference()
 
     def orbit(x, y, alpha1, alpha2, r, rows, cols, count, cap):
         out = np.empty(count, dtype=np.int64)
@@ -267,7 +276,7 @@ def kernels() -> Kernels | None:
         return out
 
     compiled = Kernels(orbit, value_counts, difference_counts, pair_sums, expansions, scatter, gather)
-    return compiled if _check_digest(compiled) == _SELF_CHECK else None
+    return compiled if _check_digest(compiled) == _SELF_CHECK else reference()
 
 
 @functools.cache

@@ -10,8 +10,8 @@ The histograms, the attack's statistic over every prefix, PSNR's sums and
 the attack's gamma expansions come from four compiled kernels of
 ``_native.c`` where :func:`_native.kernels` keeps them, checked with the
 orbit as one set against one digest frozen from the references: numpy's
-counters and the Python expansions here.  Where not, those compute the
-same values.  One value counter serves both the value histogram and the attack.
+counters and the Python expansions here, which :func:`_native.reference`
+runs where the kernels do not.  One value counter serves both the value histogram and the attack.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def psnr(cover: RasterImage, stego: RasterImage, payload_bits: int | None = None
     counter reads the samples in place, and the numpy fallback
     (:func:`_numpy_pair_sums`) holds about 3 bytes per sample.
     """
-    squares, flips = _kernels().pair_sums(cover, stego)
+    squares, flips = _native.kernels().pair_sums(cover, stego)
     hc = None
     if payload_bits is not None:
         if payload_bits < 0:
@@ -141,7 +141,7 @@ def histogram_entropy(image: RasterImage) -> float:
     working memory is fixed: 2 KB of counts, plus 256 KB on the fallback.
     """
     flat = image.samples.ravel()
-    hist, _, _ = _kernels().value_counts(flat, np.array([0, flat.size]))
+    hist, _, _ = _native.kernels().value_counts(flat, np.array([0, flat.size]))
     return _entropy_bits(hist)
 
 
@@ -156,7 +156,7 @@ def neighbor_diff_entropy(image: RasterImage) -> float:
     """
     if image.cols < 2:
         raise DomainError("neighbor differences need at least 2 columns")
-    return _entropy_bits(_kernels().difference_counts(image.samples, image.channels))
+    return _entropy_bits(_native.kernels().difference_counts(image.samples, image.channels))
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +224,18 @@ def _expansion(a: float, x: float) -> float:
     return _lower_series(a, x) if x < a + 1.0 else _upper_continued_fraction(a, x)
 
 
+def _python_expansions(a: np.ndarray, x: np.ndarray) -> list[float | None]:
+    """:func:`_expansion` at each point of the arrays ``a`` and ``x``, None
+    where it does not converge: the reference for ``gamma_expansions`` in ``_native.c``."""
+    found: list[float | None] = []
+    for a_k, x_k in zip(a.tolist(), x.tolist()):
+        try:
+            found.append(_expansion(a_k, x_k))
+        except DomainError:
+            found.append(None)
+    return found
+
+
 def _scaled_q(a: float, x: float, expansion: float | None) -> float:
     """:func:`gamma_q` past its domain checks.  ``expansion`` is the value of
     :func:`_expansion` at ``(a, x)``, computed beforehand, or None to compute
@@ -245,20 +257,6 @@ def _scaled_q(a: float, x: float, expansion: float | None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The computations, compiled or not
-# ---------------------------------------------------------------------------
-
-#: numpy's counters, and no expansion beforehand: :func:`_scaled_q` runs Python's.
-_FALLBACK = _native.Kernels(None, _numpy_value_counts, _numpy_difference_counts, _numpy_pair_sums,
-                            lambda a, x: [None] * a.size, None, None)
-
-
-def _kernels() -> _native.Kernels:
-    """The compiled kernels where :func:`_native.kernels` keeps them, else :data:`_FALLBACK`."""
-    return _native.kernels() or _FALLBACK
-
-
-# ---------------------------------------------------------------------------
 # Chi-square pair-of-values attack
 # ---------------------------------------------------------------------------
 
@@ -277,8 +275,8 @@ def chi_square_attack(image: RasterImage, step_percent: int) -> list[AttackPoint
     histograms segment by segment and sums each prefix's included pair
     terms in numpy's order, so either path gives the same bits.  One call
     to ``expansions`` (:func:`_native.kernels`) then gives each prefix's
-    series or continued fraction, or None for Python to run it; Python keeps
-    the rest of :func:`gamma_q`, so the p-values keep its bits and its errors.
+    series or continued fraction, or None where it does not converge; Python
+    keeps the rest of :func:`gamma_q`, so the p-values keep its bits and its errors.
     """
     if not (1 <= step_percent <= 100):
         raise DomainError("step_percent must lie in [1, 100]")
@@ -288,7 +286,7 @@ def chi_square_attack(image: RasterImage, step_percent: int) -> list[AttackPoint
     if percents[-1] != 100:
         percents.append(100)
     bounds = np.array([0] + [(total * t) // 100 for t in percents], dtype=np.int64)
-    kernels = _kernels()
+    kernels = _native.kernels()
     _, chis, pairs = kernels.value_counts(flat, bounds)
     dofs = pairs - 1
     # Both halvings are exact: a = dof / 2.0 and x = chi / 2.0.

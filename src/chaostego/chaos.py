@@ -177,7 +177,7 @@ def select_positions(keys: SecretKeySet, coupling: PublicCoupling, dims: ImageDi
 
     Returns flat indices ``(row-1)*cols + (col-1)`` into the row-major
     ``rows x cols`` grid as a 1-D int64 array.  The orbit runs in the
-    compiled kernel where :func:`_native.kernels` keeps it, else in
+    ``orbit`` of :func:`_native.kernels`: the compiled kernel, or
     :func:`_orbit_python`, which steps through :func:`coupled_step`;
     both perform the same binary64 operations in the same order, and the
     tests pin both to the same frozen streams.  Raises
@@ -202,9 +202,7 @@ def select_positions(keys: SecretKeySet, coupling: PublicCoupling, dims: ImageDi
     if count == 0:
         return np.empty(0, dtype=np.int64)
     cap = iteration_cap(ImageDims(rows, cols))
-    kernels = _native.kernels()
-    orbit = kernels.orbit if kernels else _orbit_python
-    found = orbit(x, y, keys.alpha1, keys.alpha2, r, rows, cols, count, cap)
+    found = _native.kernels().orbit(x, y, keys.alpha1, keys.alpha2, r, rows, cols, count, cap)
     if len(found) < count:
         raise InsufficientCapacity(
             "position generator exhausted its iteration cap "

@@ -10,8 +10,8 @@ change-mark matrices to the embedded bit.  Extraction regenerates the
 stream and reads each bit from the matrices where they agree (changed
 pixel) or from the stego LSB where they differ (untouched pixel).  The
 matrices are held as the PBM rasters they are saved as, and both steps run
-in the compiled ``scatter`` and ``gather`` of :func:`_native.kernels` where
-it loads, else in :func:`_numpy_scatter` and :func:`_numpy_gather`.
+in the ``scatter`` and ``gather`` of :func:`_native.kernels`: the compiled
+kernels, or :func:`_numpy_scatter` and :func:`_numpy_gather`.
 """
 
 from __future__ import annotations
@@ -161,8 +161,7 @@ def embed(
     """Write the payload bits into the cover at the keyed position stream."""
     bits = payload.bits
     flat = iter_positions(keys, coupling, ImageDims(cover.rows, cover.flat_cols), len(bits))
-    kernels = _native.kernels()
-    stego, ones, zeros = (kernels.scatter if kernels else _numpy_scatter)(cover.samples, flat, bits)
+    stego, ones, zeros = _native.kernels().scatter(cover.samples, flat, bits)
     stego_image = RasterImage(cover.rows, cover.cols, cover.channels, stego)
     return StegoBundle(stego_image, ones, zeros, coupling, payload.mode)
 
@@ -196,8 +195,7 @@ def _recover_bits(bundle: StegoBundle, keys: SecretKeySet, count: int) -> np.nda
         flat = iter_positions(keys, bundle.coupling, ImageDims(stego.rows, stego.flat_cols), count)
     except InsufficientCapacity as exc:
         raise ExtractError(f"position stream could not be regenerated: {exc}") from exc
-    kernels = _native.kernels()
-    return (kernels.gather if kernels else _numpy_gather)(stego.samples, bundle.ones, bundle.zeros, flat)
+    return _native.kernels().gather(stego.samples, bundle.ones, bundle.zeros, flat)
 
 
 def check_marks(stego: RasterImage, marks: np.ndarray, cols: int) -> None:

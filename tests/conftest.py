@@ -3,8 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from chaostego import _native, analysis, chaos, codec
-from chaostego.errors import DomainError
+from chaostego import _native
 from chaostego.imagery import RasterImage
 from chaostego.keymat import generate_keys
 
@@ -57,39 +56,11 @@ class Paths:
 
 
 @pytest.fixture
-def orbit_paths(monkeypatch):
+def kernel_paths(monkeypatch):
     """The compiled kernels of ``_native.kernels`` (where they loaded), then
-    none, so the orbit is ``chaos._orbit_python``, the step functions
-    composed: see :class:`Paths`."""
-    return Paths(monkeypatch, _native, "kernels", lambda: _native.kernels() is not None, lambda: None,
-                 ("native", "python"))
-
-
-@pytest.fixture
-def analysis_paths(monkeypatch):
-    """The compiled kernels of ``_native.kernels`` (where they loaded), then
-    none, so grading runs numpy's counters and the Python gamma expansions:
-    see :class:`Paths`."""
-    return Paths(monkeypatch, _native, "kernels", lambda: _native.kernels() is not None, lambda: None,
-                 ("native", "numpy"))
-
-
-def python_expansion(a, x):
-    """The Python series (x < a + 1) or continued fraction at ``(a, x)``, or
-    None where it does not converge."""
-    try:
-        return analysis._expansion(a, x)
-    except DomainError:
-        return None
-
-
-def reference_kernels() -> _native.Kernels:
-    """The references ``_native._SELF_CHECK`` is frozen from: ``chaos._orbit_python``,
-    numpy's counters, the Python expansions, None where they raise, and codec's numpy marks."""
-    return analysis._FALLBACK._replace(
-        orbit=chaos._orbit_python,
-        expansions=lambda a, x: [python_expansion(a_k, x_k) for a_k, x_k in zip(a.tolist(), x.tolist())],
-        scatter=codec._numpy_scatter, gather=codec._numpy_gather)
+    ``_native.reference``: see :class:`Paths`."""
+    return Paths(monkeypatch, _native, "kernels", lambda: _native.kernels() is not _native.reference(),
+                 _native.reference, ("native", "reference"))
 
 
 def exchange_supported(directory) -> bool:

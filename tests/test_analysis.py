@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from chaostego.cli import (
 from chaostego.codec import embed, encode_message
 from chaostego.errors import CapacityError, DimensionMismatch, DomainError
 from chaostego.imagery import RasterImage
-from conftest import native_source_copy, python_expansion, random_image, reference_kernels
+from conftest import native_source_copy, random_image
 
 
 def gray(rows, cols, values):
@@ -128,8 +129,8 @@ class TestPsnr:
         assert psnr(img, img, payload_bits=2).hiding_capacity_bpp == 0.5
         assert psnr(img, img).hiding_capacity_bpp is None
 
-    def test_dimension_mismatch(self, analysis_paths):
-        for kernels in analysis_paths:
+    def test_dimension_mismatch(self, kernel_paths):
+        for path in kernel_paths:
             with pytest.raises(DimensionMismatch):
                 psnr(gray(1, 2, [0, 0]), gray(2, 1, [0, 0]))
             # Either bad payload_bits alone raises another error; the pair is checked first.
@@ -138,7 +139,7 @@ class TestPsnr:
                     psnr(gray(1, 4, [0] * 4), gray(1, 2, [0, 0]), payload_bits=payload_bits)
             # The pair sums check the pair themselves: the kernel reads as many samples from each.
             with pytest.raises(DimensionMismatch):
-                analysis._kernels().pair_sums(gray(1, 4, [0] * 4), gray(1, 2, [0, 0]))
+                _native.kernels().pair_sums(gray(1, 4, [0] * 4), gray(1, 2, [0, 0]))
 
     @pytest.mark.parametrize("cover, stego, sums", [
         (gray(4, 4, [0] * 16), gray(4, 4, [255] * 16), (16 * 255 ** 2, 16)),
@@ -147,14 +148,14 @@ class TestPsnr:
         (gray(1, 1, [7]), gray(1, 1, [7]), (0, 0)),
         (RasterImage(1, 2, 3, [0, 1, 2, 255, 4, 5]), RasterImage(1, 2, 3, [0, 2, 0, 0, 4, 5]), (1 + 4 + 255 ** 2, 3)),
     ])
-    def test_pair_sums_on_both_count_paths(self, cover, stego, sums, analysis_paths):
+    def test_pair_sums_on_both_count_paths(self, cover, stego, sums, kernel_paths):
         # All-0 against all-255 (the largest square), a 1x1 image, RGB, and
         # equal images.
-        for kernels in analysis_paths:
-            assert analysis._kernels().pair_sums(cover, stego) == sums, kernels
+        for path in kernel_paths:
+            assert _native.kernels().pair_sums(cover, stego) == sums, path
             report = psnr(cover, stego)
-            assert (repr(report.mse), repr(report.psnr_db), report.flips) == psnr_oracle(cover, stego), kernels
-            assert (report.psnr_db == math.inf) == (sums[1] == 0), kernels
+            assert (repr(report.mse), repr(report.psnr_db), report.flips) == psnr_oracle(cover, stego), path
+            assert (report.psnr_db == math.inf) == (sums[1] == 0), path
 
     def test_non_lsb_difference_counts_as_one_flip(self):
         report = psnr(gray(1, 2, [100, 10]), gray(1, 2, [103, 10]))
@@ -170,7 +171,7 @@ class TestPsnr:
         kind=st.sampled_from(["independent", "identical", "lsb", "full-range"]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_int64_oracle(self, rows, cols, channels, kind, seed, analysis_paths):
+    def test_matches_int64_oracle(self, rows, cols, channels, kind, seed, kernel_paths):
         # Up to 4,800 samples: the compiled sums' 256-sample blocks and tails.
         rng = np.random.default_rng(seed)
         size = rows * cols * channels
@@ -185,9 +186,9 @@ class TestPsnr:
                 "lsb": lambda: a ^ rng.integers(0, 2, size, dtype=np.uint8),
             }[kind]()
         cover, stego = RasterImage(rows, cols, channels, a), RasterImage(rows, cols, channels, b)
-        for kernels in analysis_paths:
+        for path in kernel_paths:
             report = psnr(cover, stego)
-            assert (repr(report.mse), repr(report.psnr_db), report.flips) == psnr_oracle(cover, stego), kernels
+            assert (repr(report.mse), repr(report.psnr_db), report.flips) == psnr_oracle(cover, stego), path
 
 
 class TestHistogramEntropy:
@@ -250,15 +251,15 @@ class TestChunkedCounts:
     equal one bincount over a widened copy."""
 
     @pytest.mark.parametrize("rows, cols, channels", [(512, 512, 1), (300, 301, 3), (1, 100003, 1), (70001, 2, 1)])
-    def test_equal_to_one_widened_bincount(self, rows, cols, channels, analysis_paths):
+    def test_equal_to_one_widened_bincount(self, rows, cols, channels, kernel_paths):
         rng = np.random.default_rng(rows * cols)
         img = random_image(rng, rows, cols, channels)
         hist = np.bincount(img.samples.ravel().astype(np.int64), minlength=256)
         planes = img.samples.reshape(rows, cols, channels).astype(np.int64)
         diffs = np.bincount((planes[:, 1:, :] - planes[:, :-1, :] + 255).ravel(), minlength=511)
-        for kernels in analysis_paths:
-            assert repr(histogram_entropy(img)) == repr(_entropy_bits(hist)), kernels
-            assert repr(neighbor_diff_entropy(img)) == repr(_entropy_bits(diffs)), kernels
+        for path in kernel_paths:
+            assert repr(histogram_entropy(img)) == repr(_entropy_bits(hist)), path
+            assert repr(neighbor_diff_entropy(img)) == repr(_entropy_bits(diffs)), path
 
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
@@ -280,7 +281,7 @@ class TestNativeCounts:
 
     @needs_cc
     def test_loads_where_a_compiler_exists(self):
-        assert _native.kernels() is not None and analysis._kernels() is _native.kernels()
+        assert _native.kernels() is not _native.reference()
 
     @needs_cc
     @settings(max_examples=200, derandomize=True, deadline=None)
@@ -331,7 +332,7 @@ class TestNativeCounts:
     def test_loads_an_unchanged_copy(self, tmp_path, monkeypatch, uncached_library):
         # The control for the mutants below and in TestGammaExpansions: a copy of the source loads.
         monkeypatch.setattr(_native, "_SOURCE", native_source_copy(tmp_path))
-        assert _native.kernels.__wrapped__() is not None
+        assert _native.kernels.__wrapped__() is not _native.reference()
 
     @needs_cc
     @pytest.mark.parametrize("old, new", [
@@ -343,13 +344,13 @@ class TestNativeCounts:
     def test_falls_back_when_the_check_counts_differ(self, tmp_path, monkeypatch, uncached_library, old, new):
         # The whole set is dropped: the orbit, which passes its part of the check, with the counters.
         monkeypatch.setattr(_native, "_SOURCE", native_source_copy(tmp_path, old, new))
-        assert _native.kernels.__wrapped__() is None
+        assert _native.kernels.__wrapped__() is _native.reference()
 
     def test_self_check_digest_is_the_references(self):
         # Ties the frozen pin to the references: the kernels are checked
         # against this digest only.  After a deliberate change to the check
         # inputs, freeze the digest printed here, never one the kernels give.
-        got = _native._check_digest(reference_kernels())
+        got = _native._check_digest(_native.reference())
         print(f"the references give {got}")
         assert got == _native._SELF_CHECK, f"the references give {got}"
 
@@ -364,7 +365,7 @@ class TestNativeCounts:
     def test_a_reference_wrong_in_one_part_changes_the_digest(self, part, spoil):
         # One count one too high, or one expansion one ulp off: a reference
         # wrong in any one part must not give the frozen digest.
-        references = reference_kernels()
+        references = _native.reference()
         right = getattr(references, part)
         wrong = references._replace(**{part: lambda *args: spoil(right(*args))})
         assert _native._check_digest(wrong) != _native._SELF_CHECK
@@ -374,15 +375,16 @@ class TestNativeCounts:
         def fail(*args):
             raise AssertionError("the self-check ran a reference")
 
-        references = [name for name in vars(analysis) if name.startswith("_numpy_")] + ["_expansion"]
+        references = [name for name in vars(analysis) if name.startswith("_numpy_")] + ["_python_expansions"]
         assert len(references) == 4
-        for name in references:
+        for name in references + ["_expansion"]:
             monkeypatch.setattr(analysis, name, fail)
-        assert _native.kernels.__wrapped__() is not None
+        monkeypatch.setattr(_native, "reference", fail)
+        assert isinstance(_native.kernels.__wrapped__(), _native.Kernels)  # no fallback: it would call fail
 
     def test_loaded_on_first_count_not_at_import(self, tmp_path):
         # Importing builds and checks nothing.  The first command that needs
-        # a kernel, here keygen's liveness probe, checks all five, once.
+        # a kernel, here keygen's liveness probe, checks all seven, once.
         script = (
             "import sys\n"
             "from chaostego import _native, cli\n"
@@ -420,7 +422,7 @@ class TestWorkingMemory:
 
     @pytest.mark.parametrize("rows, cols, channels", [(512, 512, 1), (256, 256, 3)])
     @pytest.mark.parametrize("statistic", ["psnr", "histogram_entropy", "neighbor_diff_entropy"])
-    def test_at_most_four_and_a_half_bytes_per_sample(self, statistic, rows, cols, channels, analysis_paths):
+    def test_at_most_four_and_a_half_bytes_per_sample(self, statistic, rows, cols, channels, kernel_paths):
         rng = np.random.default_rng(26)
         cover = random_image(rng, rows, cols, channels)
         stego = random_image(rng, rows, cols, channels)
@@ -429,8 +431,8 @@ class TestWorkingMemory:
             "histogram_entropy": lambda: histogram_entropy(stego),
             "neighbor_diff_entropy": lambda: neighbor_diff_entropy(stego),
         }[statistic]
-        for kernels in analysis_paths:
-            assert allocated_per_sample(call, cover.samples.size) <= 4.5, kernels
+        for path in kernel_paths:
+            assert allocated_per_sample(call, cover.samples.size) <= 4.5, path
 
 
 class TestGammaQ:
@@ -529,8 +531,11 @@ def crafted_scan(monkeypatch, chis, pairs):
     def value_counts(flat, bounds):
         return None, np.array(chis, dtype=np.float64), np.array(pairs, dtype=np.int64)
 
-    real = analysis._kernels
-    monkeypatch.setattr(analysis, "_kernels", lambda: real()._replace(value_counts=value_counts))
+    def kernels():
+        return _native.kernels()._replace(value_counts=value_counts)
+
+    # Set as analysis's own _native, so each loop of kernel_paths switches the record it wraps.
+    monkeypatch.setattr(analysis, "_native", types.SimpleNamespace(kernels=kernels))
 
 
 class TestGammaExpansions:
@@ -549,7 +554,7 @@ class TestGammaExpansions:
         a = dof / 2.0
         x = {"": x, "boundary": a + 1.0, "below": math.nextafter(a + 1.0, 0.0)}[edge]
         got = _native.kernels().expansions(np.array([a]), np.array([x]))[0]
-        assert repr(got) == repr(python_expansion(a, x))
+        assert repr(got) == repr(analysis._python_expansions(np.array([a]), np.array([x]))[0])
         assert repr(analysis._scaled_q(a, x, got)) == repr(gamma_q(a, x))
 
     @needs_cc
@@ -568,24 +573,22 @@ class TestGammaExpansions:
     ])
     def test_falls_back_when_the_check_expansions_differ(self, tmp_path, monkeypatch, uncached_library, old, new):
         monkeypatch.setattr(_native, "_SOURCE", native_source_copy(tmp_path, old, new))
-        assert _native.kernels.__wrapped__() is None
         # The orbit and the counters, which pass their parts of the check, fall back with the expansions.
-        monkeypatch.setattr(_native, "kernels", _native.kernels.__wrapped__)
-        assert analysis._kernels() is analysis._FALLBACK
+        assert _native.kernels.__wrapped__() is _native.reference()
 
     @pytest.mark.parametrize("chi, pairs, expansion", [
         (199998.0, 200001, "series"),  # a = 1e5, x = 99999
         (2e7 + 2.0, 20000001, "continued fraction"),  # a = 1e7, x = 1e7 + 1
     ])
     def test_divergence_raises_the_same_error_on_both_paths(self, chi, pairs, expansion, monkeypatch,
-                                                           analysis_paths):
+                                                           kernel_paths):
         with pytest.raises(DomainError, match=f"incomplete gamma {expansion} did not converge") as want:
             gamma_q((pairs - 1) / 2.0, chi / 2.0)
         crafted_scan(monkeypatch, [0.0, chi], [0, pairs])
-        for kernels in analysis_paths:
+        for path in kernel_paths:
             with pytest.raises(DomainError) as got:
                 chi_square_attack(gray(10, 10, [0] * 100), 50)
-            assert str(got.value) == str(want.value), kernels
+            assert str(got.value) == str(want.value), path
 
     def test_only_prefixes_with_a_degree_of_freedom_are_expanded(self, monkeypatch):
         # The rest report p = 0; at a = 0 the compiled series would run to its cap.
@@ -593,26 +596,26 @@ class TestGammaExpansions:
 
         def expansions(a, x):
             shapes.extend(a.tolist())
-            return [analysis._expansion(a_k, x_k) for a_k, x_k in zip(a.tolist(), x.tolist())]
+            return analysis._python_expansions(a, x)
 
-        kernels = analysis._kernels()._replace(expansions=expansions)
-        monkeypatch.setattr(analysis, "_kernels", lambda: kernels)
+        kernels = _native.kernels()._replace(expansions=expansions)
+        monkeypatch.setattr(_native, "kernels", lambda: kernels)
         points = chi_square_attack(gray(7, 9, np.repeat(np.arange(100, 107), 9)), 1)
         assert {p.dof for p in points} >= {0, 1} and min(shapes) == 0.5
         assert len(shapes) == sum(p.dof >= 1 for p in points)
 
-    def test_underflowed_prefix_hides_a_diverging_expansion(self, monkeypatch, analysis_paths):
+    def test_underflowed_prefix_hides_a_diverging_expansion(self, monkeypatch, kernel_paths):
         # At a = 1e7, x = 9873509 the prefix is about e**-800, so Q is 1,
         # though the series would need far more than 1000 terms.
         a, x = 1e7, 9873509.0
         assert -x + a * math.log(x) - math.lgamma(a) < -745.0
-        assert python_expansion(a, x) is None
+        assert analysis._python_expansions(np.array([a]), np.array([x])) == [None]
         if shutil.which("cc") is not None:
             assert kernel_terms([a], [x]).tolist() == [-1]
         crafted_scan(monkeypatch, [2.0 * x, 2.0 * x], [2 * int(a) + 1] * 2)
-        for kernels in analysis_paths:
+        for path in kernel_paths:
             points = chi_square_attack(gray(10, 10, [0] * 100), 50)
-            assert [(p.dof, p.p_embedding) for p in points] == [(2 * int(a), 1.0)] * 2, kernels
+            assert [(p.dof, p.p_embedding) for p in points] == [(2 * int(a), 1.0)] * 2, path
 
 
 def paired_cover(rows, cols):
@@ -716,7 +719,7 @@ class TestChiSquareAttack:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_one_pass_scan_equals_per_prefix_oracle(self, rows, cols, channels, step, low, width, seed,
-                                                     analysis_paths):
+                                                     kernel_paths):
         # A narrow value range fills few pairs, so small images still
         # reach the pair-count threshold and report a statistic.
         rng = np.random.default_rng(seed)
@@ -724,19 +727,19 @@ class TestChiSquareAttack:
         values = rng.integers(low, high, rows * cols * channels, dtype=np.uint8, endpoint=True)
         image = RasterImage(rows, cols, channels, values)
         expected = reprs(per_prefix_attack(image, step))
-        for kernels in analysis_paths:
-            assert reprs(chi_square_attack(image, step)) == expected, kernels
+        for path in kernel_paths:
+            assert reprs(chi_square_attack(image, step)) == expected, path
 
-    def test_workload_sized_scan_equals_per_prefix_oracle(self, analysis_paths):
+    def test_workload_sized_scan_equals_per_prefix_oracle(self, kernel_paths):
         # Random samples, then even-only ones: the p-values sweep from 1
         # towards 0, through both of gamma_q's expansions.
         rng = np.random.default_rng(34)
         samples = rng.integers(0, 256, 512 * 512, dtype=np.uint8)
         samples[samples.size // 2:] &= 0xFE
         expected = reprs(per_prefix_attack(RasterImage(512, 512, 1, samples), 1))
-        for kernels in analysis_paths:
+        for path in kernel_paths:
             points = chi_square_attack(RasterImage(512, 512, 1, samples), 1)
-            assert reprs(points) == expected, kernels
+            assert reprs(points) == expected, path
             series = sum(p.chi_square / 2.0 < p.dof / 2.0 + 1.0 for p in points)
             assert (len(points), series) == (100, 51)
             assert sum(0.0 < p.p_embedding < 1.0 for p in points) == 59
@@ -748,17 +751,17 @@ class TestChiSquareAttack:
         seed=st.integers(0, 2**32 - 1),
     )
     @example(targets=[0, 1, 7, 8, 9, 15, 16, 17, 127, 128], seed=0)
-    def test_scan_sums_as_numpy_at_the_summation_edges(self, targets, seed, analysis_paths):
+    def test_scan_sums_as_numpy_at_the_summation_edges(self, targets, seed, kernel_paths):
         # 0-128 included pairs: numpy adds below 8 terms plainly and from 8
         # on keeps 8 partial sums, so these counts are its edges.
         targets = sorted(targets)
         samples, bounds = pair_rows(np.random.default_rng(seed), targets)
         expected = [prefix_chi_square(samples[:end]) for end in bounds[1:]]
         assert [pairs for _, pairs in expected] == targets
-        for kernels in analysis_paths:
-            _, chis, pairs = analysis._kernels().value_counts(samples, bounds)
+        for path in kernel_paths:
+            _, chis, pairs = _native.kernels().value_counts(samples, bounds)
             assert [(repr(chi), n) for chi, n in zip(chis.tolist(), pairs.tolist())] == \
-                [(repr(chi), n) for chi, n in expected], kernels
+                [(repr(chi), n) for chi, n in expected], path
 
     def test_equal_pairs_scan_is_all_ones(self):
         img = paired_cover(100, 100)  # every 10% prefix has even length

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaostego import _native, analysis, chaos
+from chaostego import _native, chaos
 from chaostego.chaos import (
     EPSILON,
     ChaosState,
@@ -32,7 +32,7 @@ from chaostego.chaos import (
 )
 from chaostego.errors import DomainError, InsufficientCapacity
 from chaostego.keymat import ALPHA_RANGE, PublicCoupling, SecretKeySet, generate_keys
-from conftest import native_source_copy, reference_kernels
+from conftest import native_source_copy
 from test_golden import KEY_SETS
 
 
@@ -175,7 +175,7 @@ class TestSelectPositions:
         with pytest.raises(DomainError):
             select_positions(keys, PublicCoupling(r), ImageDims(16, 16), 0)
 
-    def test_refuses_exactly_what_the_validators_refuse(self, orbit_paths):
+    def test_refuses_exactly_what_the_validators_refuse(self, kernel_paths):
         # One key rule: select_positions raises DomainError iff the
         # validators report a violation, names every one, and checks keys
         # before the count.  Valid edge keys may still run out of capacity.
@@ -183,7 +183,7 @@ class TestSelectPositions:
         seeds = (0.0, 5e-324, 0.5, math.nextafter(1.0, 0.0), 1.0)
         couplings = (0.0, 5e-324, 1.0, math.nextafter(1.0, 2.0))
         dims = ImageDims(16, 16)
-        for path in orbit_paths:
+        for path in kernel_paths:
             for a1, a2, x0, y0, r, count in itertools.product(alphas, alphas, seeds, seeds, couplings, (0, 5)):
                 keys, coupling = SecretKeySet(a1, a2, x0, y0), PublicCoupling(r)
                 bad = validate_keys(keys) + validate_coupling(coupling)
@@ -220,11 +220,11 @@ class TestSelectPositions:
         assert np.array_equal(np.sort(flat), np.arange(64 * 64))
 
     @pytest.mark.parametrize("rows,cols", [(1, 1), (7, 13), (3, 67), (65, 1)])
-    def test_full_cover_of_odd_grids_agrees_on_both_paths(self, live_keys, orbit_paths, rows, cols):
+    def test_full_cover_of_odd_grids_agrees_on_both_paths(self, live_keys, kernel_paths, rows, cols):
         # Cell counts that are not a multiple of 64 end the compiled
         # kernel's seen-map in a partly used word.
         keys, coupling = live_keys
-        streams = [select_positions(keys, coupling, ImageDims(rows, cols), rows * cols) for _ in orbit_paths]
+        streams = [select_positions(keys, coupling, ImageDims(rows, cols), rows * cols) for _ in kernel_paths]
         assert np.array_equal(np.sort(streams[0]), np.arange(rows * cols))
         assert all(np.array_equal(s, streams[0]) for s in streams)
 
@@ -238,7 +238,7 @@ class TestSelectPositions:
         with pytest.raises(DomainError, match="non-negative"):
             select_positions(keys, coupling, ImageDims(8, 8), -1)
 
-    def test_top_edge_state_maps_to_the_last_cell(self, orbit_paths):
+    def test_top_edge_state_maps_to_the_last_cell(self, kernel_paths):
         # The kernels do not clamp: for binary64 x < 1 and n < 2**53, x * n
         # rounds below n, so truncation gives at most n - 1.  The largest
         # state, nextafter(1, 0), must land on the last cell of any grid.
@@ -247,11 +247,9 @@ class TestSelectPositions:
         assert np.array_equal((top * n).astype(np.int64), n - 1)
         n = np.random.default_rng(14).integers(1, chaos._MAX_CELLS, 10**5)
         assert np.array_equal((top * n).astype(np.int64), n - 1)
-        for path in orbit_paths:
-            kernels = _native.kernels()
-            orbit = kernels.orbit if kernels else chaos._orbit_python
+        for path in kernel_paths:
             for rows, cols in ((1, 1), (1, 7), (7, 1), (3, 5), (97, 89), (1000, 1000)):
-                got = orbit(top, top, 1.3, 1.7, 0.97, rows, cols, 1, 1)
+                got = _native.kernels().orbit(top, top, 1.3, 1.7, 0.97, rows, cols, 1, 1)
                 assert got.tolist() == [rows * cols - 1], (path, rows, cols)
 
     def test_orbit_collapse_reported(self):
@@ -270,16 +268,16 @@ class TestSelectPositions:
             select_positions(SecretKeySet(0.6, 0.7, x0, y0), PublicCoupling(0.99), ImageDims(16, 16), 5)
 
     @pytest.mark.parametrize("which", ["alpha1", "alpha2"])
-    def test_rejects_alpha_whose_square_overflows(self, which, orbit_paths):
+    def test_rejects_alpha_whose_square_overflows(self, which, kernel_paths):
         # alpha**2 = inf would turn the orbit to NaN, which neither path can
         # map to a cell; it must fail before any kernel runs.
         fields = dict(alpha1=1.3, alpha2=1.7, x0=0.31, y0=0.72)
         fields[which] = 2.0 ** 520
-        for path in orbit_paths:
+        for path in kernel_paths:
             with pytest.raises(DomainError, match="2\\*\\*511"):
                 select_positions(SecretKeySet(**fields), PublicCoupling(0.97), ImageDims(16, 16), 10)
 
-    def test_matches_composed_single_steps(self, live_keys, orbit_paths):
+    def test_matches_composed_single_steps(self, live_keys, kernel_paths):
         # Both orbit paths must reproduce the public step functions
         # exactly, state for state.
         keys, coupling = live_keys
@@ -294,7 +292,7 @@ class TestSelectPositions:
                 seen.add(flat)
                 expected.append(flat)
             state = coupled_step(state, keys.alpha1, keys.alpha2, coupling.value)
-        for path in orbit_paths:
+        for path in kernel_paths:
             got = select_positions(keys, coupling, dims, len(expected))
             assert got.tolist() == expected, path
 
@@ -309,7 +307,7 @@ class TestSelectPositions:
             states.append(coupled_step(*args))
             return states[-1]
 
-        monkeypatch.setattr(_native, "kernels", lambda: None)
+        monkeypatch.setattr(_native, "kernels", _native.reference)
         monkeypatch.setattr(chaos, "coupled_step", recording_step)
         got = select_positions(keys, coupling, dims, 500)
         assert len(states) > 1, "the Python orbit never called coupled_step"
@@ -330,7 +328,7 @@ class TestSelectPositions:
             calls += 1
             return sanitize(u)
 
-        monkeypatch.setattr(_native, "kernels", lambda: None)
+        monkeypatch.setattr(_native, "kernels", _native.reference)
         monkeypatch.setattr(chaos, "sanitize", counting_sanitize)
         keys = SecretKeySet(3.0, 2.5, 0.31, 0.72)
         with pytest.raises(InsufficientCapacity, match=r"\(28391 steps, 86 unique positions found\)"):
@@ -361,7 +359,7 @@ PEAK_KIB = (
 class TestNativeKernel:
     @needs_cc
     def test_loads_where_a_compiler_exists(self):
-        assert _native.kernels() is not None
+        assert _native.kernels() is not _native.reference()
 
     @needs_cc
     def test_build_is_cached_by_source_hash(self, tmp_path):
@@ -415,7 +413,7 @@ class TestNativeKernel:
     def test_falls_back_without_a_compiler(self, monkeypatch, uncached_library):
         monkeypatch.setattr(_native.shutil, "which", lambda name: None)
         assert _native.library() is None
-        assert _native.kernels.__wrapped__() is None
+        assert _native.kernels.__wrapped__() is _native.reference()
 
     def test_falls_back_when_the_build_fails(self, monkeypatch, uncached_library):
         def fail(source):
@@ -423,17 +421,17 @@ class TestNativeKernel:
 
         monkeypatch.setattr(_native, "_build", fail)
         assert _native.library() is None
-        assert _native.kernels.__wrapped__() is None
+        assert _native.kernels.__wrapped__() is _native.reference()
 
     def test_falls_back_when_the_self_check_disagrees(self, monkeypatch, live_keys):
-        if _native.kernels() is None:
+        if _native.kernels() is _native.reference():
             pytest.skip("compiled kernels unavailable")
         monkeypatch.setattr(_native, "_SELF_CHECK", f"{int(_native._SELF_CHECK, 16) ^ 1:064x}")
-        assert _native.kernels.__wrapped__() is None
-        # Both callers then run their references.
+        assert _native.kernels.__wrapped__() is _native.reference()
+        # Callers then run what reference() gives.
+        stub = _native.reference()._replace(orbit=lambda *args: np.arange(3))
+        monkeypatch.setattr(_native, "reference", lambda: stub)
         monkeypatch.setattr(_native, "kernels", _native.kernels.__wrapped__)
-        assert analysis._kernels() is analysis._FALLBACK
-        monkeypatch.setattr(chaos, "_orbit_python", lambda *args: np.arange(3))
         assert select_positions(*live_keys, ImageDims(16, 16), 3).tolist() == [0, 1, 2]
 
     def test_self_check_cases_take_every_exit(self):
@@ -458,7 +456,7 @@ class TestNativeKernel:
             found = chaos._orbit_python(*args)
             return found[:-1] if args == wrong else found
 
-        assert _native._check_digest(reference_kernels()._replace(orbit=orbit)) != _native._SELF_CHECK
+        assert _native._check_digest(_native.reference()._replace(orbit=orbit)) != _native._SELF_CHECK
 
     def test_lengths_keep_the_streams_apart(self):
         # The first stream's last index moved to the front of the second
@@ -472,7 +470,7 @@ class TestNativeKernel:
                 return found[:-1]
             return np.concatenate([[last], found]) if args == second else found
 
-        assert _native._check_digest(reference_kernels()._replace(orbit=orbit)) != _native._SELF_CHECK
+        assert _native._check_digest(_native.reference()._replace(orbit=orbit)) != _native._SELF_CHECK
 
     @needs_cc
     def test_self_check_runs_no_python_orbit(self, monkeypatch):
@@ -481,12 +479,13 @@ class TestNativeKernel:
 
         monkeypatch.setattr(chaos, "_orbit_python", fail)
         monkeypatch.setattr(chaos, "coupled_step", fail)
-        assert _native.kernels.__wrapped__() is not None
+        monkeypatch.setattr(_native, "reference", fail)
+        assert isinstance(_native.kernels.__wrapped__(), _native.Kernels)  # no fallback: it would call fail
 
     def test_reports_a_failed_seen_map_allocation(self, monkeypatch):
         # A grid no address space holds: rows*cols bits overflow any calloc.
         kernels = _native.kernels()
-        if kernels is None:
+        if kernels is _native.reference():
             pytest.skip("compiled kernel unavailable")
         with pytest.raises(MemoryError, match="seen-map"):
             kernels.orbit(0.3, 0.7, 2.0, 3.0, 0.9, 2**40, 2**22, 1, 10)
@@ -495,14 +494,14 @@ class TestNativeKernel:
     def test_seen_map_memory_follows_the_work(self, tmp_path):
         # 500 positions on an 8000x8000 grid: a byte per cell would be 64 MB,
         # a bitset 8 MB of address space of which only touched pages count.
-        if _native.kernels() is None:
+        if _native.kernels() is _native.reference():
             pytest.skip("compiled kernel unavailable")
         script = PEAK_KIB + (
             "import sys\n"
             "from chaostego import _native, cli\n"
             "sec, pub, out = sys.argv[1:]\n"
             "assert cli.run(['keygen', '--out', sec, '--pub', pub, '--seed', '3']) == 0\n"
-            "assert _native.kernels() is not None\n"
+            "assert _native.kernels() is not _native.reference()\n"
             "before = peak_kib()\n"
             "assert cli.run(['exchange-sim', '--alice', sec, '--pub', pub, '--rows', '8000',\n"
             "                '--cols', '8000', '--prefix', '500', '--out', out]) == 0\n"
@@ -523,13 +522,13 @@ class TestNativeKernel:
         # 2 MB of pages.  Once one was freed, calloc could serve the next
         # from the heap and zero it whole; mmap'd afresh, each call keeps
         # only the pages it touches.
-        if _native.kernels() is None:
+        if _native.kernels() is _native.reference():
             pytest.skip("compiled kernel unavailable")
         script = PEAK_KIB + (
             "from chaostego import _native, chaos\n"
             "from chaostego.keymat import generate_keys\n"
             "keys, coupling = generate_keys(3)\n"
-            "assert _native.kernels() is not None\n"
+            "assert _native.kernels() is not _native.reference()\n"
             "for _ in range(4):\n"
             "    before = peak_kib()\n"
             "    assert chaos.select_positions(keys, coupling, chaos.ImageDims(8000, 8000), 500).size == 500\n"
@@ -549,8 +548,8 @@ class TestNativeKernel:
     ])
     def test_kernels_run_clean_under_ubsan(self, tmp_path, change, clean):
         # Built with undefined-behaviour checks that abort on the first
-        # finding: the five kernels' load-time check (the orbit's cases and
-        # the counters', the pair sums' and the expansions' check inputs),
+        # finding: the seven kernels' load-time check (the orbit's cases,
+        # the counters', the pair sums', the expansions' and the marks' check inputs),
         # then the value counter on rows of 0-128 included pairs.
         script = (
             "import sys\n"
@@ -560,7 +559,7 @@ class TestNativeKernel:
             "_native._SOURCE = Path(sys.argv[1])\n"
             "_native._CFLAGS = (*_native._CFLAGS, '-fsanitize=undefined', '-fno-sanitize-recover=undefined')\n"
             "kernels = _native.kernels()\n"
-            "assert kernels is not None\n"
+            "assert kernels is not _native.reference()\n"
             "edges = [0, 1, 7, 8, 9, 15, 16, 17, 127, 128]\n"
             "samples = np.repeat(np.arange(0, 256, 2, dtype=np.uint8), 5)\n"
             "_, chis, pairs = kernels.value_counts(samples, np.array([0] + [5 * n for n in edges]))\n"
@@ -580,11 +579,11 @@ class TestKeySpace:
     are equivalent keys up to rounding, as are y0 and 1 - y0.  Both tests
     pin measured facts of this generator, not a security bound."""
 
-    def test_mirrored_seeds_give_the_same_stream(self, orbit_paths):
+    def test_mirrored_seeds_give_the_same_stream(self, kernel_paths):
         # 5 of the 6 mirrors give the stream itself; 1 - 0.31 rounds, so
         # the hand set's mirrored x0 parts from it at position 58.
         dims = ImageDims(256, 256)
-        for path in orbit_paths:
+        for path in kernel_paths:
             for name, (keys, coupling) in KEY_SETS.items():
                 stream = select_positions(keys, coupling, dims, 32768)
                 for field in ("x0", "y0"):
@@ -596,7 +595,7 @@ class TestKeySpace:
     def test_one_ulp_seed_change_often_leaves_the_stream_unchanged(self):
         # Rounding absorbs a one-ulp rise of x0 or y0 in 31 of these 100
         # cases: the 20,000-position stream at 512x512 stays the same.
-        if _native.kernels() is None:
+        if _native.kernels() is _native.reference():
             pytest.skip("compiled kernel unavailable")
         dims, unchanged = ImageDims(512, 512), 0
         for seed in range(50):

@@ -218,7 +218,7 @@ class TestEmbedExtract:
         assert not (workdir / "recovered.txt").exists()
 
     @pytest.mark.parametrize("rows, cols, channels", [(37, 29, 1), (255, 257, 3)])
-    def test_padding_bits_of_the_marks_are_ignored(self, workdir, orbit_paths, rows, cols, channels):
+    def test_padding_bits_of_the_marks_are_ignored(self, workdir, kernel_paths, rows, cols, channels):
         # 29 and 771 cells a row end in 3 and 5 padding bits; set them all.
         keygen(workdir)
         cover = random_image(np.random.default_rng(57), rows, cols, channels)
@@ -233,7 +233,7 @@ class TestEmbedExtract:
             assert not (raster[:, -1] & padding).any()
             raster[:, -1] |= padding
             (workdir / name).write_bytes(data[:split] + raster.tobytes())
-        for path in orbit_paths:
+        for path in kernel_paths:
             assert self.extract(workdir, stego=stego, out=f"{path}.txt") == 0
             assert (workdir / f"{path}.txt").read_bytes() == (workdir / "msg.txt").read_bytes(), path
 

@@ -28,7 +28,7 @@ from chaostego.errors import (
 )
 from chaostego.imagery import RasterImage, flip_count, load_pbm, save_pbm
 from chaostego.keymat import PublicCoupling, SecretKeySet
-from conftest import native_source_copy, random_image, reference_kernels
+from conftest import native_source_copy, random_image
 
 
 def bits_of(value, width):
@@ -264,7 +264,7 @@ class TestExtract:
         assert got.mode == payload.mode and np.array_equal(got.bits, payload.bits)
         assert decode_message(got) == "round trip me"
 
-    def test_bit_rule_reads_marks_at_changed_cells(self, orbit_paths):
+    def test_bit_rule_reads_marks_at_changed_cells(self, kernel_paths):
         # 5x5 grid: at the marked cells (1-based (row, col)) the two mark
         # matrices agree and the bit comes from them; everywhere else they
         # differ and the bit comes from the stego LSB.
@@ -274,9 +274,9 @@ class TestExtract:
         for r, c in marked_cells:
             ones[r - 1, c - 1] = zeros[r - 1, c - 1] = 1  # embedded bit was 1
         stego = np.zeros((5, 5), dtype=np.uint8)  # every LSB reads 0
-        for path in orbit_paths:
-            gather = (_native.kernels() or reference_kernels()).gather
-            bits_by_source = gather(stego, np.packbits(ones, axis=1), np.packbits(zeros, axis=1), np.arange(25))
+        for path in kernel_paths:
+            bits_by_source = _native.kernels().gather(stego, np.packbits(ones, axis=1), np.packbits(zeros, axis=1),
+                                                      np.arange(25))
             for r in range(1, 6):
                 for c in range(1, 6):
                     expected = 1 if (r, c) in marked_cells else 0
@@ -291,18 +291,18 @@ class TestExtract:
         fill=st.floats(0.0, 1.0),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_mark_kernels_equal_the_numpy_references(self, rows, cols, channels, fill, seed, orbit_paths):
+    def test_mark_kernels_equal_the_numpy_references(self, rows, cols, channels, fill, seed, kernel_paths):
         # Odd widths put padding bits in every row; one bit to every cell.
         rng = np.random.default_rng(seed)
         cover = random_image(rng, rows, cols, channels).samples
         size = cover.size
         flat = rng.permutation(size)[: max(1, round(fill * size))]
         bits = rng.integers(0, 2, flat.size, dtype=np.uint8)
-        references = reference_kernels()
+        references = _native.reference()
         stego, ones, zeros = references.scatter(cover, flat, bits)
         probe = rng.permutation(size)  # every cell, in an order of its own
-        for path in orbit_paths:
-            kernels = _native.kernels() or references
+        for path in kernel_paths:
+            kernels = _native.kernels()
             got = kernels.scatter(cover, flat, bits)
             for a, b in zip(got, (stego, ones, zeros)):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), path
@@ -320,7 +320,7 @@ class TestExtract:
     def test_falls_back_when_a_mark_kernel_is_wrong(self, tmp_path, monkeypatch, uncached_library, old, new):
         # The self-check drops the whole set, as for the other kernels.
         monkeypatch.setattr(_native, "_SOURCE", native_source_copy(tmp_path, old, new))
-        assert _native.kernels.__wrapped__() is None
+        assert _native.kernels.__wrapped__() is _native.reference()
 
     def test_corruption_at_unchanged_positions_is_predictable(self, live_keys):
         # Simulated lossy transport: flip stego LSBs at a known subset of

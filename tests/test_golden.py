@@ -105,9 +105,9 @@ def sha256(data: bytes) -> str:
 
 @pytest.mark.parametrize("name", list(KEY_SETS))
 @pytest.mark.parametrize("rows,cols,count", GRIDS)
-def test_position_stream(name, rows, cols, count, orbit_paths):
+def test_position_stream(name, rows, cols, count, kernel_paths):
     keys, coupling = KEY_SETS[name]
-    for path in orbit_paths:
+    for path in kernel_paths:
         flat = flat_stream(keys, coupling, rows, cols, count)
         assert len(flat) == count, path
         assert sha256(flat.astype("<i8").tobytes()) == STREAM_SHA256[name, rows, cols], path
@@ -121,28 +121,28 @@ def test_position_stream(name, rows, cols, count, orbit_paths):
         ((1, 50), 50, "position generator exhausted its iteration cap (3912 steps, 47 unique positions found)"),
     ],
 )
-def test_capacity_failures(dims, count, message, orbit_paths):
+def test_capacity_failures(dims, count, message, kernel_paths):
     # A collapsing orbit (alphas past the chaotic band, R well below 1).
     keys = SecretKeySet(3.0, 2.5, 0.31, 0.72)
-    for path in orbit_paths:
+    for path in kernel_paths:
         with pytest.raises(InsufficientCapacity) as info:
             select_positions(keys, PublicCoupling(0.9), ImageDims(*dims), count)
         assert str(info.value) == message, path
 
 
-def test_keygen_file_bytes(tmp_path, orbit_paths):
-    for path in orbit_paths:
+def test_keygen_file_bytes(tmp_path, kernel_paths):
+    for path in kernel_paths:
         secret, public = tmp_path / f"{path}.s.key", tmp_path / f"{path}.p.key"
         assert run(["keygen", "--out", str(secret), "--pub", str(public), "--seed", "42"]) == 0
         assert secret.read_bytes() == KEYGEN_42_SECRET, path
         assert public.read_bytes() == KEYGEN_42_PUBLIC, path
 
 
-def test_exchange_sim_output(tmp_path, orbit_paths):
+def test_exchange_sim_output(tmp_path, kernel_paths):
     secret, public = tmp_path / "s.key", tmp_path / "p.key"
     secret.write_bytes(KEYGEN_42_SECRET)
     public.write_bytes(KEYGEN_42_PUBLIC)
-    for path in orbit_paths:
+    for path in kernel_paths:
         out = tmp_path / f"{path}.out.txt"
         argv = ["exchange-sim", "--alice", str(secret), "--pub", str(public),
                 "--rows", "97", "--cols", "89", "--prefix", "500", "--out", str(out)]
@@ -151,12 +151,12 @@ def test_exchange_sim_output(tmp_path, orbit_paths):
 
 
 @pytest.mark.parametrize("rows,cols,channels", [(40, 56, 1), (40, 56, 3)])
-def test_embed_file_bytes(rows, cols, channels, orbit_paths):
+def test_embed_file_bytes(rows, cols, channels, kernel_paths):
     keys, coupling = KEY_SETS["seed42"]
     rng = np.random.default_rng(20121101)
     cover = RasterImage(rows, cols, channels, rng.integers(0, 256, rows * cols * channels, dtype=np.uint8))
     payload = encode_message("frozen vectors pin the keyed pixel order " * 4, "ascii7")
-    for path in orbit_paths:
+    for path in kernel_paths:
         bundle = embed(cover, payload, keys, coupling)
         got = (
             sha256(save_pnm(bundle.stego)),
@@ -206,30 +206,28 @@ def attack_csv(tmp_path, image, step) -> bytes:
 
 
 @pytest.mark.parametrize("step", sorted(ATTACK_CSV_SHA256))
-def test_attack_csv_bytes(step, tmp_path, orbit_paths, analysis_paths):
-    for path in orbit_paths:
+def test_attack_csv_bytes(step, tmp_path, kernel_paths):
+    for path in kernel_paths:
         write_grading_pair(tmp_path)
-        for kernels in analysis_paths:
-            got = sha256(attack_csv(tmp_path, tmp_path / "stego.pgm", step))
-            assert got == ATTACK_CSV_SHA256[step], (path, kernels)
+        got = sha256(attack_csv(tmp_path, tmp_path / "stego.pgm", step))
+        assert got == ATTACK_CSV_SHA256[step], path
 
 
-def test_analyze_output(tmp_path, orbit_paths, analysis_paths):
-    for path in orbit_paths:
+def test_analyze_output(tmp_path, kernel_paths):
+    for path in kernel_paths:
         write_grading_pair(tmp_path)
-        for kernels in analysis_paths:
-            out = tmp_path / "quality.txt"
-            argv = ["analyze", "--cover", str(tmp_path / "cover.pgm"), "--stego", str(tmp_path / "stego.pgm"),
-                    "--diff-entropy", "--payload-bits", str(GRADING_PAYLOAD_BITS), "--out", str(out)]
-            assert run(argv) == 0
-            assert out.read_text() == ANALYZE_OUTPUT, (path, kernels)
+        out = tmp_path / "quality.txt"
+        argv = ["analyze", "--cover", str(tmp_path / "cover.pgm"), "--stego", str(tmp_path / "stego.pgm"),
+                "--diff-entropy", "--payload-bits", str(GRADING_PAYLOAD_BITS), "--out", str(out)]
+        assert run(argv) == 0
+        assert out.read_text() == ANALYZE_OUTPUT, path
 
 
-def test_attack_csv_bytes_below_100_samples(tmp_path, analysis_paths):
+def test_attack_csv_bytes_below_100_samples(tmp_path, kernel_paths):
     # Values in 100..107 fill four pairs, so the later prefixes count
     # enough samples per pair to report a statistic.
     rng = np.random.default_rng(20121103)
     image = tmp_path / "tiny.pgm"
     image.write_bytes(save_pnm(RasterImage(7, 9, 1, rng.integers(100, 108, 63, dtype=np.uint8))))
-    for kernels in analysis_paths:
-        assert sha256(attack_csv(tmp_path, image, 1)) == TINY_ATTACK_CSV_SHA256, kernels
+    for path in kernel_paths:
+        assert sha256(attack_csv(tmp_path, image, 1)) == TINY_ATTACK_CSV_SHA256, path

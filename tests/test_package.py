@@ -1,8 +1,8 @@
 """The package root exports exactly the names README's "Library use" shows,
 every name it lists under a module exists there, its shell examples are
 valid invocations, each module uses what it imports, the CLI keeps paths
-as strings, only ``_native`` builds, loads or checks C, declares every C function
-it exports and falls back without any one of them, compiles without a
+as strings, only ``_native`` builds, loads or checks C or names a reference, declares
+every C function it exports and falls back without any one of them, compiles without a
 warning, every C source ships with the package, and the benchmark evidence at the repository root comes
 in complete, paired files."""
 
@@ -102,6 +102,28 @@ def test_only_native_builds_or_loads_compiled_code():
                 assert not library, f"chaostego.{path.stem} names _native.library at line {node.lineno}"
 
 
+def test_only_native_names_a_reference():
+    # What runs where the compiled kernels do not is decided once, in
+    # _native.kernels(): every other module calls its record, and names a
+    # reference only to define it.
+    reference = re.compile(r"_orbit_python|_numpy_\w+|_python_expansions")
+    found = []
+    for path in sorted(Path(chaostego.__file__).parent.glob("*.py")):
+        if path.stem == "_native":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name and reference.fullmatch(name):
+                found.append(f"{path.stem}:{node.lineno} {name}")
+    assert not found, f"references named outside _native: {found}"
+
+
+def test_every_reference_is_callable():
+    # A None field would leave its kernel with nothing to run in its place.
+    missing = [name for name, kernel in _native.reference()._asdict().items() if not callable(kernel)]
+    assert not missing, f"_native.reference() lacks {missing}"
+
+
 def test_cli_keeps_paths_as_strings():
     # The CLI opens, stats and renames argv paths as the strings they are;
     # a pathlib object would exist only to be converted back.
@@ -167,11 +189,11 @@ def test_native_declares_exactly_the_exported_c_functions():
 @pytest.mark.parametrize("name", sorted(exported_c_functions()))
 def test_library_lacking_a_kernel_falls_back(name, tmp_path, monkeypatch, uncached_library):
     # A stale _native.py beside a newer _native.c: every command must fall
-    # back to Python or numpy, not crash on the missing symbol.
+    # back to the references, not crash on the missing symbol.
     head = exported_c_functions()[name]
     monkeypatch.setattr(_native, "_SOURCE", native_source_copy(tmp_path, "\n" + head, "\nstatic " + head))
     assert _native.library() is None
-    assert _native.kernels.__wrapped__() is None
+    assert _native.kernels.__wrapped__() is _native.reference()
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
